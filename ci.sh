@@ -6,7 +6,7 @@
 #
 # Usage: ./ci.sh [jobs]
 #
-# Five stages, all must be green:
+# Four stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the sweep-runner
@@ -29,12 +29,6 @@
 #                    (including the full-grid sweep determinism soak),
 #                    under the sanitizer build where their randomly
 #                    killed workers are most likely to expose leaks
-#   5. build-tsan/ — ThreadSanitizer: the sweep runner's process/thread
-#                    fan-out (determinism test), the fault soak, the
-#                    threaded-engine bit-identity suite, the resident-
-#                    pool tier-1 tests with OMM_HOST_THREADS=4, and the
-#                    E14 threaded-engine smoke — the engine's real
-#                    thread fan-out race-checked end to end
 #
 #===----------------------------------------------------------------------===#
 
@@ -116,25 +110,6 @@ python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
     --filter 'FrameSchedule/workers:6/dataflow:1' \
     --require host_round_trips_eliminated '>' 0
 
-echo "=== bench smoke: threaded engine (E14) ==="
-# E14 measures host wall clock, so it runs in-process (no sweeprun
-# sharding competing for the same cores). Every row asserts the
-# threaded simulation is bit-identical to serial before reporting.
-build/bench/bench_e14_threaded_engine \
-    --benchmark_filter='threads:4/' \
-    --json=build/bench/BENCH_e14_smoke.json
-python3 tools/bench_summary.py build/bench/BENCH_e14_smoke.json \
-    --counters threads,wall_ms,speedup_vs_serial
-# The speedup floor needs real cores to mean anything; a 1- or 2-core
-# box can only measure the engine's overhead, not its parallelism.
-if [ "$(nproc)" -ge 4 ]; then
-    python3 tools/bench_summary.py build/bench/BENCH_e14_smoke.json \
-        --filter 'ChunkSweep/threads:4' \
-        --require speedup_vs_serial '>=' 1.5
-else
-    echo "skipping speedup_vs_serial gate: $(nproc) core(s) < 4"
-fi
-
 echo "=== bench smoke: multi-tenant serving (E15, via tools/sweeprun) ==="
 python3 tools/sweeprun --jobs "$JOBS" \
     --filter 'FaultIsolation|tenants:4/' \
@@ -185,27 +160,5 @@ ctest --test-dir build-asan -LE soak --output-on-failure -j "$JOBS"
 
 echo "=== soak: fault-injection endurance under asan+ubsan ==="
 ctest --test-dir build-asan -L soak --output-on-failure -j "$JOBS"
-
-echo "=== tsan: threaded engine + sweep fan-out under ThreadSanitizer ==="
-cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_TSAN=ON
-# Only what the TSan tests drive: the determinism grid's bench
-# binaries, the CLI contract's binary, the fault soak, the
-# threaded-engine suite, the resident-pool tests the engine threads,
-# and the E14 bench.
-cmake --build build-tsan -j "$JOBS" --target \
-    bench_e10_persistent_workers bench_e13_parcels \
-    bench_e7_word_addressing bench_e14_threaded_engine \
-    fault_soak_test threaded_engine_test steal_test \
-    resident_worker_test jobqueue_test parcel_test
-ctest --test-dir build-tsan --output-on-failure \
-    -R '^(sweep_determinism_test|bench_cli_test|fault_soak_test|threaded_engine_test)$'
-# The resident-pool tier-1 tests again, with the threaded engine forced
-# on: every pool they open races its real thread fan-out under TSan.
-OMM_HOST_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
-    -R '^(steal_test|resident_worker_test|jobqueue_test|parcel_test)$'
-# E14 smoke under TSan: the wall numbers are meaningless here, the
-# race coverage of the serial-vs-threaded back-to-back runs is not.
-build-tsan/bench/bench_e14_threaded_engine \
-    --benchmark_filter='ChunkSweep/threads:4/' --no-json
 
 echo "=== all green ==="

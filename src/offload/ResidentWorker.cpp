@@ -7,8 +7,6 @@
 
 #include "offload/ResidentWorker.h"
 
-#include "offload/ThreadedEngine.h"
-#include "sim/FaultInjector.h"
 #include "support/Diag.h"
 
 #include <algorithm>
@@ -59,20 +57,7 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
   }
   PS.BusyCycles.assign(Live.size(), 0);
   PS.Chunks.assign(Live.size(), 0);
-  // Open the threaded session when the knob asks for one and the region
-  // is eligible: at least two workers (one worker's steps are serially
-  // dependent anyway), no armed chunk deadlines and no pending chunk
-  // hazards (death/hang/straggler verdicts re-route work mid-region —
-  // only the serial schedule arbitrates those). Hazards must be
-  // configured before the region opens; a verdict surfacing later is
-  // fatal, never silently nondeterministic.
-  if (M.resolvedHostThreads() > 0 && Live.size() >= 2 && !DeadlinesArmed &&
-      (!Faults || !Faults->chunkHazardsPending()))
-    Engine =
-        std::make_unique<ThreadedEngine>(*this, M.resolvedHostThreads());
 }
-
-ResidentWorkerPool::~ResidentWorkerPool() { close(); }
 
 bool ResidentWorkerPool::beats(unsigned A, unsigned B) const {
   // Lowest clock wins; ties go to the worker with fewer descriptors
@@ -91,8 +76,6 @@ bool ResidentWorkerPool::beats(unsigned A, unsigned B) const {
 unsigned ResidentWorkerPool::pickWorker() const {
   if (Live.empty())
     reportFatalError("resident pool: picking a worker from an empty pool");
-  if (Engine)
-    return Engine->pickWorker();
   unsigned Best = 0;
   for (unsigned W = 1; W != Live.size(); ++W)
     if (beats(W, Best))
@@ -101,8 +84,6 @@ unsigned ResidentWorkerPool::pickWorker() const {
 }
 
 unsigned ResidentWorkerPool::pickLoadedWorker() const {
-  if (Engine)
-    return Engine->pickLoadedWorker();
   unsigned Best = NoWorker;
   for (unsigned W = 0; W != Live.size(); ++W) {
     if (Live[W].Box->empty())
@@ -114,8 +95,6 @@ unsigned ResidentWorkerPool::pickLoadedWorker() const {
 }
 
 unsigned ResidentWorkerPool::pickIdleThief() const {
-  if (Engine)
-    return Engine->pickIdleThief();
   unsigned Best = NoWorker;
   for (unsigned W = 0; W != Live.size(); ++W) {
     if (!Live[W].Box->empty() || Live[W].StealParked)
@@ -127,9 +106,6 @@ unsigned ResidentWorkerPool::pickIdleThief() const {
 }
 
 uint64_t ResidentWorkerPool::workerClock(unsigned W) const {
-  // The exact clock needs W's in-flight steps committed first.
-  if (Engine)
-    Engine->quiesce(W);
   return M.accel(Live[W].AccelId).Clock.now();
 }
 
@@ -173,13 +149,16 @@ void ResidentWorkerPool::setContinuation(uint16_t Kernel, uint16_t Next) {
   NextOf[Kernel] = Next;
 }
 
-unsigned
-ResidentWorkerPool::pickParcelTarget(unsigned W,
-                                     const sim::WorkDescriptor &Done) const {
+void ResidentWorkerPool::spawnContinuation(unsigned W,
+                                           const sim::WorkDescriptor &Done) {
+  const sim::MachineConfig &Cfg = M.config();
+  Worker &Wk = Live[W];
+  unsigned Target = W;
   switch (Done.Policy) {
   case sim::ParcelPolicy::None:
+    return;
   case sim::ParcelPolicy::Self:
-    return W;
+    break;
   case sim::ParcelPolicy::Ring: {
     // Next live worker in accelerator-id order, wrapping; a lone
     // survivor rings to itself.
@@ -187,11 +166,12 @@ ResidentWorkerPool::pickParcelTarget(unsigned W,
     for (unsigned V = 0; V != Live.size(); ++V) {
       if (Live[V].AccelId < Live[First].AccelId)
         First = V;
-      if (Live[V].AccelId > Live[W].AccelId &&
+      if (Live[V].AccelId > Wk.AccelId &&
           (Best == NoWorker || Live[V].AccelId < Live[Best].AccelId))
         Best = V;
     }
-    return Best != NoWorker ? Best : First;
+    Target = Best != NoWorker ? Best : First;
+    break;
   }
   case sim::ParcelPolicy::LeastLoaded: {
     // Shortest backlog wins; ties go to the pool's deterministic
@@ -203,19 +183,10 @@ ResidentWorkerPool::pickParcelTarget(unsigned W,
       if (Size < BestSize || (Size == BestSize && beats(V, Best)))
         Best = V;
     }
-    return Best;
+    Target = Best;
+    break;
   }
   }
-  return W;
-}
-
-void ResidentWorkerPool::spawnContinuation(unsigned W,
-                                           const sim::WorkDescriptor &Done) {
-  const sim::MachineConfig &Cfg = M.config();
-  Worker &Wk = Live[W];
-  if (Done.Policy == sim::ParcelPolicy::None)
-    return;
-  unsigned Target = pickParcelTarget(W, Done);
   sim::WorkDescriptor Child = DispatchPlan::continuation(
       Done, continuationOf(Done.NextKernel), SpawnSeq++,
       Live[Target].AccelId);
@@ -283,12 +254,6 @@ unsigned ResidentWorkerPool::pickVictim(unsigned Thief,
 }
 
 unsigned ResidentWorkerPool::trySteal(unsigned W) {
-  // A steal is a full epoch boundary: the victim's backlog tail may
-  // hold a continuation placeholder whose parent body is still in
-  // flight — the stolen copy drops the landing rendezvous, so every
-  // spawner must have published before the transfer happens.
-  if (Engine)
-    Engine->quiesceAll();
   const sim::MachineConfig &Cfg = M.config();
   Worker &Wk = Live[W];
   sim::Accelerator &Accel = M.accel(Wk.AccelId);
@@ -313,16 +278,12 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
     // again or someone else's steal lands; park until then so the drain
     // loop cannot spin on hopeless probes.
     Wk.StealParked = true;
-    if (Engine)
-      Engine->refreshFloor(W); // The probe advanced the thief's clock.
     return 0;
   }
   unsigned Stolen =
       Live[V].Box->stealTailInto(*Wk.Box, Cfg.StealMinBacklog);
   if (Stolen == 0) {
     Wk.StealParked = true;
-    if (Engine)
-      Engine->refreshFloor(W);
     return 0;
   }
   ++PS.StealsSucceeded;
@@ -331,8 +292,6 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
   PS.DescriptorsStolen += Stolen;
   PS.StealCycles += Cfg.stealTransferCycles(Wk.AccelId, Live[V].AccelId);
   unparkAll();
-  if (Engine)
-    Engine->refreshFloor(W); // Probe + grant + transfer, all thief-side.
   return Stolen;
 }
 
@@ -404,22 +363,9 @@ void ResidentWorkerPool::hangWorker(unsigned W,
 
 unsigned ResidentWorkerPool::pickCopyWorker(unsigned Excluding) const {
   unsigned Best = NoWorker;
-  for (unsigned W = 0; W != Live.size(); ++W) {
-    if (W == Excluding)
-      continue;
-    if (Best == NoWorker) {
+  for (unsigned W = 0; W != Live.size(); ++W)
+    if (W != Excluding && (Best == NoWorker || beats(W, Best)))
       Best = W;
-      continue;
-    }
-    uint64_t BestClock = M.accel(Live[Best].AccelId).Clock.now();
-    uint64_t Clock = M.accel(Live[W].AccelId).Clock.now();
-    if (Clock < BestClock ||
-        (Clock == BestClock &&
-         (Live[W].Executed < Live[Best].Executed ||
-          (Live[W].Executed == Live[Best].Executed &&
-           Live[W].AccelId < Live[Best].AccelId))))
-      Best = W;
-  }
   return Best;
 }
 
@@ -559,72 +505,9 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   }
 }
 
-bool ResidentWorkerPool::engineParallelStep(unsigned W) const {
-  const sim::WorkDescriptor &Front = Live[W].Box->frontDesc();
-  // A LeastLoaded spawn target depends on every backlog as of *after*
-  // this body — only the inline serial path sees that state.
-  return !(Front.hasContinuation() &&
-           Front.Policy == sim::ParcelPolicy::LeastLoaded);
-}
-
-ResidentWorkerPool::StepPlan ResidentWorkerPool::beginEngineStep(unsigned W) {
-  const sim::MachineConfig &Cfg = M.config();
-  Worker &Wk = Live[W];
-  StepPlan P;
-  P.Ticket = Wk.Box->takeFront();
-  const sim::WorkDescriptor &Desc = P.Ticket.Desc;
-  if (Desc.Home != sim::WorkDescriptor::NoHome && Desc.Home != Wk.AccelId) {
-    ++PS.FailoverDescriptors;
-    ++M.hostCounters().FailoverChunks;
-  }
-  // Committed at issue rather than completion: every engine decision
-  // point between issue and retire corresponds to a serial point after
-  // the full step, so issue-time commits are what keep the structural
-  // state serial-exact.
-  ++Wk.Executed;
-  Wk.LastBegin = Desc.Begin;
-  Wk.LastEnd = Desc.End;
-  if (Desc.hasContinuation()) {
-    unsigned Target = pickParcelTarget(W, Desc);
-    P.Spawns = true;
-    P.Child = DispatchPlan::continuation(Desc, continuationOf(Desc.NextKernel),
-                                         SpawnSeq++, Live[Target].AccelId);
-    P.TargetBox = Live[Target].Box.get();
-    P.ChildLanding = std::make_shared<sim::ParcelLanding>();
-    P.TargetBox->insertParcelPlaceholder(P.Child, P.ChildLanding);
-    ++PS.ParcelsSpawned;
-    PS.PeerDoorbellCycles +=
-        Cfg.parcelSendCycles(Wk.AccelId, Live[Target].AccelId);
-    ++PS.DescriptorsDispatched;
-    unparkAll();
-  }
-  return P;
-}
-
-void ResidentWorkerPool::startEngineStep(unsigned W,
-                                         std::function<void()> Fn) {
-  Engine->start(W, std::move(Fn));
-}
-
-void ResidentWorkerPool::engineQuiesceAll() { Engine->quiesceAll(); }
-
-void ResidentWorkerPool::sync() {
-  if (Engine)
-    Engine->quiesceAll();
-}
-
-void ResidentWorkerPool::engineRefreshFloors() { Engine->refreshAllFloors(); }
-
 void ResidentWorkerPool::close() {
   if (Closed)
     return;
-  // Retire the threaded session first: join the worker threads, commit
-  // every in-flight step and replay the event-log tail, so the serial
-  // close below sees exactly the serial engine's final state.
-  if (Engine) {
-    Engine->quiesceAll();
-    Engine.reset();
-  }
   Closed = true;
   for (Worker &Wk : Live) {
     if (!Wk.Box->empty())

@@ -38,14 +38,11 @@
 #include "support/Diag.h"
 #include "support/Random.h"
 
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <vector>
 
 namespace omm::offload {
-
-class ThreadedEngine;
 
 /// What one pool did over its lifetime; the callers translate this into
 /// JobRunStats / ParallelForStats / FrameStats.
@@ -137,7 +134,7 @@ public:
   ResidentWorkerPool(const ResidentWorkerPool &) = delete;
   ResidentWorkerPool &operator=(const ResidentWorkerPool &) = delete;
 
-  ~ResidentWorkerPool(); // Out of line: ThreadedEngine is incomplete here.
+  ~ResidentWorkerPool() { close(); }
 
   sim::Machine &machine() { return M; }
   const ResidentPoolStats &stats() const { return PS; }
@@ -230,28 +227,10 @@ public:
   template <typename BodyFn>
   bool executeNext(unsigned W, BodyFn &Body,
                    std::vector<sim::WorkDescriptor> &Orphans) {
-    if (Engine) {
-      if (engineParallelStep(W)) {
-        // Threaded session: the engine half (structural pop, dispatch
-        // counters, continuation placeholder) runs here, in serial
-        // issue order; the worker half runs on W's host thread.
-        auto Plan = std::make_shared<StepPlan>(beginEngineStep(W));
-        startEngineStep(
-            W, [this, W, Plan, &Body] { runStepBody(W, *Plan, Body); });
-        return true;
-      }
-      // A LeastLoaded continuation reads every backlog *after* this
-      // body's clock advance — a decision only the serial engine can
-      // arbitrate. Run the step inline at a full barrier.
-      engineQuiesceAll();
-    }
     Worker &Wk = Live[W];
     sim::Accelerator &Accel = M.accel(Wk.AccelId);
     sim::WorkDescriptor Desc = Wk.Box->pop();
     if (Faults && Faults->chunkFails(Wk.AccelId)) {
-      if (Engine)
-        reportFatalError("resident pool: chunk fault scheduled after the "
-                         "threaded session opened");
       buryWorker(W, Desc, Orphans);
       return false;
     }
@@ -262,9 +241,6 @@ public:
     if (Faults)
       Timing = Faults->classifyTiming(Wk.AccelId);
     if (Timing.Hangs) {
-      if (Engine)
-        reportFatalError("resident pool: hang scheduled after the "
-                         "threaded session opened");
       hangWorker(W, Desc, Orphans);
       return false;
     }
@@ -298,17 +274,8 @@ public:
       finishDescriptor(W, Desc, Start, End, Timing.Slowdown);
     if (Desc.hasContinuation())
       spawnContinuation(W, Desc);
-    if (Engine)
-      engineRefreshFloors(); // The inline step moved clocks engine-side.
     return true;
   }
-
-  /// Host epoch boundary: commits every in-flight threaded step and
-  /// replays its buffered events; a no-op on the serial engine. Callers
-  /// that read per-accelerator clocks or counters mid-region (tests,
-  /// benches, schedulers built on raw machine state) sync first — the
-  /// state they then see is exactly the serial engine's at that point.
-  void sync();
 
   /// Retires the surviving workers, folds every finish time into the
   /// region makespan and joins the host to it (JoinStallCycles).
@@ -376,89 +343,9 @@ private:
   /// (Mailbox::pushParcel). The host is not involved.
   void spawnContinuation(unsigned W, const sim::WorkDescriptor &Done);
 
-  /// The recipient for a completed \p Done's continuation parcel under
-  /// Done.Policy, spawned by worker \p W. Factored out so the serial
-  /// spawn path and the engine half of a threaded step share one
-  /// deterministic choice. Done.Policy must not be None.
-  unsigned pickParcelTarget(unsigned W, const sim::WorkDescriptor &Done) const;
-
   /// True when worker \p A beats worker \p B on the deterministic
   /// (clock, executed, accelerator id) dispatch order.
   bool beats(unsigned A, unsigned B) const;
-
-  /// Everything the engine half of a threaded step decides, handed to
-  /// the worker half: the popped ticket and (for a continuation) the
-  /// pre-built child, its recipient mailbox and the landing the worker
-  /// half publishes the delivery time through.
-  struct StepPlan {
-    sim::Mailbox::PopTicket Ticket;
-    bool Spawns = false;
-    sim::WorkDescriptor Child;
-    sim::Mailbox *TargetBox = nullptr;
-    std::shared_ptr<sim::ParcelLanding> ChildLanding;
-  };
-
-  /// True when worker \p W's front descriptor may run as a threaded
-  /// step; false forces the inline serial path at a full barrier (a
-  /// LeastLoaded continuation, whose spawn target depends on the
-  /// post-body backlogs).
-  bool engineParallelStep(unsigned W) const;
-
-  /// The engine half of a threaded step: structural pop, failover and
-  /// dispatch-side counters, Executed/locality bookkeeping, and the
-  /// continuation placeholder insert — everything any later engine
-  /// decision can observe, committed in serial issue order.
-  StepPlan beginEngineStep(unsigned W);
-
-  /// Non-template seams into the engine (ResidentWorker.cpp), so this
-  /// header only forward-declares ThreadedEngine.
-  void startEngineStep(unsigned W, std::function<void()> Fn);
-  void engineQuiesceAll();
-  void engineRefreshFloors();
-
-  /// The worker half of a threaded step, run on \p W's host thread: pop
-  /// charges, trivially-asserted fault draws, the body, busy-cycle
-  /// accounting and the parcel-send charge. Touches only \p W's
-  /// accelerator (plus this worker's own stat slots), with events
-  /// buffered through the thread-local observer redirect.
-  template <typename BodyFn>
-  void runStepBody(unsigned W, StepPlan &P, BodyFn &Body) {
-    Worker &Wk = Live[W];
-    sim::Accelerator &Accel = M.accel(Wk.AccelId);
-    Wk.Box->chargePop(P.Ticket);
-    // The verdict draws must still happen — every pop advances the
-    // per-accelerator fault indices and RNG — but a session is only
-    // open while chunkHazardsPending() guarantees trivial verdicts.
-    if (Faults) {
-      bool Dies = Faults->chunkFails(Wk.AccelId);
-      sim::TimingFault Timing = Faults->classifyTiming(Wk.AccelId);
-      if (Dies || Timing.Hangs || Timing.Slowdown > 1.0f)
-        reportFatalError("resident pool: non-trivial fault verdict "
-                         "inside a threaded step");
-    }
-    const sim::WorkDescriptor &Desc = P.Ticket.Desc;
-    uint64_t Start = Accel.Clock.now();
-    {
-      // Per-descriptor allocations (staging buffers, caches the body
-      // constructs) must not accumulate across the worker's life.
-      OffloadContext::LocalScope Scope(*Wk.Ctx);
-      if constexpr (std::is_invocable_v<BodyFn &, OffloadContext &,
-                                        const sim::WorkDescriptor &>)
-        Body(*Wk.Ctx, Desc);
-      else
-        Body(*Wk.Ctx, Desc.Begin, Desc.End);
-    }
-    uint64_t End = Accel.Clock.now();
-    PS.BusyCycles[Wk.StatIndex] += End - Start;
-    ++PS.Chunks[Wk.StatIndex];
-    if (sim::DmaObserver *Obs = M.observer())
-      Obs->onDispatchEvent({sim::DispatchEventKind::DescriptorRun,
-                            Wk.AccelId, Wk.BlockId, Desc.Seq, Start,
-                            /*Detail=*/0, Desc.Begin, Desc.End, End});
-    if (P.Spawns)
-      P.TargetBox->chargeParcelSend(P.Child, Wk.AccelId, Wk.BlockId,
-                                    *P.ChildLanding);
-  }
 
   /// Clears every worker's StealParked flag (new work became visible).
   void unparkAll();
@@ -485,15 +372,6 @@ private:
   /// Cached watchdog().armsChunks(); keeps the fault-free fast path in
   /// executeNext to one boolean test.
   bool DeadlinesArmed = false;
-  /// The threaded execution session, opened at construction when the
-  /// machine's resolved HostThreads knob is non-zero and the region is
-  /// eligible (two or more workers, no armed deadlines, no pending
-  /// chunk-level fault hazards); null runs the classic serial engine.
-  /// The engine reads pool state directly (it is a friend) and is torn
-  /// down — after a full quiesce — at close().
-  std::unique_ptr<ThreadedEngine> Engine;
-
-  friend class ThreadedEngine;
 };
 
 } // namespace omm::offload

@@ -45,11 +45,7 @@ public:
   /// Max-merges \p Cycle into the clock: moves it forward to \p Cycle
   /// if that is in the future and never backwards (used when an
   /// accelerator picks up work issued at a later host time than its
-  /// previous idle point, and by the threaded engine when a worker's
-  /// independently advanced clock is folded back at an epoch boundary).
-  /// This was historically named resetTo, but it never reset anything —
-  /// it is a monotonic merge, which is exactly why epoch merges can use
-  /// it without ever rewinding simulated time.
+  /// previous idle point).
   void mergeTo(uint64_t Cycle) { Now = std::max(Now, Cycle); }
 
 private:

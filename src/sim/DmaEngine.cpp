@@ -54,9 +54,9 @@ uint64_t DmaEngine::injectTransferDelay(uint64_t IssuedAt) {
   // engine), so independent transfers still pipeline.
   ++Counters.DmaDelayedTransfers;
   Counters.DmaInjectedDelayCycles += Extra;
-  if (DmaObserver *O = obs())
-    O->onFault({FaultKind::DmaCompletionDelayed, AccelId,
-                /*BlockId=*/0, IssuedAt, Extra});
+  if (Observer)
+    Observer->onFault({FaultKind::DmaCompletionDelayed, AccelId,
+                       /*BlockId=*/0, IssuedAt, Extra});
   return Extra;
 }
 
@@ -130,8 +130,8 @@ void DmaEngine::issue(DmaDir Dir, LocalAddr Local, GlobalAddr Global,
   }
 
   Pending.push_back(Transfer);
-  if (DmaObserver *O = obs())
-    O->onIssue(Transfer);
+  if (Observer)
+    Observer->onIssue(Transfer);
 }
 
 void DmaEngine::get(LocalAddr Dst, GlobalAddr Src, uint32_t Size,
@@ -186,8 +186,8 @@ void DmaEngine::waitTagMask(uint32_t TagMask) {
       Target = std::max(Target, T.CompleteCycle);
   uint64_t WaitStart = Clock.now();
   Counters.DmaStallCycles += Clock.advanceTo(Target);
-  if (DmaObserver *O = obs())
-    O->onWait(AccelId, TagMask, WaitStart, Clock.now());
+  if (Observer)
+    Observer->onWait(AccelId, TagMask, WaitStart, Clock.now());
   Pending.erase(std::remove_if(Pending.begin(), Pending.end(),
                                [&](const DmaTransfer &T) {
                                  return (TagMask & (1u << T.Tag)) != 0;
@@ -274,8 +274,8 @@ void DmaEngine::issueList(DmaDir Dir, const ListElement *Elements,
     Transfer.IssueCycle = Now;
     Transfer.CompleteCycle = Complete;
     Pending.push_back(Transfer);
-    if (DmaObserver *O = obs())
-      O->onIssue(Transfer);
+    if (Observer)
+      Observer->onIssue(Transfer);
   }
   if (Dir == DmaDir::Get)
     ++Counters.DmaGetsIssued;

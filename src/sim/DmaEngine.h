@@ -126,17 +126,6 @@ private:
   uint64_t maxCompletionAll() const;
   uint64_t injectTransferDelay(uint64_t IssuedAt);
 
-  /// Observer resolution: a thread-local redirect installed by the
-  /// threaded engine (a per-step event buffer) wins over the machine's
-  /// mux, so DMA events fired from a worker thread are buffered and
-  /// later replayed in serial commit order. The common serial path still
-  /// costs one thread-local read and one null test.
-  DmaObserver *obs() const {
-    if (DmaObserver *Redirect = threadObserverRedirect())
-      return Redirect;
-    return Observer;
-  }
-
   unsigned AccelId;
   const MachineConfig &Config;
   MainMemory &Main;

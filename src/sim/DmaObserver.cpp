@@ -133,104 +133,3 @@ void ObserverMux::onDispatchEvent(const DispatchEvent &Event) {
   for (DmaObserver *Obs : Observers)
     Obs->onDispatchEvent(Event);
 }
-
-DmaObserver *&sim::threadObserverRedirect() {
-  thread_local DmaObserver *Redirect = nullptr;
-  return Redirect;
-}
-
-void BufferedEvents::onIssue(const DmaTransfer &Transfer) {
-  Record R;
-  R.K = Kind::Issue;
-  R.Transfer = Transfer;
-  Records.push_back(R);
-}
-
-void BufferedEvents::onWait(unsigned AccelId, uint32_t TagMask,
-                            uint64_t StartCycle, uint64_t EndCycle) {
-  Record R;
-  R.K = Kind::Wait;
-  R.Wait = {AccelId, TagMask, StartCycle, EndCycle};
-  Records.push_back(R);
-}
-
-void BufferedEvents::onLocalAccess(unsigned AccelId, LocalAddr Addr,
-                                   uint32_t Size, bool IsWrite,
-                                   uint64_t Cycle) {
-  Record R;
-  R.K = Kind::LocalAccess;
-  R.Local = {AccelId, Addr, Size, IsWrite, Cycle};
-  Records.push_back(R);
-}
-
-void BufferedEvents::onHostAccess(GlobalAddr Addr, uint64_t Size,
-                                  bool IsWrite, uint64_t Cycle) {
-  Record R;
-  R.K = Kind::HostAccess;
-  R.Host = {Addr, Size, IsWrite, Cycle};
-  Records.push_back(R);
-}
-
-void BufferedEvents::onBlockBegin(unsigned AccelId, uint64_t BlockId,
-                                  uint64_t LaunchCycle) {
-  Record R;
-  R.K = Kind::BlockBegin;
-  R.Block = {AccelId, BlockId, LaunchCycle};
-  Records.push_back(R);
-}
-
-void BufferedEvents::onBlockEnd(unsigned AccelId, uint64_t BlockId,
-                                uint64_t Cycle) {
-  Record R;
-  R.K = Kind::BlockEnd;
-  R.Block = {AccelId, BlockId, Cycle};
-  Records.push_back(R);
-}
-
-void BufferedEvents::onFault(const FaultEvent &Event) {
-  Record R;
-  R.K = Kind::Fault;
-  R.Fault = Event;
-  Records.push_back(R);
-}
-
-void BufferedEvents::onDispatchEvent(const DispatchEvent &Event) {
-  Record R;
-  R.K = Kind::Dispatch;
-  R.Dispatch = Event;
-  Records.push_back(R);
-}
-
-void BufferedEvents::replayTo(DmaObserver &Sink) const {
-  for (const Record &R : Records) {
-    switch (R.K) {
-    case Kind::Issue:
-      Sink.onIssue(R.Transfer);
-      break;
-    case Kind::Wait:
-      Sink.onWait(R.Wait.AccelId, R.Wait.TagMask, R.Wait.StartCycle,
-                  R.Wait.EndCycle);
-      break;
-    case Kind::LocalAccess:
-      Sink.onLocalAccess(R.Local.AccelId, R.Local.Addr, R.Local.Size,
-                         R.Local.IsWrite, R.Local.Cycle);
-      break;
-    case Kind::HostAccess:
-      Sink.onHostAccess(R.Host.Addr, R.Host.Size, R.Host.IsWrite,
-                        R.Host.Cycle);
-      break;
-    case Kind::BlockBegin:
-      Sink.onBlockBegin(R.Block.AccelId, R.Block.BlockId, R.Block.Cycle);
-      break;
-    case Kind::BlockEnd:
-      Sink.onBlockEnd(R.Block.AccelId, R.Block.BlockId, R.Block.Cycle);
-      break;
-    case Kind::Fault:
-      Sink.onFault(R.Fault);
-      break;
-    case Kind::Dispatch:
-      Sink.onDispatchEvent(R.Dispatch);
-      break;
-    }
-  }
-}

@@ -114,10 +114,10 @@ enum class DispatchEventKind : uint8_t {
 /// \returns a stable lower-case name for \p Kind (trace/report output).
 const char *dispatchEventKindName(DispatchEventKind Kind);
 
-/// One dispatch transaction as reported to observers. The leading six
-/// fields are the historical MailboxEvent layout; DescriptorRun and the
-/// parcel kinds use the trailing span fields, which default to zero so
-/// mailbox-style brace-inits stay valid.
+/// One dispatch transaction as reported to observers. The mailbox kinds
+/// fill the leading six fields; DescriptorRun and the parcel kinds also
+/// use the trailing span fields, which default to zero so six-field
+/// brace-inits stay valid.
 struct DispatchEvent {
   DispatchEventKind Kind = DispatchEventKind::DoorbellWrite;
   unsigned AccelId = 0;
@@ -139,16 +139,6 @@ struct DispatchEvent {
   /// DescriptorRun only: worker cycle at which the body finished.
   uint64_t EndCycle = 0;
 };
-
-/// Deprecated aliases for the pre-merge observer API; new code should
-/// name DispatchEvent / DispatchEventKind directly.
-using MailboxEventKind = DispatchEventKind;
-using MailboxEvent = DispatchEvent;
-
-/// Deprecated alias for dispatchEventKindName.
-inline const char *mailboxEventKindName(DispatchEventKind Kind) {
-  return dispatchEventKindName(Kind);
-}
 
 /// One fault as reported to observers.
 struct FaultEvent {
@@ -278,111 +268,6 @@ public:
 
 private:
   std::vector<DmaObserver *> Observers;
-};
-
-/// Thread-local observer redirection for the threaded engine
-/// (offload/ThreadedEngine.h). While a redirect is installed on a
-/// thread, every event site that consults Machine::observer() or a DMA
-/// engine's attached observer emits to the redirect instead of the real
-/// mux. The engine installs a per-step BufferedEvents recorder on each
-/// worker thread (and around its own host-side actions), then replays
-/// the buffers into the real mux in serial commit order — which is what
-/// keeps the observed event stream bit-identical to the serial engine.
-/// \returns the redirect slot of the calling thread (null = inactive).
-DmaObserver *&threadObserverRedirect();
-
-/// RAII installer for threadObserverRedirect, restoring the previous
-/// redirect (supports nesting, though the engine never nests).
-class ObserverRedirectScope {
-public:
-  explicit ObserverRedirectScope(DmaObserver *Redirect)
-      : Saved(threadObserverRedirect()) {
-    threadObserverRedirect() = Redirect;
-  }
-  ~ObserverRedirectScope() { threadObserverRedirect() = Saved; }
-  ObserverRedirectScope(const ObserverRedirectScope &) = delete;
-  ObserverRedirectScope &operator=(const ObserverRedirectScope &) = delete;
-
-private:
-  DmaObserver *Saved;
-};
-
-/// Records every callback it receives, in order, for later replay. The
-/// threaded engine gives each in-flight descriptor step one of these as
-/// its thread's redirect target; replayTo() then re-fires the callbacks
-/// into the real observer mux at the step's serial commit point.
-/// Recording is value-complete (no pointers into machine state), so a
-/// buffer outlives the simulated moment it recorded.
-class BufferedEvents final : public DmaObserver {
-public:
-  void onIssue(const DmaTransfer &Transfer) override;
-  void onWait(unsigned AccelId, uint32_t TagMask, uint64_t StartCycle,
-              uint64_t EndCycle) override;
-  void onLocalAccess(unsigned AccelId, LocalAddr Addr, uint32_t Size,
-                     bool IsWrite, uint64_t Cycle) override;
-  void onHostAccess(GlobalAddr Addr, uint64_t Size, bool IsWrite,
-                    uint64_t Cycle) override;
-  void onBlockBegin(unsigned AccelId, uint64_t BlockId,
-                    uint64_t LaunchCycle) override;
-  void onBlockEnd(unsigned AccelId, uint64_t BlockId, uint64_t Cycle) override;
-  void onFault(const FaultEvent &Event) override;
-  void onDispatchEvent(const DispatchEvent &Event) override;
-
-  /// Re-fires every recorded callback into \p Sink, in recording order.
-  void replayTo(DmaObserver &Sink) const;
-
-  bool empty() const { return Records.empty(); }
-  void clear() { Records.clear(); }
-
-private:
-  enum class Kind : uint8_t {
-    Issue,
-    Wait,
-    LocalAccess,
-    HostAccess,
-    BlockBegin,
-    BlockEnd,
-    Fault,
-    Dispatch,
-  };
-  struct WaitRecord {
-    unsigned AccelId;
-    uint32_t TagMask;
-    uint64_t StartCycle;
-    uint64_t EndCycle;
-  };
-  struct LocalAccessRecord {
-    unsigned AccelId;
-    LocalAddr Addr;
-    uint32_t Size;
-    bool IsWrite;
-    uint64_t Cycle;
-  };
-  struct HostAccessRecord {
-    GlobalAddr Addr;
-    uint64_t Size;
-    bool IsWrite;
-    uint64_t Cycle;
-  };
-  struct BlockRecord {
-    unsigned AccelId;
-    uint64_t BlockId;
-    uint64_t Cycle;
-  };
-  struct Record {
-    Kind K;
-    union {
-      DmaTransfer Transfer;
-      WaitRecord Wait;
-      LocalAccessRecord Local;
-      HostAccessRecord Host;
-      BlockRecord Block;
-      FaultEvent Fault;
-      DispatchEvent Dispatch;
-    };
-    Record() : K(Kind::Issue), Transfer() {}
-  };
-  std::vector<Record> Records;
 };
 
 } // namespace omm::sim

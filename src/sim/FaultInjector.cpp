@@ -136,14 +136,3 @@ void FaultInjector::scheduleStraggler(unsigned AccelId, uint64_t Index,
   S.StraggleAt = S.TimingIndex + Index;
   S.StraggleSlowdown = Slowdown;
 }
-
-bool FaultInjector::chunkHazardsPending() const {
-  if (Config.AccelDeathRate > 0.0f || Config.HangRate > 0.0f ||
-      Config.StragglerRate > 0.0f)
-    return true;
-  for (const AccelStream &S : Streams)
-    if (S.KillAtChunk != NoKill || S.HangAt != NoKill ||
-        S.StraggleAt != NoKill)
-      return true;
-  return false;
-}

@@ -108,15 +108,6 @@ public:
   /// \p Slowdown times slower.
   void scheduleStraggler(unsigned AccelId, uint64_t Index, float Slowdown);
 
-  /// True when a future chunkFails/classifyTiming call could return a
-  /// non-trivial verdict: any death/hang/straggler rate is non-zero, or
-  /// a scheduled chunk kill / hang / straggler is still pending. The
-  /// threaded engine stays on the serial path while this holds — those
-  /// verdicts re-route work between cores mid-region, which only the
-  /// serial schedule arbitrates. DMA-level faults (rejections, delayed
-  /// completions) are per-accelerator-confined and never block it.
-  bool chunkHazardsPending() const;
-
 private:
   /// Per-accelerator independent fault stream.
   struct AccelStream {

@@ -13,26 +13,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-
-namespace {
-
-/// Resolves the host-thread count for the threaded execution engine:
-/// OMM_HOST_THREADS, when set to a valid unsigned integer, overrides the
-/// MachineConfig knob (so sweeps and CI can flip engines without
-/// rebuilding configs). Anything unparsable falls back to the knob.
-unsigned resolveHostThreads(unsigned ConfigThreads) {
-  const char *Env = std::getenv("OMM_HOST_THREADS");
-  if (!Env || !*Env)
-    return ConfigThreads;
-  char *End = nullptr;
-  unsigned long Value = std::strtoul(Env, &End, 10);
-  if (End == Env || *End != '\0' || Value > 1024)
-    return ConfigThreads;
-  return static_cast<unsigned>(Value);
-}
-
-} // namespace
 
 using namespace omm;
 using namespace omm::sim;
@@ -80,8 +60,10 @@ void PerfCounters::print(OStream &OS) const {
 }
 
 Machine::Machine(const MachineConfig &Config)
-    : Cfg(Config), Main(Config.MainMemorySize),
-      ResolvedHostThreads(resolveHostThreads(Config.HostThreads)) {
+    : Cfg(Config), Main(Config.MainMemorySize) {
+  if (Config.HostThreads != 0)
+    reportFatalError("machine: MachineConfig::HostThreads must be 0; the "
+                     "simulator runs on one host thread");
   // NumAccelerators == 0 is legal: it models a host-only machine, and
   // the offload runtime's host-fallback paths must cope (JobQueue.h).
   assert(Config.NumDmaTags <= 32 && "tag masks are 32 bits wide");

@@ -142,33 +142,7 @@ public:
 
   /// \returns the fan-out point for observer callbacks, or nullptr when
   /// no observer is attached (so unobserved event sites pay one test).
-  /// While the threaded engine runs a step on a worker thread it installs
-  /// a per-step buffer via threadObserverRedirect(); event sites on that
-  /// thread then record into the buffer, and the engine replays buffers
-  /// into the real mux in serial commit order.
-  DmaObserver *observer() {
-    if (DmaObserver *Redirect = threadObserverRedirect())
-      return Redirect;
-    return Observers.empty() ? nullptr : &Observers;
-  }
-
-  /// True while at least one real observer is attached to the mux (the
-  /// threaded engine only buffers and replays events when someone is
-  /// actually listening).
-  bool hasObservers() const { return !Observers.empty(); }
-
-  /// The mux itself, bypassing any thread-local redirect: the threaded
-  /// engine replays buffered per-step events into this at their serial
-  /// commit points. Null when nothing is attached.
-  DmaObserver *attachedObserver() {
-    return Observers.empty() ? nullptr : &Observers;
-  }
-
-  /// Host worker threads the threaded execution engine may use: the
-  /// MachineConfig::HostThreads knob, overridden by the OMM_HOST_THREADS
-  /// environment variable when that is set to a valid unsigned integer.
-  /// Zero means the classic serial engine.
-  unsigned resolvedHostThreads() const { return ResolvedHostThreads; }
+  DmaObserver *observer() { return Observers.empty() ? nullptr : &Observers; }
 
   /// \returns the next monotonic offload-block id. The offload runtime
   /// stamps every block (and resident worker context) with one so
@@ -222,7 +196,6 @@ private:
   std::unique_ptr<FaultInjector> Faults; ///< Null unless Faults.Enabled.
   WatchdogTimer Watchdog{Cfg};
   uint64_t NextBlockId = 1;
-  unsigned ResolvedHostThreads = 0;
 };
 
 } // namespace omm::sim

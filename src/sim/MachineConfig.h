@@ -307,16 +307,10 @@ struct MachineConfig {
   /// is the equivalent main-memory round trip).
   uint64_t PeerDescriptorDmaCycles = 200;
 
-  /// Host worker threads for the threaded execution engine
-  /// (offload/ThreadedEngine.h): 0 (the default) keeps the classic
-  /// serial engine — every resident-worker region runs on the calling
-  /// host thread, byte-for-byte the historical schedule. N > 0 lets a
-  /// resident-worker region execute descriptor bodies on up to N real
-  /// host threads between epoch commits; the merged schedule (cycle
-  /// counts, PerfCounters, checksums, trace event order) is
-  /// bit-identical to Threads = 0 at any N. The OMM_HOST_THREADS
-  /// environment variable, when set, overrides this knob at Machine
-  /// construction (so sweeps can race existing configs unchanged).
+  /// Must be 0: the simulator runs on one host thread, and Machine's
+  /// constructor rejects any other value. The field survives only
+  /// because benchmark/omm_bench.cpp assigns it; delete it together
+  /// with that line.
   unsigned HostThreads = 0;
 
   /// When true the machine behaves as a traditional single-space SMP:
@@ -377,9 +371,7 @@ struct MachineConfig {
   /// Spawner-side cost of delivering one continuation parcel from
   /// \p Spawner to \p Recipient: peer doorbell plus the store-to-store
   /// descriptor copy, each with its premium when the parcel crosses a
-  /// domain boundary. Mailbox::pushParcel (serial) and
-  /// Mailbox::chargeParcelSend (threaded) both charge exactly this, so
-  /// the two engines stay bit-identical by construction.
+  /// domain boundary (what Mailbox::pushParcel charges).
   uint64_t parcelSendCycles(unsigned Spawner, unsigned Recipient) const {
     uint64_t Cost = PeerDoorbellCycles + PeerDescriptorDmaCycles;
     if (!sameDomain(Spawner, Recipient))

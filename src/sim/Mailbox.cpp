@@ -53,7 +53,7 @@ void Mailbox::pushBulk(const std::vector<WorkDescriptor> &Descs) {
   uint64_t ReadyAt = M.hostClock().now();
   for (const WorkDescriptor &Desc : Descs) {
     ++M.accel(AccelId).Counters.DescriptorsDispatched;
-    Slots.push_back(Slot{Desc, ReadyAt, false, nullptr});
+    Slots.push_back(Slot{Desc, ReadyAt, false});
   }
   if (DmaObserver *Obs = M.observer())
     Obs->onDispatchEvent({DispatchEventKind::BulkDoorbell, AccelId, BlockId,
@@ -78,7 +78,7 @@ void Mailbox::pushParcel(const WorkDescriptor &Desc, unsigned SpawnerAccelId,
   // DMA put it there), so the backlog leaves the bounded-FIFO regime
   // exactly like a bulk or stolen placement.
   LocalBacklog = true;
-  Slots.push_back(Slot{Desc, LandedAt, true, nullptr});
+  Slots.push_back(Slot{Desc, LandedAt, true});
   if (DmaObserver *Obs = M.observer()) {
     Obs->onDispatchEvent({DispatchEventKind::ParcelSpawn, SpawnerAccelId,
                           SpawnerBlockId, Desc.Seq, LandedAt, AccelId,
@@ -112,7 +112,7 @@ unsigned Mailbox::stealTailInto(Mailbox &Thief, unsigned MinBacklog) {
   Thief.LocalBacklog = true;
   size_t First = Slots.size() - Take;
   for (size_t I = First, E = Slots.size(); I != E; ++I)
-    Thief.Slots.push_back(Slot{Slots[I].Desc, LandedAt, true, nullptr});
+    Thief.Slots.push_back(Slot{Slots[I].Desc, LandedAt, true});
   Slots.erase(Slots.begin() + static_cast<ptrdiff_t>(First), Slots.end());
   if (DmaObserver *Obs = M.observer())
     Obs->onDispatchEvent({DispatchEventKind::StealTransfer, Thief.AccelId,
@@ -127,86 +127,35 @@ uint32_t Mailbox::tailBegin() const {
 }
 
 WorkDescriptor Mailbox::pop() {
-  PopTicket Ticket = takeFront();
-  chargePop(Ticket);
-  return Ticket.Desc;
-}
-
-Mailbox::PopTicket Mailbox::takeFront() {
   if (Slots.empty())
     reportFatalError("mailbox: pop from an empty mailbox");
-  Slot S = Slots.front();
-  Slots.pop_front();
-  return S;
-}
-
-void Mailbox::chargePop(const PopTicket &Ticket) {
   const MachineConfig &Cfg = M.config();
   Accelerator &Accel = M.accel(AccelId);
-  // A threaded-engine parcel placeholder resolves its delivery time
-  // through the landing rendezvous; every other slot carries it.
-  uint64_t ReadyAt =
-      Ticket.Landing ? Ticket.Landing->wait() : Ticket.ReadyAt;
+  Slot S = Slots.front();
+  Slots.pop_front();
 
   // The worker reached its poll loop before the doorbell write landed:
   // it re-checks once per backoff quantum, so it wakes at the first
   // poll at or after ReadyAt (never exactly on it unless aligned).
   uint64_t Now = Accel.Clock.now();
-  if (Now < ReadyAt) {
+  if (Now < S.ReadyAt) {
     uint64_t Quantum = std::max<uint64_t>(1, Cfg.MailboxIdlePollCycles);
-    uint64_t Spin = divideCeil(ReadyAt - Now, Quantum) * Quantum;
+    uint64_t Spin = divideCeil(S.ReadyAt - Now, Quantum) * Quantum;
     Accel.Clock.advance(Spin);
     Accel.Counters.IdlePollCycles += Spin;
     if (DmaObserver *Obs = M.observer())
       Obs->onDispatchEvent({DispatchEventKind::IdlePoll, AccelId, BlockId,
-                      Ticket.Desc.Seq, Accel.Clock.now(), Spin});
+                      S.Desc.Seq, Accel.Clock.now(), Spin});
   }
 
   // The descriptor itself rides a small DMA from main memory — unless
   // a steal's list-form gather already parked it in the local store.
-  if (!Ticket.InLocalStore)
+  if (!S.InLocalStore)
     Accel.Clock.advance(Cfg.MailboxDescriptorCycles);
   if (DmaObserver *Obs = M.observer())
     Obs->onDispatchEvent({DispatchEventKind::DescriptorFetch, AccelId, BlockId,
-                    Ticket.Desc.Seq, Accel.Clock.now(), Ticket.Desc.Begin});
-}
-
-const WorkDescriptor &Mailbox::frontDesc() const {
-  if (Slots.empty())
-    reportFatalError("mailbox: frontDesc on an empty mailbox");
-  return Slots.front().Desc;
-}
-
-void Mailbox::insertParcelPlaceholder(
-    const WorkDescriptor &Desc, std::shared_ptr<ParcelLanding> Landing) {
-  ++M.accel(AccelId).Counters.DescriptorsDispatched;
-  LocalBacklog = true;
-  Slots.push_back(Slot{Desc, /*ReadyAt=*/0, /*InLocalStore=*/true,
-                       std::move(Landing)});
-}
-
-void Mailbox::chargeParcelSend(const WorkDescriptor &Desc,
-                               unsigned SpawnerAccelId,
-                               uint64_t SpawnerBlockId,
-                               ParcelLanding &Landing) {
-  const MachineConfig &Cfg = M.config();
-  Accelerator &Spawner = M.accel(SpawnerAccelId);
-  // Must charge exactly what pushParcel charges — the threaded engine's
-  // schedules are only bit-identical to serial if both halves agree.
-  uint64_t Cost = Cfg.parcelSendCycles(SpawnerAccelId, AccelId);
-  Spawner.Clock.advance(Cost);
-  Spawner.Counters.PeerDoorbellCycles += Cost;
-  ++Spawner.Counters.ParcelsSpawned;
-  uint64_t LandedAt = Spawner.Clock.now();
-  Landing.publish(LandedAt);
-  if (DmaObserver *Obs = M.observer()) {
-    Obs->onDispatchEvent({DispatchEventKind::ParcelSpawn, SpawnerAccelId,
-                          SpawnerBlockId, Desc.Seq, LandedAt, AccelId,
-                          Desc.Begin, Desc.End, 0});
-    Obs->onDispatchEvent({DispatchEventKind::ParcelDeliver, AccelId, BlockId,
-                          Desc.Seq, LandedAt, SpawnerAccelId, Desc.Begin,
-                          Desc.End, 0});
-  }
+                    S.Desc.Seq, Accel.Clock.now(), S.Desc.Begin});
+  return S.Desc;
 }
 
 std::vector<WorkDescriptor> Mailbox::drain() {

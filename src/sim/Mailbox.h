@@ -38,49 +38,13 @@
 
 #include "sim/DmaObserver.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace omm::sim {
 
 class Machine;
-
-/// Rendezvous for a parcel whose delivery time is not yet known: the
-/// threaded engine inserts the parcel into the recipient's backlog the
-/// moment the spawning step *starts* (so backlog sizes stay serial-exact
-/// for every scheduling decision), but the spawner's clock — and with it
-/// the parcel's ReadyAt — is only resolved when the spawning step
-/// actually runs on its worker thread. The spawner publishes here; a
-/// recipient popping the slot blocks until then. Serial execution never
-/// allocates one of these (pushParcel knows LandedAt immediately).
-struct ParcelLanding {
-  /// Spawner side: the parcel landed at \p At on the recipient's queue.
-  void publish(uint64_t At) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      LandedAt = At;
-      Ready = true;
-    }
-    Cv.notify_all();
-  }
-
-  /// Recipient side: blocks until published; \returns the landing cycle.
-  uint64_t wait() {
-    std::unique_lock<std::mutex> Lock(Mu);
-    Cv.wait(Lock, [&] { return Ready; });
-    return LandedAt;
-  }
-
-private:
-  std::mutex Mu;
-  std::condition_variable Cv;
-  uint64_t LandedAt = 0;
-  bool Ready = false;
-};
 
 /// How a resident worker picks the recipient of a continuation parcel
 /// it spawns (WorkDescriptor::Policy). None disables spawning entirely
@@ -134,27 +98,6 @@ struct WorkDescriptor {
 /// lifetime of one parallel region (the worker's offload block).
 class Mailbox {
 public:
-  /// One pending descriptor as it sits in (or leaves) the queue. pop()
-  /// is this ticket's two halves composed: takeFront() removes the slot
-  /// (the structural half — everything later scheduling decisions can
-  /// observe), chargePop() pays the worker-side wait and fetch costs.
-  /// The threaded engine runs the halves on different threads; the
-  /// serial engine runs them back to back, byte-identically to the
-  /// historical single-call pop().
-  struct PopTicket {
-    WorkDescriptor Desc;
-    /// Host cycle at which the doorbell write made Desc visible (worker
-    /// cycle for stolen/parcel slots: when the transfer landed).
-    uint64_t ReadyAt = 0;
-    /// True when the descriptor already sits in the worker's local
-    /// store (it arrived via a steal's list-form gather or a peer
-    /// parcel DMA), so pop skips the per-descriptor fetch DMA.
-    bool InLocalStore = false;
-    /// Set only for a threaded-engine parcel placeholder whose spawner
-    /// has not resolved the landing time yet; chargePop blocks on it.
-    std::shared_ptr<ParcelLanding> Landing;
-  };
-
   Mailbox(Machine &M, unsigned AccelId, uint64_t BlockId);
 
   Mailbox(const Mailbox &) = delete;
@@ -208,41 +151,8 @@ public:
   /// before the doorbell rang spins in MailboxIdlePollCycles quanta
   /// until the descriptor is visible, then pays the descriptor DMA
   /// (MailboxDescriptorCycles). Popping an empty mailbox is a runtime
-  /// bug and is fatal. Exactly takeFront() + chargePop().
+  /// bug and is fatal.
   WorkDescriptor pop();
-
-  /// The structural half of pop(): removes and returns the oldest slot
-  /// without charging any cycles or emitting any event. The threaded
-  /// engine calls this on the host thread when it *starts* a step, so
-  /// every subsequent scheduling decision sees the serial backlog.
-  PopTicket takeFront();
-
-  /// The cost half of pop() for a slot already taken: the idle-poll
-  /// spin against the ticket's ReadyAt (resolved through the landing
-  /// rendezvous for an in-flight parcel) and the descriptor fetch DMA,
-  /// plus their observer events, on this mailbox's accelerator clock.
-  void chargePop(const PopTicket &Ticket);
-
-  /// Oldest pending descriptor, without removing it (the threaded
-  /// engine peeks it to route LeastLoaded continuations back to the
-  /// serial path). Mailbox must not be empty.
-  const WorkDescriptor &frontDesc() const;
-
-  /// Threaded engine, structural half of pushParcel: inserts \p Desc as
-  /// a local-store parcel slot whose ReadyAt resolves through
-  /// \p Landing, and bills the recipient's dispatch counter — exactly
-  /// the recipient-side state pushParcel mutates, with the timing left
-  /// to chargeParcelSend on the spawner's thread.
-  void insertParcelPlaceholder(const WorkDescriptor &Desc,
-                               std::shared_ptr<ParcelLanding> Landing);
-
-  /// Threaded engine, spawner-side half of pushParcel: charges the peer
-  /// doorbell + descriptor-copy cost to the spawner's clock and
-  /// counters, publishes the landing cycle through \p Landing, and
-  /// emits the ParcelSpawn/ParcelDeliver events — byte-identical costs
-  /// and events to the serial pushParcel.
-  void chargeParcelSend(const WorkDescriptor &Desc, unsigned SpawnerAccelId,
-                        uint64_t SpawnerBlockId, ParcelLanding &Landing);
 
   /// Death path: returns every pending descriptor, oldest first, so the
   /// runtime can re-queue them. Charges no cycles — the survivors pay
@@ -257,8 +167,16 @@ public:
   uint64_t blockId() const { return BlockId; }
 
 private:
-  /// The queue stores exactly what a pop hands out.
-  using Slot = PopTicket;
+  struct Slot {
+    WorkDescriptor Desc;
+    /// Host cycle at which the doorbell write made Desc visible (worker
+    /// cycle for stolen/parcel slots: when the transfer landed).
+    uint64_t ReadyAt = 0;
+    /// True when the descriptor already sits in the worker's local
+    /// store (it arrived via a steal's list-form gather or a peer
+    /// parcel DMA), so pop skips the per-descriptor fetch DMA.
+    bool InLocalStore = false;
+  };
 
   Machine &M;
   unsigned AccelId;

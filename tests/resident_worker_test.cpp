@@ -130,10 +130,10 @@ TEST(ResidentWorker, DescriptorAndMailboxEventsAreObservable) {
                  });
   ASSERT_EQ(Rec.descriptors().size(), 5u);
   unsigned Doorbells = 0, Fetches = 0;
-  for (const MailboxEvent &E : Rec.mailboxEvents()) {
-    if (E.Kind == MailboxEventKind::DoorbellWrite)
+  for (const DispatchEvent &E : Rec.mailboxEvents()) {
+    if (E.Kind == DispatchEventKind::DoorbellWrite)
       ++Doorbells;
-    if (E.Kind == MailboxEventKind::DescriptorFetch)
+    if (E.Kind == DispatchEventKind::DescriptorFetch)
       ++Fetches;
   }
   EXPECT_EQ(Doorbells, 5u);
@@ -223,8 +223,8 @@ TEST(ResidentWorker, MidDrainKillEmitsTheDrainAndReplaysExactly) {
     // Exactly one drain, of exactly one backlogged descriptor, on the
     // dead worker.
     unsigned Drains = 0;
-    for (const MailboxEvent &E : Rec.mailboxEvents())
-      if (E.Kind == MailboxEventKind::MailboxDrained) {
+    for (const DispatchEvent &E : Rec.mailboxEvents())
+      if (E.Kind == DispatchEventKind::MailboxDrained) {
         ++Drains;
         EXPECT_EQ(E.AccelId, 0u);
         EXPECT_EQ(E.Seq, 1u); // Pending count, not a descriptor seq.

@@ -231,3 +231,9 @@ TEST(MachineDeath, BadAcceleratorIdAborts) {
   Machine M;
   EXPECT_DEATH(M.accel(99), "accelerator id out of range");
 }
+
+TEST(MachineDeath, NonZeroHostThreadsIsRejected) {
+  MachineConfig Cfg;
+  Cfg.HostThreads = 1;
+  EXPECT_DEATH(Machine M(Cfg), "HostThreads must be 0");
+}

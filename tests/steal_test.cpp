@@ -97,7 +97,6 @@ TEST(WorkStealing, StealClaimsHalfTheTailInOrder) {
     ASSERT_TRUE(Pool.executeNext(W1, ThiefBody, Orphans));
   while (!Pool.mailbox(W0).empty())
     ASSERT_TRUE(Pool.executeNext(W0, VictimBody, Orphans));
-  Pool.sync(); // Commit in-flight steps before reading the order logs.
   EXPECT_EQ(ThiefOrder, (std::vector<uint32_t>{4, 5, 6, 7}));
   EXPECT_EQ(VictimOrder, (std::vector<uint32_t>{0, 1, 2, 3}));
   Pool.close();
@@ -120,13 +119,11 @@ TEST(WorkStealing, StolenDescriptorsPopWithoutTheFetchDma) {
   std::vector<WorkDescriptor> Orphans;
   auto Empty = [](OffloadContext &, uint32_t, uint32_t) {};
   ASSERT_TRUE(Pool.executeNext(W1, Empty, Orphans));
-  Pool.sync(); // Commit the step before reading the thief's clock.
   // Zero-cost body, local descriptor: the pop advances nothing.
   EXPECT_EQ(M.accel(1).Clock.now(), Before);
   // A bulk-placed (not stolen) descriptor still pays the fetch.
   uint64_t VictimBefore = M.accel(0).Clock.now();
   ASSERT_TRUE(Pool.executeNext(W0, Empty, Orphans));
-  Pool.sync();
   EXPECT_GE(M.accel(0).Clock.now(),
             VictimBefore + Cfg.MailboxDescriptorCycles);
   while (!Pool.mailbox(W0).empty())
@@ -141,7 +138,7 @@ namespace {
 /// Runs a fixed steal scenario on a 4-core machine — three loaded
 /// workers, one idle thief that repeatedly steals and drains — and
 /// \returns the sequence of victim accelerator ids its probes chose
-/// (MailboxEventKind::StealProbe's Detail payload).
+/// (DispatchEventKind::StealProbe's Detail payload).
 std::vector<uint64_t> victimSequence(StealPolicy Policy, uint64_t Seed) {
   MachineConfig Cfg;
   Cfg.NumAccelerators = 4;
@@ -169,8 +166,8 @@ std::vector<uint64_t> victimSequence(StealPolicy Policy, uint64_t Seed) {
   }
   Pool.close();
   std::vector<uint64_t> Victims;
-  for (const MailboxEvent &E : Rec.mailboxEvents())
-    if (E.Kind == MailboxEventKind::StealProbe)
+  for (const DispatchEvent &E : Rec.mailboxEvents())
+    if (E.Kind == DispatchEventKind::StealProbe)
       Victims.push_back(E.Detail);
   return Victims;
 }

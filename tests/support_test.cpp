@@ -8,7 +8,6 @@
 #include "support/Diag.h"
 #include "support/MathExtras.h"
 #include "support/Random.h"
-#include "support/Statistic.h"
 
 #include <gtest/gtest.h>
 
@@ -101,18 +100,6 @@ TEST(DiagSink, CollectsAndCounts) {
   Sink.clear();
   EXPECT_EQ(Sink.diags().size(), 0u);
   EXPECT_EQ(Sink.errorCount(), 0u);
-}
-
-TEST(Statistic, AddSetGet) {
-  StatRegistry Stats;
-  EXPECT_EQ(Stats.get("never-touched"), 0u);
-  Stats.add("hits");
-  Stats.add("hits", 4);
-  EXPECT_EQ(Stats.get("hits"), 5u);
-  Stats.set("hits", 2);
-  EXPECT_EQ(Stats.get("hits"), 2u);
-  Stats.clear();
-  EXPECT_EQ(Stats.get("hits"), 0u);
 }
 
 TEST(FatalError, Aborts) {

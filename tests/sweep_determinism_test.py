@@ -4,10 +4,9 @@
 Part of offload-mm, a reproduction of "The Impact of Diverse Memory
 Architectures on Multicore Consumer Software" (Russell et al., MSPC'11).
 
-This is the harness the ROADMAP's later threaded-machine work will be
-verified against: a sweep's merged BENCH_<experiment>.json must be
-byte-identical no matter how many host processes ran it, how rows were
-sharded, or in what order shards finished. The double-run procedure:
+A sweep's merged BENCH_<experiment>.json must be byte-identical no
+matter how many host processes ran it, how rows were sharded, or in
+what order shards finished. The double-run procedure:
 
   1. Serial reference — each bench binary writes its JSON itself in
      one process (the merge target is *that writer's* bytes, not a
@@ -23,16 +22,8 @@ row's `checksum` counter (the folded simulation-state checksum the
 E10/E13 rows export) must agree between the serial and sharded runs —
 the semantic anchor on top of the byte-level one.
 
-A fifth pass reruns the serial step with OMM_HOST_THREADS=<N>
-(--host-threads, default 4): the threaded execution engine's contract
-is that its merged schedule is bit-identical to serial, so the bench
-JSON those processes write must match the serial reference bytes too.
-Every other pass pins OMM_HOST_THREADS=0 explicitly, so the test means
-the same thing no matter what the invoking environment exports.
-
 Default (tier-1, `integration` label): a small E10+E13 grid.
---soak (`soak` label): the full E9-E13 grid, plus a sharded sweep run
-on the threaded engine.
+--soak (`soak` label): the full E9-E13 grid.
 
 Usage:
     python3 tests/sweep_determinism_test.py --bench-dir build/bench
@@ -63,10 +54,8 @@ SOAK_BINARIES = [
 ]
 
 
-def run(cmd, host_threads=0, **kwargs):
-    env = dict(os.environ, OMM_HOST_THREADS=str(host_threads))
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          **kwargs)
+def run(cmd, **kwargs):
+    proc = subprocess.run(cmd, capture_output=True, text=True, **kwargs)
     if proc.returncode != 0:
         sys.exit(f"FAIL: command exited {proc.returncode}: "
                  f"{' '.join(cmd)}\n{proc.stdout}\n{proc.stderr}")
@@ -128,9 +117,6 @@ def main():
     ap.add_argument("--soak", action="store_true",
                     help="full E9-E13 grid instead of the small "
                          "E10+E13 one")
-    ap.add_argument("--host-threads", type=int, default=4,
-                    help="thread count for the threaded-engine pass "
-                         "(0 disables it)")
     args = ap.parse_args()
 
     names = SOAK_BINARIES if args.soak else SMALL_BINARIES
@@ -155,29 +141,13 @@ def main():
                 cmd.append(f"--benchmark_filter={bench_filter}")
             run(cmd)
 
-        # 1b. Threaded-engine reference: the same binaries, one process
-        #     each, on the threaded engine. Bit-identity is the engine's
-        #     contract, so these writers must produce the serial bytes.
-        threaded_dir = None
-        if args.host_threads > 0:
-            threaded_dir = os.path.join(tmp, "threaded")
-            os.makedirs(threaded_dir)
-            for binary in binaries:
-                experiment = os.path.basename(binary)[len("bench_"):]
-                out = os.path.join(threaded_dir,
-                                   f"BENCH_{experiment}.json")
-                cmd = [binary, f"--json={out}"]
-                if bench_filter:
-                    cmd.append(f"--benchmark_filter={bench_filter}")
-                run(cmd, host_threads=args.host_threads)
-
         # 2-4. The runner, at increasingly adversarial settings.
         sweeps = [
-            ("jobs1", ["--jobs", "1"], 0),
+            ("jobs1", ["--jobs", "1"]),
             ("jobs4-rowshards-shuffled",
-             ["--jobs", "4", "--batch", "1", "--shuffle", "1717"], 0),
+             ["--jobs", "4", "--batch", "1", "--shuffle", "1717"]),
             ("jobs4-autobatch-shuffled",
-             ["--jobs", "4", "--shuffle", "99"], 0),
+             ["--jobs", "4", "--shuffle", "99"]),
         ]
         if args.soak:
             # Keep the full-grid soak affordable: maximal row splitting
@@ -185,33 +155,20 @@ def main():
             # calibration (E11's dominates; auto batching covers it).
             sweeps[1] = ("jobs4-batch2-shuffled",
                          ["--jobs", "4", "--batch", "2",
-                          "--shuffle", "1717"], 0)
-            if args.host_threads > 0:
-                # Threaded engine under sharding: process-level and
-                # thread-level parallelism composed, same bytes.
-                sweeps.append(("jobs4-threaded",
-                               ["--jobs", "4", "--shuffle", "4242"],
-                               args.host_threads))
+                          "--shuffle", "1717"])
         sweep_dirs = []
-        for tag, flags, threads in sweeps:
+        for tag, flags in sweeps:
             out_dir = os.path.join(tmp, tag)
             cmd = [sys.executable, args.sweeprun, "--out-dir", out_dir,
                    *flags]
             if bench_filter:
                 cmd += ["--filter", bench_filter]
-            run(cmd + binaries, host_threads=threads)
+            run(cmd + binaries)
             sweep_dirs.append((tag, out_dir))
 
         for experiment in experiments:
             name = f"BENCH_{experiment}.json"
             reference = os.path.join(serial_dir, name)
-            if threaded_dir:
-                compare_bytes(
-                    reference, os.path.join(threaded_dir, name),
-                    f"{experiment} [threaded x{args.host_threads}]")
-                check_checksums(reference,
-                                os.path.join(threaded_dir, name),
-                                experiment)
             for tag, out_dir in sweep_dirs:
                 compare_bytes(reference, os.path.join(out_dir, name),
                               f"{experiment} [{tag}]")

@@ -76,9 +76,7 @@ uint64_t expectedChecksum() {
 struct RunOut {
   uint64_t Cycles = 0;
   uint64_t Checksum = 0;
-  JobRunStats Stats;
-  uint64_t DoorbellCycles = 0;
-  uint64_t IdlePollCycles = 0;
+  RegionStats Stats;
 };
 
 uint64_t readChecksum(Machine &M, OuterPtr<uint64_t> Data) {
@@ -167,22 +165,19 @@ RunOut runPersistent(uint32_t Chunk, unsigned Workers = ~0u,
         }
       });
   Run.Cycles = M.globalTime() - Begin;
-  PerfCounters Totals = M.totalCounters();
-  Run.DoorbellCycles = Totals.DoorbellCycles;
-  Run.IdlePollCycles = Totals.IdlePollCycles;
   Run.Checksum = readChecksum(M, Data);
   return Run;
 }
 
 void reportMailboxCounters(benchmark::State &State, const RunOut &Run) {
   State.counters["descriptors"] =
-      static_cast<double>(Run.Stats.DescriptorsDispatched);
+      static_cast<double>(Run.Stats.Counters.DescriptorsDispatched);
   State.counters["launches_saved"] =
-      static_cast<double>(Run.Stats.LaunchesSaved);
+      static_cast<double>(Run.Stats.launchesSaved());
   State.counters["doorbell_cycles"] =
-      static_cast<double>(Run.DoorbellCycles);
+      static_cast<double>(Run.Stats.Counters.DoorbellCycles);
   State.counters["idle_poll_cycles"] =
-      static_cast<double>(Run.IdlePollCycles);
+      static_cast<double>(Run.Stats.Counters.IdlePollCycles);
 }
 
 void BM_LaunchPerChunk(benchmark::State &State) {
@@ -257,7 +252,7 @@ void BM_KilledWorkers(benchmark::State &State) {
                      static_cast<double>(Clean.Cycles) -
                  1.0);
     State.counters["requeued"] =
-        static_cast<double>(Run.Stats.RequeuedChunks);
+        static_cast<double>(Run.Stats.RequeuedDescriptors);
     State.counters["dead_workers"] =
         static_cast<double>(Run.Stats.DeadWorkers);
   }

@@ -104,20 +104,22 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t FrameBudget,
   GameWorld World(M, worldParams(FrameBudget));
   RunOut Run;
   Run.FrameCycles.reserve(FramesPerRow);
+  PerfCounters Before = M.totalCounters();
   for (uint32_t F = 0; F != FramesPerRow; ++F) {
     FrameStats S = World.doFrameOffloadAiResident();
     Run.FrameCycles.push_back(S.FrameCycles);
     Run.TotalCycles += S.FrameCycles;
-    Run.Hangs += S.AiHangs;
-    Run.Stragglers += S.AiStragglers;
-    Run.Speculative += S.AiSpeculative;
-    Run.Cancels += S.AiCancels;
     Run.HostFallback += S.HostFallbackSlices;
     Run.Failover += S.FailoverSlices;
     Run.MissedFrames += S.DeadlineMissed ? 1 : 0;
     Run.AiShed += S.AiEntitiesShed;
     Run.AnimShed += S.AnimEntitiesShed;
   }
+  PerfCounters C = M.countersSince(Before);
+  Run.Hangs = C.HangsDetected;
+  Run.Stragglers = C.StragglersDetected;
+  Run.Speculative = C.SpeculativeRedispatches;
+  Run.Cancels = C.CancelsIssued;
   Run.FinalDegradeLevel = World.degradeLevel();
   Run.Checksum = World.checksum();
   return Run;

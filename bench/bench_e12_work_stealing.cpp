@@ -91,13 +91,9 @@ struct RunOut {
   uint64_t TotalCycles = 0;
   std::vector<uint64_t> FrameCycles;
   uint64_t Checksum = 0;
-  uint64_t StealsAttempted = 0;
-  uint64_t StealsSucceeded = 0;
-  uint64_t DescriptorsStolen = 0;
-  uint64_t StealCycles = 0;
+  /// Every frame's region counters, merged.
+  PerfCounters Counters;
   uint64_t FailoverSlices = 0;
-  uint64_t HostSlices = 0;
-  uint64_t Stragglers = 0;
 };
 
 StealPolicy policyFromArg(int64_t Arg) {
@@ -146,7 +142,7 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult,
   Run.FrameCycles.reserve(FramesPerRow);
   for (uint32_t F = 0; F != FramesPerRow; ++F) {
     uint64_t Begin = M.globalTime();
-    ParallelForStats S = parallelForRange(
+    RegionStats S = parallelForRange(
         M, Count, [&](auto &Ctx, uint32_t B, uint32_t E) {
           for (uint32_t I = B; I != E; ++I) {
             Ctx.compute(itemCost(I, F, HotMult));
@@ -156,13 +152,8 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult,
     uint64_t Cycles = M.globalTime() - Begin;
     Run.FrameCycles.push_back(Cycles);
     Run.TotalCycles += Cycles;
-    Run.StealsAttempted += S.StealsAttempted;
-    Run.StealsSucceeded += S.StealsSucceeded;
-    Run.DescriptorsStolen += S.DescriptorsStolen;
-    Run.StealCycles += S.StealCycles;
-    Run.FailoverSlices += S.FailoverSlices;
-    Run.HostSlices += S.HostSlices;
-    Run.Stragglers += S.Stragglers;
+    Run.Counters.merge(S.Counters);
+    Run.FailoverSlices += S.FailoverDescriptors;
   }
   Run.Checksum = readChecksum(M, Data);
   return Run;
@@ -182,12 +173,13 @@ void requireBitIdentical(const RunOut &Run, const char *Sweep, int64_t Arg) {
 
 void reportStealCounters(benchmark::State &State, const RunOut &Run) {
   State.counters["steals_attempted"] =
-      static_cast<double>(Run.StealsAttempted);
+      static_cast<double>(Run.Counters.StealsAttempted);
   State.counters["steals_succeeded"] =
-      static_cast<double>(Run.StealsSucceeded);
+      static_cast<double>(Run.Counters.StealsSucceeded);
   State.counters["descriptors_stolen"] =
-      static_cast<double>(Run.DescriptorsStolen);
-  State.counters["steal_cycles"] = static_cast<double>(Run.StealCycles);
+      static_cast<double>(Run.Counters.DescriptorsStolen);
+  State.counters["steal_cycles"] =
+      static_cast<double>(Run.Counters.StealCycles);
 }
 
 void reportP99Win(benchmark::State &State, const RunOut &None,
@@ -224,7 +216,8 @@ void BM_StragglerSteal(benchmark::State &State) {
     reportSimCycles(State, Run.TotalCycles);
     reportCyclePercentiles(State, Run.FrameCycles);
     reportStealCounters(State, Run);
-    State.counters["stragglers"] = static_cast<double>(Run.Stragglers);
+    State.counters["stragglers"] =
+        static_cast<double>(Run.Counters.StragglersDetected);
     if (Policy != StealPolicy::None) {
       RunOut None =
           runFrames(stealConfig(StealPolicy::None, Rate, Slowdown), 1);
@@ -265,7 +258,8 @@ void BM_KilledVictims(benchmark::State &State) {
     reportStealCounters(State, Run);
     State.counters["failover_slices"] =
         static_cast<double>(Run.FailoverSlices);
-    State.counters["host_slices"] = static_cast<double>(Run.HostSlices);
+    State.counters["host_slices"] =
+        static_cast<double>(Run.Counters.HostFallbackChunks);
     State.counters["overhead_pct"] =
         100.0 * (static_cast<double>(Run.TotalCycles) /
                      static_cast<double>(Clean.TotalCycles) -

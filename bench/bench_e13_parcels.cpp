@@ -81,9 +81,8 @@ struct FrameRun {
   uint64_t TotalCycles = 0;
   std::vector<uint64_t> FrameCycles;
   uint64_t Checksum = 0;
-  uint64_t ParcelsSpawned = 0;
-  uint64_t PeerDoorbellCycles = 0;
-  uint64_t HostRoundTrips = 0;
+  /// Counter delta over the whole frame loop.
+  PerfCounters Counters;
   uint64_t HostFallbacks = 0;
   uint64_t Failovers = 0;
 };
@@ -101,6 +100,7 @@ FrameRun runWorld(bool Dataflow, unsigned Workers, ParcelPolicy Policy,
   GameWorld World(M, benchWorld());
   FrameRun Run;
   Run.FrameCycles.reserve(FramesPerRow);
+  PerfCounters Before = M.totalCounters();
   for (uint32_t F = 0; F != FramesPerRow; ++F) {
     uint64_t Begin = M.globalTime();
     FrameStats S = Dataflow ? World.doFrameDataflow(Policy, Workers)
@@ -108,12 +108,10 @@ FrameRun runWorld(bool Dataflow, unsigned Workers, ParcelPolicy Policy,
     uint64_t Cycles = M.globalTime() - Begin;
     Run.FrameCycles.push_back(Cycles);
     Run.TotalCycles += Cycles;
-    Run.ParcelsSpawned += S.ParcelsSpawned;
-    Run.PeerDoorbellCycles += S.PeerDoorbellCycles;
-    Run.HostRoundTrips += S.HostRoundTripsEliminated;
     Run.HostFallbacks += S.HostFallbackSlices;
     Run.Failovers += S.FailoverSlices;
   }
+  Run.Counters = M.countersSince(Before);
   Run.Checksum = World.checksum();
   return Run;
 }
@@ -133,11 +131,12 @@ void requireBitIdentical(uint64_t Got, uint64_t Want, const char *Sweep,
 
 void reportParcelCounters(benchmark::State &State, const FrameRun &Run) {
   State.counters["parcels_spawned"] =
-      static_cast<double>(Run.ParcelsSpawned);
+      static_cast<double>(Run.Counters.ParcelsSpawned);
   State.counters["peer_doorbell_cycles"] =
-      static_cast<double>(Run.PeerDoorbellCycles);
+      static_cast<double>(Run.Counters.PeerDoorbellCycles);
+  // Every parcel is one host round trip the staged schedule paid.
   State.counters["host_round_trips_eliminated"] =
-      static_cast<double>(Run.HostRoundTrips);
+      static_cast<double>(Run.Counters.ParcelsSpawned);
 }
 
 void reportWin(benchmark::State &State, const FrameRun &Staged,
@@ -216,7 +215,6 @@ uint64_t pipeExpected(uint16_t Stages, uint32_t I) {
 struct PipeRun {
   uint64_t Cycles = 0;
   uint64_t ParcelsSpawned = 0;
-  uint64_t HostRoundTrips = 0;
   uint64_t Checksum = 0;
   bool Ok = true;
 };
@@ -232,7 +230,7 @@ PipeRun runPipeline(bool Dataflow, uint16_t Stages) {
     DataflowOptions Opts;
     Opts.ChunkSize = PipeChunk;
     Opts.NumStages = Stages;
-    DataflowStats S = runDataflow(
+    RegionStats S = runDataflow(
         M, PipeCount, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
           Ctx.compute((Desc.End - Desc.Begin) * PipeCostPerItem);
           for (uint32_t I = Desc.Begin; I != Desc.End; ++I) {
@@ -243,11 +241,10 @@ PipeRun runPipeline(bool Dataflow, uint16_t Stages) {
                                Ctx.template outerRead<uint64_t>(At), I));
           }
         });
-    Run.ParcelsSpawned = S.ParcelsSpawned;
-    Run.HostRoundTrips = S.HostRoundTripsEliminated;
+    Run.ParcelsSpawned = S.Counters.ParcelsSpawned;
   } else {
     for (uint16_t K = 1; K <= Stages; ++K)
-      distributeJobs(M, PipeCount, PipeChunk,
+      distributeJobs(M, PipeCount, {.ChunkSize = PipeChunk},
                      [&](auto &Ctx, uint32_t B, uint32_t E) {
                        Ctx.compute((E - B) * PipeCostPerItem);
                        for (uint32_t I = B; I != E; ++I) {
@@ -285,7 +282,7 @@ void BM_StageDepth(benchmark::State &State) {
     State.counters["parcels_spawned"] =
         static_cast<double>(Run.ParcelsSpawned);
     State.counters["host_round_trips_eliminated"] =
-        static_cast<double>(Run.HostRoundTrips);
+        static_cast<double>(Run.ParcelsSpawned);
     State.counters["win_vs_staged"] = static_cast<double>(Staged.Cycles) /
                                       static_cast<double>(Run.Cycles);
   }

@@ -107,11 +107,8 @@ struct RunOut {
   uint64_t TotalCycles = 0;
   std::vector<uint64_t> FrameCycles;
   uint64_t Checksum = 0;
-  uint64_t StealsAttempted = 0;
-  uint64_t StealsSucceeded = 0;
-  uint64_t StealsRemoteDomain = 0;
-  uint64_t DescriptorsStolen = 0;
-  uint64_t StealCycles = 0;
+  /// Every frame's region counters, merged.
+  PerfCounters Counters;
 };
 
 StealPolicy policyFromArg(int64_t Arg) {
@@ -172,7 +169,7 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult) {
   Run.FrameCycles.reserve(FramesPerRow);
   for (uint32_t F = 0; F != FramesPerRow; ++F) {
     uint64_t Begin = M.globalTime();
-    ParallelForStats S = parallelForRange(
+    RegionStats S = parallelForRange(
         M, Count, [&](auto &Ctx, uint32_t B, uint32_t E) {
           for (uint32_t I = B; I != E; ++I) {
             Ctx.compute(itemCost(I, F, HotMult));
@@ -182,11 +179,7 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult) {
     uint64_t Cycles = M.globalTime() - Begin;
     Run.FrameCycles.push_back(Cycles);
     Run.TotalCycles += Cycles;
-    Run.StealsAttempted += S.StealsAttempted;
-    Run.StealsSucceeded += S.StealsSucceeded;
-    Run.StealsRemoteDomain += S.StealsRemoteDomain;
-    Run.DescriptorsStolen += S.DescriptorsStolen;
-    Run.StealCycles += S.StealCycles;
+    Run.Counters.merge(S.Counters);
   }
   Run.Checksum = readChecksum(M, Data);
   return Run;
@@ -206,14 +199,15 @@ void requireBitIdentical(const RunOut &Run, const char *Sweep, int64_t Arg) {
 
 void reportStealCounters(benchmark::State &State, const RunOut &Run) {
   State.counters["steals_attempted"] =
-      static_cast<double>(Run.StealsAttempted);
+      static_cast<double>(Run.Counters.StealsAttempted);
   State.counters["steals_succeeded"] =
-      static_cast<double>(Run.StealsSucceeded);
+      static_cast<double>(Run.Counters.StealsSucceeded);
   State.counters["steals_remote_domain"] =
-      static_cast<double>(Run.StealsRemoteDomain);
+      static_cast<double>(Run.Counters.StealsRemoteDomain);
   State.counters["descriptors_stolen"] =
-      static_cast<double>(Run.DescriptorsStolen);
-  State.counters["steal_cycles"] = static_cast<double>(Run.StealCycles);
+      static_cast<double>(Run.Counters.DescriptorsStolen);
+  State.counters["steal_cycles"] =
+      static_cast<double>(Run.Counters.StealCycles);
 }
 
 /// The headline counter: p99 of the best *domain-oblivious* stealing
@@ -348,13 +342,15 @@ void BM_FrameSkew(benchmark::State &State) {
     WP.AiChunkElems = 4;
     omm::game::GameWorld W(M, WP);
     WorldOut Out;
+    PerfCounters Before = M.totalCounters();
     for (uint32_t F = 0; F != FrameCount; ++F) {
       omm::game::FrameStats FS = W.doFrameOffloadAiResident();
       Out.Total += FS.FrameCycles;
       Out.Frames.push_back(FS.FrameCycles);
-      Out.Steals += FS.AiSteals;
-      Out.Descriptors += FS.AiDescriptors;
     }
+    PerfCounters Delta = M.countersSince(Before);
+    Out.Steals = Delta.StealsSucceeded;
+    Out.Descriptors = Delta.DescriptorsDispatched;
     Out.Checksum = W.checksum();
     return Out;
   };

@@ -173,7 +173,7 @@ void BM_WorkDistribution(benchmark::State &State) {
     uint64_t Start = M.globalTime();
     if (Dynamic) {
       offload::distributeJobs(
-          M, Count, 8,
+          M, Count, {.ChunkSize = 8},
           [&](offload::OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
             for (uint32_t I = Begin; I != End; ++I)
               Ctx.compute(CostOf(I));

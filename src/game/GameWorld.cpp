@@ -20,6 +20,18 @@ using namespace omm;
 using namespace omm::game;
 using namespace omm::sim;
 
+namespace {
+
+/// Folds one resident region's recovery work into a frame's stats.
+void addRecovery(FrameStats &Stats, const offload::RegionStats &Run) {
+  Stats.FailedBlocks += Run.FailedLaunches;
+  Stats.FailoverSlices += Run.RequeuedDescriptors;
+  Stats.HostFallbackSlices +=
+      static_cast<uint32_t>(Run.Counters.HostFallbackChunks);
+}
+
+} // namespace
+
 GameWorld::GameWorld(Machine &M, const GameWorldParams &Params)
     : M(M), Params(Params),
       Entities(M, Params.NumEntities, Params.Seed, Params.WorldHalfExtent),
@@ -297,7 +309,7 @@ FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
   Opts.MaxWorkers = MaxAccelerators;
   Opts.FirstAccelerator = FirstAccelerator;
   Opts.Adaptive = true;
-  offload::JobRunStats Run = offload::distributeJobs(
+  addRecovery(Stats, offload::distributeJobs(
       M, AiCount, Opts,
       [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         if constexpr (std::is_same_v<std::decay_t<decltype(Ctx)>,
@@ -305,19 +317,8 @@ FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
           aiPassOffload(Ctx, Begin, End);
         else
           aiPassHost(Begin, End);
-      });
+      }));
   Stats.AiCycles = M.hostClock().now() - FrameStart;
-  Stats.FailedBlocks = Run.FailedLaunches;
-  Stats.FailoverSlices = Run.RequeuedChunks;
-  Stats.HostFallbackSlices = Run.HostChunks + Run.HostEscalations;
-  Stats.AiDescriptors = static_cast<uint32_t>(Run.DescriptorsDispatched);
-  Stats.AiLaunchesSaved = Run.LaunchesSaved;
-  Stats.AiHangs = Run.Hangs;
-  Stats.AiStragglers = Run.Stragglers;
-  Stats.AiSpeculative = Run.SpeculativeRedispatches;
-  Stats.AiCancels = Run.Cancels;
-  Stats.AiSteals = static_cast<uint32_t>(Run.StealsSucceeded);
-  Stats.AiDescriptorsStolen = static_cast<uint32_t>(Run.DescriptorsStolen);
 
   uint64_t Start = M.hostClock().now();
   collisionPassHost(Stats);
@@ -446,37 +447,22 @@ FrameStats GameWorld::doFrameStaged(unsigned MaxAccelerators) {
   Opts.ChunkSize = std::max(1u, Params.StageShardElems);
   Opts.MaxWorkers = MaxAccelerators;
 
-  auto Fold = [&](const offload::JobRunStats &Run) {
-    Stats.FailedBlocks += Run.FailedLaunches;
-    Stats.FailoverSlices += Run.RequeuedChunks;
-    Stats.HostFallbackSlices += Run.HostChunks + Run.HostEscalations;
-    Stats.AiDescriptors += static_cast<uint32_t>(Run.DescriptorsDispatched);
-    Stats.AiLaunchesSaved += Run.LaunchesSaved;
-    Stats.AiHangs += Run.Hangs;
-    Stats.AiStragglers += Run.Stragglers;
-    Stats.AiSpeculative += Run.SpeculativeRedispatches;
-    Stats.AiCancels += Run.Cancels;
-    Stats.AiSteals += static_cast<uint32_t>(Run.StealsSucceeded);
-    Stats.AiDescriptorsStolen +=
-        static_cast<uint32_t>(Run.DescriptorsStolen);
-  };
-
   uint64_t Start = M.hostClock().now();
-  Fold(offload::distributeJobs(
+  addRecovery(Stats, offload::distributeJobs(
       M, Entities.size(), Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         aiStageShard(Ctx, Begin, End);
       }));
   Stats.AiCycles = M.hostClock().now() - Start;
 
   Start = M.hostClock().now();
-  Fold(offload::distributeJobs(
+  addRecovery(Stats, offload::distributeJobs(
       M, Entities.size(), Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         collisionStageShard(Ctx, Begin, End, Stats);
       }));
   Stats.CollisionCycles = M.hostClock().now() - Start;
 
   Start = M.hostClock().now();
-  Fold(offload::distributeJobs(
+  addRecovery(Stats, offload::distributeJobs(
       M, Entities.size(), Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         physicsStageShard(Ctx, Begin, End);
       }));
@@ -502,7 +488,7 @@ FrameStats GameWorld::doFrameDataflow(sim::ParcelPolicy Policy,
   Opts.NumStages = 3;
   Opts.Policy = Policy;
   uint64_t Start = M.hostClock().now();
-  offload::DataflowStats Run = offload::runDataflow(
+  addRecovery(Stats, offload::runDataflow(
       M, Entities.size(), Opts,
       [&](auto &Ctx, const sim::WorkDescriptor &Desc) {
         switch (Desc.Kernel) {
@@ -516,25 +502,11 @@ FrameStats GameWorld::doFrameDataflow(sim::ParcelPolicy Policy,
           physicsStageShard(Ctx, Desc.Begin, Desc.End);
           break;
         }
-      });
+      }));
   // The stages pipeline, so there is no per-stage wall time to report:
   // the whole region lands in AiCycles and the frame total tells the
   // story (bench_e13 compares it against doFrameStaged's).
   Stats.AiCycles = M.hostClock().now() - Start;
-  Stats.FailedBlocks = Run.FailedLaunches;
-  Stats.FailoverSlices = Run.RequeuedChunks;
-  Stats.HostFallbackSlices = Run.HostChunks + Run.HostEscalations;
-  Stats.AiDescriptors = static_cast<uint32_t>(Run.DescriptorsDispatched);
-  Stats.AiLaunchesSaved = Run.LaunchesSaved;
-  Stats.AiHangs = Run.Hangs;
-  Stats.AiStragglers = Run.Stragglers;
-  Stats.AiSpeculative = Run.SpeculativeRedispatches;
-  Stats.AiCancels = Run.Cancels;
-  Stats.AiSteals = static_cast<uint32_t>(Run.StealsSucceeded);
-  Stats.AiDescriptorsStolen = static_cast<uint32_t>(Run.DescriptorsStolen);
-  Stats.ParcelsSpawned = static_cast<uint32_t>(Run.ParcelsSpawned);
-  Stats.PeerDoorbellCycles = Run.PeerDoorbellCycles;
-  Stats.HostRoundTripsEliminated = Run.HostRoundTripsEliminated;
 
   blendAndRender(Stats);
   finishFrame(Stats, FrameStart);

@@ -92,7 +92,10 @@ struct GameWorldParams {
   }
 };
 
-/// Timing breakdown of one frame (simulated cycles).
+/// Timing breakdown of one frame (simulated cycles). Dispatch, steal,
+/// parcel and deadline events are machine counters: snapshot
+/// Machine::totalCounters() before the frame and read
+/// Machine::countersSince() after it to attribute them.
 struct FrameStats {
   uint64_t FrameCycles = 0;
   uint64_t AiCycles = 0;        ///< Wall time of the AI stage (either core).
@@ -105,32 +108,11 @@ struct FrameStats {
   uint32_t FailedBlocks = 0;       ///< AI launches that faulted.
   uint32_t FailoverSlices = 0;     ///< AI slices re-homed to another core.
   uint32_t HostFallbackSlices = 0; ///< AI slices the host ran itself.
-  /// Mailbox dispatch of the resident-worker schedule (zero for the
-  /// launch-per-block schedules).
-  uint32_t AiDescriptors = 0;   ///< Work descriptors the AI pass used.
-  uint64_t AiLaunchesSaved = 0; ///< Launches the mailboxes amortized away.
-  /// Timing-fault recovery work this frame (resident schedule).
-  uint32_t AiHangs = 0;        ///< Workers wedged and abandoned.
-  uint32_t AiStragglers = 0;   ///< Chunks past their deadline.
-  uint32_t AiSpeculative = 0;  ///< Backup copies raced.
-  uint32_t AiCancels = 0;      ///< Cooperative cancels raised.
-  /// Accelerator-side work stealing (resident schedule with
-  /// MachineConfig::WorkStealing enabled; zero otherwise).
-  uint32_t AiSteals = 0;       ///< Successful steals during the AI pass.
-  uint32_t AiDescriptorsStolen = 0; ///< Chunks that migrated via steals.
   /// Graceful degradation: what this frame shed to claw back budget
   /// (lowest-priority == highest-index entities hold last frame's
   /// decision/pose).
   uint32_t AiEntitiesShed = 0;
   uint32_t AnimEntitiesShed = 0;
-  /// Staged-dataflow schedule (doFrameDataflow; zero elsewhere):
-  /// continuation parcels spawned worker-to-worker, the spawner cycles
-  /// they cost, and the per-stage host round trips they deleted (every
-  /// parcel replaces one join + re-carve + doorbell crossing of the
-  /// host in the staged schedule).
-  uint32_t ParcelsSpawned = 0;
-  uint64_t PeerDoorbellCycles = 0;
-  uint64_t HostRoundTripsEliminated = 0;
   /// True when the frame exceeded GameWorldParams::FrameBudgetCycles
   /// (raises the degradation level for the frames after it).
   bool DeadlineMissed = false;
@@ -193,10 +175,11 @@ public:
   /// collision spawns physics the same way; the host blocks only on
   /// frame completion. Bit-identical world state to doFrameStaged by
   /// construction (stages are shard-confined, so the drain interleaving
-  /// cannot matter); FrameStats records the parcel traffic and the
-  /// deleted host round trips. ParcelPolicy::None degenerates to the
-  /// AI stage alone (no continuations exist to run the later stages),
-  /// so callers wanting the full frame must pass a real policy.
+  /// cannot matter); the machine's ParcelsSpawned counter records the
+  /// parcel traffic, one deleted host round trip per parcel.
+  /// ParcelPolicy::None degenerates to the AI stage alone (no
+  /// continuations exist to run the later stages), so callers wanting
+  /// the full frame must pass a real policy.
   FrameStats doFrameDataflow(sim::ParcelPolicy Policy = sim::ParcelPolicy::Ring,
                              unsigned MaxAccelerators = ~0u);
 

@@ -69,83 +69,19 @@ struct JobQueueOptions {
   uint32_t TargetChunksPerWorker = 4;
 };
 
-/// Per-run statistics of a dynamic distribution.
-struct JobRunStats {
-  uint64_t MakespanCycles = 0;
-  /// Busy cycles per opened worker, for balance inspection.
-  std::vector<uint64_t> WorkerBusyCycles;
-  /// Chunks executed per opened worker.
-  std::vector<uint32_t> WorkerChunks;
-  /// Worker launches that failed outright (dead core, injected launch
-  /// fault); the pool opens without them.
-  uint32_t FailedLaunches = 0;
-  /// Resident-worker launches that succeeded.
-  uint32_t Launches = 0;
-  /// Workers that died mid-run, at a descriptor boundary.
-  uint32_t DeadWorkers = 0;
-  /// Chunks popped by a worker that died and were re-queued.
-  uint32_t RequeuedChunks = 0;
-  /// Chunks that ran on the host because no worker was available.
-  uint32_t HostChunks = 0;
-  /// Work descriptors pushed through the mailboxes (re-dispatch of
-  /// re-queued chunks included).
-  uint64_t DescriptorsDispatched = 0;
-  /// Per-chunk launches the resident runtime amortized away:
-  /// descriptors dispatched minus launches paid. The launch-per-chunk
-  /// runtime this replaced had this pinned at zero by construction.
-  uint64_t LaunchesSaved = 0;
-  /// Workers that wedged mid-chunk and were abandoned by the watchdog.
-  uint32_t Hangs = 0;
-  /// Chunks that missed their deadline (injected or genuinely slow).
-  uint32_t Stragglers = 0;
-  /// Backup copies raced against stragglers (DeadlinePolicy::Speculate).
-  uint32_t SpeculativeRedispatches = 0;
-  /// Cooperative cancels raised during the run.
-  uint32_t Cancels = 0;
-  /// Straggling chunks the host took because no other worker was alive.
-  uint32_t HostEscalations = 0;
-  /// Steal probes issued by idle workers (StealPolicy != None).
-  uint64_t StealsAttempted = 0;
-  /// Probes that found a victim and moved work.
-  uint64_t StealsSucceeded = 0;
-  /// Successful steals that crossed a domain boundary (zero on flat
-  /// machines and whenever DomainAware found local victims).
-  uint64_t StealsRemoteDomain = 0;
-  /// Chunks that migrated between workers through steals.
-  uint64_t DescriptorsStolen = 0;
-  /// Accelerator cycles spent probing and transferring steals.
-  uint64_t StealCycles = 0;
-
-  /// max/mean busy ratio; 1.0 = perfectly balanced.
-  double imbalance() const {
-    if (WorkerBusyCycles.empty())
-      return 1.0;
-    uint64_t Max = 0, Sum = 0;
-    for (uint64_t Busy : WorkerBusyCycles) {
-      Max = std::max(Max, Busy);
-      Sum += Busy;
-    }
-    if (Sum == 0)
-      return 1.0;
-    double Mean = static_cast<double>(Sum) / WorkerBusyCycles.size();
-    return static_cast<double>(Max) / Mean;
-  }
-};
-
 /// Runs Body(Ctx, Begin, End) for chunks of [0, Count), dynamically
 /// assigning each chunk to the least-loaded accelerator through the
 /// resident workers' mailboxes. Bodies of different chunks must touch
 /// disjoint outer state (as with parallelForRange). Survives
 /// accelerator death and machines with no usable accelerator at all,
 /// provided the body is host-invocable (takes its context parameter as
-/// auto&); see JobRunStats for what went wrong and where the work ended
+/// auto&); see RegionStats for what went wrong and where the work ended
 /// up.
 template <typename BodyFn>
-JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
+RegionStats distributeJobs(sim::Machine &M, uint32_t Count,
                            const JobQueueOptions &Opts, BodyFn &&Body) {
-  JobRunStats Stats;
   if (Count == 0)
-    return Stats;
+    return {};
   uint32_t ChunkSize = std::max(1u, Opts.ChunkSize);
   uint32_t TargetPerWorker = std::max(1u, Opts.TargetChunksPerWorker);
 
@@ -191,12 +127,7 @@ JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
     for (;;) {
       if (OrphanHead < Orphans.size()) {
         if (Pool.liveCount() == 0) {
-          const sim::WorkDescriptor &Desc = Orphans[OrphanHead++];
-          ++Stats.HostChunks;
-          ++M.hostCounters().HostFallbackChunks;
-          M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                       /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-          detail::runChunkOnHost(M, Body, Desc.Begin, Desc.End);
+          Pool.runOnHost(Body, Orphans[OrphanHead++]);
           continue;
         }
         unsigned W = Pool.pickWorker();
@@ -235,11 +166,7 @@ JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
     }
     if (Pool.liveCount() == 0) {
       // Nowhere left to offload: the host works the queue itself.
-      ++Stats.HostChunks;
-      ++M.hostCounters().HostFallbackChunks;
-      M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                   /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-      detail::runChunkOnHost(M, Body, Desc.Begin, Desc.End);
+      Pool.runOnHost(Body, Desc);
       continue;
     }
     // Eager dispatch: push to the least-loaded worker and let it pop
@@ -251,41 +178,7 @@ JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
   }
 
   Pool.close();
-  const ResidentPoolStats &PS = Pool.stats();
-  Stats.MakespanCycles = Pool.makespanCycles();
-  Stats.WorkerBusyCycles = PS.BusyCycles;
-  Stats.WorkerChunks = PS.Chunks;
-  Stats.FailedLaunches = PS.FailedLaunches;
-  Stats.Launches = PS.Launches;
-  Stats.DeadWorkers = PS.DeadWorkers;
-  Stats.RequeuedChunks = PS.RequeuedDescriptors;
-  Stats.DescriptorsDispatched = PS.DescriptorsDispatched;
-  Stats.LaunchesSaved = PS.launchesSaved();
-  Stats.Hangs = PS.HungWorkers;
-  Stats.Stragglers = PS.StragglerDescriptors;
-  Stats.SpeculativeRedispatches = PS.SpeculativeCopies;
-  Stats.Cancels = PS.Cancels;
-  Stats.HostEscalations = PS.HostEscalations;
-  Stats.StealsAttempted = PS.StealsAttempted;
-  Stats.StealsSucceeded = PS.StealsSucceeded;
-  Stats.StealsRemoteDomain = PS.StealsRemoteDomain;
-  Stats.DescriptorsStolen = PS.DescriptorsStolen;
-  Stats.StealCycles = PS.StealCycles;
-  return Stats;
-}
-
-/// Fixed-chunk convenience overload. Deprecated shim: the original
-/// pre-JobQueueOptions interface, kept so existing call sites compile;
-/// new code should pass JobQueueOptions (and gets the adaptive policy
-/// and the DispatchPlan-carved descriptors either way).
-template <typename BodyFn>
-JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
-                           uint32_t ChunkSize, BodyFn &&Body,
-                           unsigned MaxWorkers = ~0u) {
-  JobQueueOptions Opts;
-  Opts.ChunkSize = ChunkSize;
-  Opts.MaxWorkers = MaxWorkers;
-  return distributeJobs(M, Count, Opts, std::forward<BodyFn>(Body));
+  return Pool.stats();
 }
 
 } // namespace omm::offload

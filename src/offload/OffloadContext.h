@@ -22,7 +22,6 @@
 #define OMM_OFFLOAD_OFFLOADCONTEXT_H
 
 #include "sim/Machine.h"
-#include "support/Diag.h"
 #include "support/MathExtras.h"
 
 #include <cstdint>
@@ -273,37 +272,6 @@ public:
 private:
   sim::Machine &M;
 };
-
-namespace detail {
-
-/// True when \p BodyFn can be invoked with a HostContext — i.e. it takes
-/// its context parameter as `auto &` (or HostContext &) and only uses
-/// the context surface HostContext provides.
-template <typename BodyFn>
-inline constexpr bool isHostRunnable =
-    std::is_invocable_v<BodyFn &, HostContext &, uint32_t, uint32_t>;
-
-/// Runs one [Begin, End) chunk of an offloaded body on the host. Bodies
-/// written against the generic context surface run directly; bodies
-/// hard-wired to OffloadContext cannot fall back, which is a fatal
-/// configuration error (there is nowhere left to run the work).
-template <typename BodyFn>
-void runChunkOnHost(sim::Machine &M, BodyFn &Body, uint32_t Begin,
-                    uint32_t End) {
-  if constexpr (isHostRunnable<BodyFn>) {
-    HostContext Ctx(M);
-    Body(Ctx, Begin, End);
-  } else {
-    (void)Body;
-    (void)Begin;
-    (void)End;
-    reportFatalError("offload: no accelerator available and the body is "
-                     "not host-invocable (take the context parameter as "
-                     "auto& to enable host fallback)");
-  }
-}
-
-} // namespace detail
 
 } // namespace omm::offload
 

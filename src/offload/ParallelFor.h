@@ -35,44 +35,6 @@
 
 namespace omm::offload {
 
-/// What parallelForRange had to do to complete the range. All-zero with
-/// Status == Ok means the fault-free static split ran as planned.
-struct ParallelForStats {
-  /// Launch attempts that failed (injected death, exhausted store, ...).
-  unsigned LaunchFaults = 0;
-  /// Slices that ran on a different accelerator than the static split
-  /// intended, because their home core was dead or refused the launch.
-  unsigned FailoverSlices = 0;
-  /// Slices that fell back to the host (no accelerator could take them).
-  unsigned HostSlices = 0;
-  /// Per-slice launches the resident runtime amortized away
-  /// (descriptors dispatched minus worker launches paid; zero for the
-  /// fault-free one-slice-per-worker split, positive when failover
-  /// funnels several slices through one worker).
-  uint64_t LaunchesSaved = 0;
-  /// Workers that wedged mid-slice and were abandoned by the watchdog.
-  unsigned Hangs = 0;
-  /// Slices that missed their chunk deadline (injected or genuine).
-  unsigned Stragglers = 0;
-  /// Backup copies raced against stragglers (DeadlinePolicy::Speculate).
-  unsigned SpeculativeRedispatches = 0;
-  /// Cooperative cancels raised during the region.
-  unsigned Cancels = 0;
-  /// Steal probes issued by idle workers (StealPolicy != None).
-  uint64_t StealsAttempted = 0;
-  /// Probes that found a victim and moved work.
-  uint64_t StealsSucceeded = 0;
-  /// Successful steals that crossed a domain boundary (zero on flat
-  /// machines and whenever DomainAware found local victims).
-  uint64_t StealsRemoteDomain = 0;
-  /// Sub-slices that migrated between workers through steals.
-  uint64_t DescriptorsStolen = 0;
-  /// Accelerator cycles spent probing and transferring steals.
-  uint64_t StealCycles = 0;
-  /// Worst launch outcome observed while opening the worker pool.
-  OffloadStatus Status = OffloadStatus::Ok;
-};
-
 /// Runs Body(Ctx, Begin, End) on up to \p MaxAccelerators accelerators,
 /// with [0, Count) split into contiguous sub-ranges, and joins them.
 /// Body must only touch outer state derived from its own sub-range.
@@ -80,24 +42,21 @@ struct ParallelForStats {
 /// over to the next live core; if none will take a slice it runs on
 /// the host (requires a host-invocable body — take the context as
 /// auto&). The slice boundaries never change, so results match the
-/// fault-free run bit for bit.
+/// fault-free run bit for bit. In the returned stats all-zero recovery
+/// with WorstLaunchStatus == Ok means the static split ran as planned.
 template <typename BodyFn>
-ParallelForStats parallelForRange(sim::Machine &M, uint32_t Count,
-                                  BodyFn &&Body,
-                                  unsigned MaxAccelerators = ~0u) {
-  ParallelForStats Stats;
+RegionStats parallelForRange(sim::Machine &M, uint32_t Count, BodyFn &&Body,
+                             unsigned MaxAccelerators = ~0u) {
   if (Count == 0)
-    return Stats;
+    return {};
   unsigned NumAccels = M.numAccelerators();
   unsigned Workers = std::min({NumAccels, MaxAccelerators, Count});
+  ResidentWorkerPool Pool(M, Workers);
   if (Workers == 0) {
     // No accelerator budget at all: the whole range is one host slice.
-    ++Stats.HostSlices;
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                 /*BlockId=*/0, M.hostClock().now(), /*Detail=*/0});
-    detail::runChunkOnHost(M, Body, 0, Count);
-    return Stats;
+    Pool.runOnHost(Body, sim::WorkDescriptor{0, Count});
+    Pool.close();
+    return Pool.stats();
   }
   // Domain-first static split: slice lengths are balanced across
   // domains before the per-worker split inside each one (slice homes
@@ -111,19 +70,9 @@ ParallelForStats parallelForRange(sim::Machine &M, uint32_t Count,
   const std::vector<uint32_t> SliceLens =
       DispatchPlan::domainShares(Count, SliceDomains);
 
-  ResidentWorkerPool Pool(M, Workers);
-
   // Slices orphaned by a worker death, awaiting re-dispatch.
   std::vector<sim::WorkDescriptor> Orphans;
   size_t OrphanHead = 0;
-
-  auto RunOnHost = [&](const sim::WorkDescriptor &Desc) {
-    ++Stats.HostSlices;
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                 /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-    detail::runChunkOnHost(M, Body, Desc.Begin, Desc.End);
-  };
 
   // Home worker first; a slice whose home never opened (or has died)
   // fails over into the least-loaded survivor's mailbox, and when the
@@ -132,7 +81,7 @@ ParallelForStats parallelForRange(sim::Machine &M, uint32_t Count,
   auto Dispatch = [&](sim::WorkDescriptor Desc) {
     for (;;) {
       if (Pool.liveCount() == 0) {
-        RunOnHost(Desc);
+        Pool.runOnHost(Body, Desc);
         return;
       }
       unsigned W = Pool.findWorkerFor(Desc.Home);
@@ -206,22 +155,7 @@ ParallelForStats parallelForRange(sim::Machine &M, uint32_t Count,
   }
 
   Pool.close();
-  const ResidentPoolStats &PS = Pool.stats();
-  Stats.LaunchFaults = PS.FailedLaunches;
-  Stats.FailoverSlices = PS.FailoverDescriptors;
-  Stats.LaunchesSaved = PS.launchesSaved();
-  Stats.Hangs = PS.HungWorkers;
-  Stats.Stragglers = PS.StragglerDescriptors;
-  Stats.SpeculativeRedispatches = PS.SpeculativeCopies;
-  Stats.Cancels = PS.Cancels;
-  Stats.StealsAttempted = PS.StealsAttempted;
-  Stats.StealsSucceeded = PS.StealsSucceeded;
-  Stats.StealsRemoteDomain = PS.StealsRemoteDomain;
-  Stats.DescriptorsStolen = PS.DescriptorsStolen;
-  Stats.StealCycles = PS.StealCycles;
-  Stats.HostSlices += PS.HostEscalations;
-  Stats.Status = PS.WorstLaunchStatus;
-  return Stats;
+  return Pool.stats();
 }
 
 /// Data-parallel in-place transform of an outer array: each
@@ -230,10 +164,10 @@ ParallelForStats parallelForRange(sim::Machine &M, uint32_t Count,
 /// PerElement is invoked as PerElement(Ctx, GlobalIndex, Value&) so it
 /// can charge its computation cost.
 template <typename T, typename ElemFn>
-ParallelForStats parallelTransform(sim::Machine &M, OuterPtr<T> Base,
-                                   uint32_t Count, uint32_t ChunkElems,
-                                   ElemFn &&PerElement,
-                                   unsigned MaxAccelerators = ~0u) {
+RegionStats parallelTransform(sim::Machine &M, OuterPtr<T> Base,
+                              uint32_t Count, uint32_t ChunkElems,
+                              ElemFn &&PerElement,
+                              unsigned MaxAccelerators = ~0u) {
   if (Count == 0)
     return {};
   // Slice boundaries must fall on DMA-alignment boundaries: group

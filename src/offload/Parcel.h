@@ -36,33 +36,9 @@
 #include "offload/ResidentWorker.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 namespace omm::offload {
-
-namespace detail {
-
-/// Descriptor-form host fallback: bodies of a staged region take the
-/// whole WorkDescriptor (they dispatch on Desc.Kernel), so the host
-/// fallback must too. Mirrors runChunkOnHost for the descriptor form.
-template <typename BodyFn>
-void runDescriptorOnHost(sim::Machine &M, BodyFn &Body,
-                         const sim::WorkDescriptor &Desc) {
-  if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
-                                    const sim::WorkDescriptor &>) {
-    HostContext Ctx(M);
-    Body(Ctx, Desc);
-  } else {
-    (void)Body;
-    (void)Desc;
-    reportFatalError("offload: no accelerator available and the staged "
-                     "body is not host-invocable (take the context "
-                     "parameter as auto& to enable host fallback)");
-  }
-}
-
-} // namespace detail
 
 /// Tuning knobs for runDataflow.
 struct DataflowOptions {
@@ -82,53 +58,6 @@ struct DataflowOptions {
   sim::ParcelPolicy Policy = sim::ParcelPolicy::Ring;
 };
 
-/// What one staged dataflow region did (the caller translates this into
-/// FrameStats / bench counters).
-struct DataflowStats {
-  /// Region makespan (pool open to last worker retired).
-  uint64_t MakespanCycles = 0;
-  /// Stage-1 descriptors the host seeded through ordinary doorbells.
-  uint32_t Seeds = 0;
-  /// Continuation parcels spawned worker-to-worker.
-  uint64_t ParcelsSpawned = 0;
-  /// Spawner cycles paid in peer doorbells + peer descriptor copies.
-  uint64_t PeerDoorbellCycles = 0;
-  /// Host round trips the parcels deleted: in the host-staged schedule
-  /// every one of these descriptors would have crossed the host (join,
-  /// re-carve, doorbell) between its stage and the previous one.
-  uint64_t HostRoundTripsEliminated = 0;
-  /// Descriptors (any stage) the host ran because the pool was empty;
-  /// each host-run descriptor's remaining chain also runs on the host.
-  uint32_t HostChunks = 0;
-  /// Worker launches that failed outright; the pool opened without them.
-  uint32_t FailedLaunches = 0;
-  /// Resident-worker launches that succeeded.
-  uint32_t Launches = 0;
-  /// Workers that died mid-region, at a descriptor boundary.
-  uint32_t DeadWorkers = 0;
-  /// Descriptors handed back by dying workers (popped + backlog,
-  /// spawned-but-undelivered parcels included) and re-dispatched.
-  uint32_t RequeuedChunks = 0;
-  /// Doorbell pushes + parcel deliveries (re-dispatches included).
-  uint64_t DescriptorsDispatched = 0;
-  /// Per-descriptor launches the resident runtime amortized away.
-  uint64_t LaunchesSaved = 0;
-  /// Workers that wedged mid-descriptor and were abandoned.
-  uint32_t Hangs = 0;
-  /// Descriptors that missed their chunk deadline.
-  uint32_t Stragglers = 0;
-  /// Backup copies raced against stragglers.
-  uint32_t SpeculativeRedispatches = 0;
-  /// Cooperative cancels raised during the region.
-  uint32_t Cancels = 0;
-  /// Straggling descriptors escalated to the host.
-  uint32_t HostEscalations = 0;
-  /// Successful accelerator-side steals during the region.
-  uint64_t StealsSucceeded = 0;
-  /// Descriptors that migrated between workers through steals.
-  uint64_t DescriptorsStolen = 0;
-};
-
 /// Runs a NumStages-deep staged dataflow over [0, Count): the host
 /// seeds stage-1 descriptors of ChunkSize indices each, and every
 /// completed stage-k descriptor spawns its same-span stage-(k+1)
@@ -143,13 +72,15 @@ struct DataflowStats {
 /// with no usable accelerator, and every timing fault the resident
 /// runtime handles, provided the body is host-invocable; a descriptor
 /// that falls back to the host runs its remaining chain there too (the
-/// chain's ordering guarantee must survive the pool emptying).
+/// chain's ordering guarantee must survive the pool emptying). Every
+/// parcel spawned (RegionStats::Counters.ParcelsSpawned) is a host round
+/// trip — join, re-carve, doorbell — the host-staged schedule would
+/// have paid.
 template <typename BodyFn>
-DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
-                          const DataflowOptions &Opts, BodyFn &&Body) {
-  DataflowStats Stats;
+RegionStats runDataflow(sim::Machine &M, uint32_t Count,
+                        const DataflowOptions &Opts, BodyFn &&Body) {
   if (Count == 0)
-    return Stats;
+    return {};
   uint32_t ChunkSize = std::max(1u, Opts.ChunkSize);
   uint16_t NumStages = std::max<uint16_t>(1, Opts.NumStages);
   sim::ParcelPolicy Policy =
@@ -172,11 +103,7 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
   // the chain's stage ordering must not be lost.
   auto RunChainOnHost = [&](sim::WorkDescriptor Desc) {
     for (;;) {
-      ++Stats.HostChunks;
-      ++M.hostCounters().HostFallbackChunks;
-      M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                   /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-      detail::runDescriptorOnHost(M, Body, Desc);
+      Pool.runOnHost(Body, Desc);
       if (!Desc.hasContinuation())
         return;
       Desc = DispatchPlan::continuation(
@@ -185,6 +112,8 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
     }
   };
 
+  // Stage-1 descriptors the host seeded, host-run ones included.
+  uint32_t Seeds = 0;
   DispatchPlan Plan(Count);
   Plan.stage(/*Kernel=*/1, NumStages > 1 ? 2 : 0, Policy);
   if (NumStages == 1) {
@@ -194,7 +123,7 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
     while (!Plan.done() || OrphanHead < Orphans.size()) {
       sim::WorkDescriptor Desc = OrphanHead < Orphans.size()
                                      ? Orphans[OrphanHead++]
-                                     : (++Stats.Seeds, Plan.chunk(ChunkSize));
+                                     : (++Seeds, Plan.chunk(ChunkSize));
       if (Pool.liveCount() == 0) {
         RunChainOnHost(Desc);
         continue;
@@ -215,7 +144,7 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
     unsigned Next = 0;
     while (!Plan.done()) {
       if (Pool.liveCount() == 0) {
-        ++Stats.Seeds;
+        ++Seeds;
         RunChainOnHost(Plan.chunk(ChunkSize));
         continue;
       }
@@ -227,7 +156,7 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
         Pool.executeNext(Next, Body, Orphans);
         continue;
       }
-      ++Stats.Seeds;
+      ++Seeds;
       Pool.dispatch(Next, Plan.chunk(ChunkSize));
       ++Next;
     }
@@ -257,24 +186,8 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
   }
 
   Pool.close();
-  const ResidentPoolStats &PS = Pool.stats();
-  Stats.MakespanCycles = Pool.makespanCycles();
-  Stats.ParcelsSpawned = PS.ParcelsSpawned;
-  Stats.PeerDoorbellCycles = PS.PeerDoorbellCycles;
-  Stats.HostRoundTripsEliminated = PS.ParcelsSpawned;
-  Stats.FailedLaunches = PS.FailedLaunches;
-  Stats.Launches = PS.Launches;
-  Stats.DeadWorkers = PS.DeadWorkers;
-  Stats.RequeuedChunks = PS.RequeuedDescriptors;
-  Stats.DescriptorsDispatched = PS.DescriptorsDispatched;
-  Stats.LaunchesSaved = PS.launchesSaved();
-  Stats.Hangs = PS.HungWorkers;
-  Stats.Stragglers = PS.StragglerDescriptors;
-  Stats.SpeculativeRedispatches = PS.SpeculativeCopies;
-  Stats.Cancels = PS.Cancels;
-  Stats.HostEscalations = PS.HostEscalations;
-  Stats.StealsSucceeded = PS.StealsSucceeded;
-  Stats.DescriptorsStolen = PS.DescriptorsStolen;
+  RegionStats Stats = Pool.stats();
+  Stats.Seeds = Seeds;
   return Stats;
 }
 

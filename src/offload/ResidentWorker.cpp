@@ -16,7 +16,8 @@ using namespace omm::offload;
 
 ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
                                        unsigned FirstAccel)
-    : M(M), Faults(M.faults()), Steal(M.config().WorkStealing),
+    : M(M), Faults(M.faults()), AtOpen(M.totalCounters()),
+      Steal(M.config().WorkStealing),
       StealRng(M.config().StealSeed),
       DeadlinesArmed(M.watchdog().armsChunks()) {
   const sim::MachineConfig &Cfg = M.config();
@@ -34,9 +35,9 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
       // classifyLaunch already billed the fault; the pool just opens
       // one worker short. A core killed during launch still burned
       // cycles that bound the makespan.
-      ++PS.FailedLaunches;
-      if (PS.WorstLaunchStatus == OffloadStatus::Ok)
-        PS.WorstLaunchStatus = St;
+      ++RS.FailedLaunches;
+      if (RS.WorstLaunchStatus == OffloadStatus::Ok)
+        RS.WorstLaunchStatus = St;
       FrameEnd = std::max(FrameEnd, M.accel(A).FreeAt);
       continue;
     }
@@ -53,10 +54,10 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
       Obs->onBlockBegin(A, BlockId, Accel.Clock.now());
     Live.back().Ctx = std::make_unique<OffloadContext>(M, A);
     Live.back().Box = std::make_unique<sim::Mailbox>(M, A, BlockId);
-    ++PS.Launches;
+    ++RS.Launches;
   }
-  PS.BusyCycles.assign(Live.size(), 0);
-  PS.Chunks.assign(Live.size(), 0);
+  RS.WorkerBusyCycles.assign(Live.size(), 0);
+  RS.WorkerChunks.assign(Live.size(), 0);
 }
 
 bool ResidentWorkerPool::beats(unsigned A, unsigned B) const {
@@ -129,7 +130,6 @@ void ResidentWorkerPool::dispatch(unsigned W,
                                   const sim::WorkDescriptor &Desc) {
   if (!Live[W].Box->push(Desc))
     reportFatalError("resident pool: dispatching to a full mailbox");
-  ++PS.DescriptorsDispatched;
   SpawnSeq = std::max(SpawnSeq, Desc.Seq + 1);
   unparkAll();
 }
@@ -137,7 +137,6 @@ void ResidentWorkerPool::dispatch(unsigned W,
 void ResidentWorkerPool::dispatchBulk(
     unsigned W, const std::vector<sim::WorkDescriptor> &Descs) {
   Live[W].Box->pushBulk(Descs);
-  PS.DescriptorsDispatched += Descs.size();
   for (const sim::WorkDescriptor &Desc : Descs)
     SpawnSeq = std::max(SpawnSeq, Desc.Seq + 1);
   unparkAll();
@@ -151,7 +150,6 @@ void ResidentWorkerPool::setContinuation(uint16_t Kernel, uint16_t Next) {
 
 void ResidentWorkerPool::spawnContinuation(unsigned W,
                                            const sim::WorkDescriptor &Done) {
-  const sim::MachineConfig &Cfg = M.config();
   Worker &Wk = Live[W];
   unsigned Target = W;
   switch (Done.Policy) {
@@ -191,10 +189,6 @@ void ResidentWorkerPool::spawnContinuation(unsigned W,
       Done, continuationOf(Done.NextKernel), SpawnSeq++,
       Live[Target].AccelId);
   Live[Target].Box->pushParcel(Child, Wk.AccelId, Wk.BlockId);
-  ++PS.ParcelsSpawned;
-  PS.PeerDoorbellCycles +=
-      Cfg.parcelSendCycles(Wk.AccelId, Live[Target].AccelId);
-  ++PS.DescriptorsDispatched;
   unparkAll();
 }
 
@@ -262,15 +256,14 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
   Accel.Clock.advance(Cfg.StealProbeCycles);
   Accel.Counters.StealCycles += Cfg.StealProbeCycles;
   ++Accel.Counters.StealsAttempted;
-  ++PS.StealsAttempted;
-  PS.StealCycles += Cfg.StealProbeCycles;
+  ++ProbeSeq;
   unsigned Rotation =
       static_cast<unsigned>(StealRng.nextBelow(std::max<uint64_t>(
           1, static_cast<uint64_t>(Live.size()))));
   unsigned V = pickVictim(W, Rotation);
   if (sim::DmaObserver *Obs = M.observer())
     Obs->onDispatchEvent({sim::DispatchEventKind::StealProbe, Wk.AccelId,
-                    Wk.BlockId, PS.StealsAttempted, Accel.Clock.now(),
+                    Wk.BlockId, ProbeSeq, Accel.Clock.now(),
                     V == NoWorker ? ~0ull
                                   : static_cast<uint64_t>(Live[V].AccelId)});
   if (V == NoWorker) {
@@ -286,11 +279,6 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
     Wk.StealParked = true;
     return 0;
   }
-  ++PS.StealsSucceeded;
-  if (!M.sameDomain(Wk.AccelId, Live[V].AccelId))
-    ++PS.StealsRemoteDomain;
-  PS.DescriptorsStolen += Stolen;
-  PS.StealCycles += Cfg.stealTransferCycles(Wk.AccelId, Live[V].AccelId);
   unparkAll();
   return Stolen;
 }
@@ -314,15 +302,15 @@ void ResidentWorkerPool::buryWorker(unsigned W,
   // The worker died holding the popped descriptor, before the body
   // touched any state: hand it back first, then whatever was still
   // queued behind it, oldest first, so re-dispatch preserves order.
-  ++PS.DeadWorkers;
-  ++PS.RequeuedDescriptors;
+  ++RS.DeadWorkers;
+  ++RS.RequeuedDescriptors;
   ++M.hostCounters().FailoverChunks;
   M.emitFault({sim::FaultKind::ChunkRequeued, Wk.AccelId, Wk.BlockId,
                Accel.Clock.now(), Popped.Begin});
   Orphans.push_back(Popped);
   std::vector<sim::WorkDescriptor> Pending = Wk.Box->drain();
   for (const sim::WorkDescriptor &Desc : Pending) {
-    ++PS.RequeuedDescriptors;
+    ++RS.RequeuedDescriptors;
     ++M.hostCounters().FailoverChunks;
     M.emitFault({sim::FaultKind::ChunkRequeued, Wk.AccelId, Wk.BlockId,
                  Accel.Clock.now(), Desc.Begin});
@@ -350,8 +338,6 @@ void ResidentWorkerPool::hangWorker(unsigned W,
   uint64_t DetectAt =
       WD.detectionCycle(Accel.Clock.now() + WD.chunkDeadline());
   Accel.Clock.advanceTo(DetectAt);
-  ++PS.HungWorkers;
-  ++PS.Cancels;
   ++M.hostCounters().HangsDetected;
   ++M.hostCounters().CancelsIssued;
   M.emitFault({sim::FaultKind::KernelHang, Wk.AccelId, Wk.BlockId, DetectAt,
@@ -392,7 +378,6 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   }
 
   uint64_t DetectAt = WD.detectionCycle(Start + WD.chunkDeadline());
-  ++PS.StragglerDescriptors;
   ++M.hostCounters().StragglersDetected;
   M.emitFault({sim::FaultKind::StragglerDetected, Wk.AccelId, Wk.BlockId,
                DetectAt, /*Detail=*/SlowEnd - Start});
@@ -406,7 +391,6 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
         detail::roundUpToQuantum(RaisedAt, Cfg.CancelPollCycles);
     uint64_t VictimEnd =
         std::min(SlowEnd, std::max(UnslowedEnd, SeenAt));
-    ++PS.Cancels;
     ++M.hostCounters().CancelsIssued;
     M.emitFault({sim::FaultKind::CancelIssued, Wk.AccelId, Wk.BlockId,
                  RaisedAt, /*Detail=*/VictimEnd});
@@ -424,10 +408,10 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     uint64_t CopyFinish =
         CopyStart + Cfg.MailboxDescriptorCycles + Cost;
     Accel2.Clock.advanceTo(CopyFinish);
-    PS.BusyCycles[Copy.StatIndex] += Cost;
-    ++PS.Chunks[Copy.StatIndex];
+    RS.WorkerBusyCycles[Copy.StatIndex] += Cost;
+    ++RS.WorkerChunks[Copy.StatIndex];
     ++Copy.Executed;
-    ++PS.RequeuedDescriptors;
+    ++RS.RequeuedDescriptors;
     ++M.hostCounters().FailoverChunks;
     M.emitFault({sim::FaultKind::ChunkRequeued, Copy.AccelId, Copy.BlockId,
                  CopyStart, Desc.Begin});
@@ -446,7 +430,6 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     CancelVictimAt(DetectAt);
     M.hostClock().advanceTo(DetectAt);
     M.hostClock().advance(Cost);
-    ++PS.HostEscalations;
     ++M.hostCounters().HostFallbackChunks;
     M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, Wk.BlockId,
                  M.hostClock().now(), Desc.Begin});
@@ -472,7 +455,6 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     unsigned W2 = pickCopyWorker(W);
     if (W2 == NoWorker)
       return EscalateToHost();
-    ++PS.SpeculativeCopies;
     ++M.hostCounters().SpeculativeRedispatches;
     M.emitFault({sim::FaultKind::SpeculativeRedispatch, Live[W2].AccelId,
                  Live[W2].BlockId, DetectAt, Desc.Begin});
@@ -494,7 +476,6 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
           std::max(CopyStart, detail::roundUpToQuantum(
                                   SlowEnd, Cfg.CancelPollCycles)));
       Accel2.Clock.advanceTo(CopyEnd);
-      ++PS.Cancels;
       ++M.hostCounters().CancelsIssued;
       M.emitFault({sim::FaultKind::CancelIssued, Copy.AccelId, Copy.BlockId,
                    SlowEnd, /*Detail=*/CopyEnd});
@@ -517,4 +498,6 @@ void ResidentWorkerPool::close() {
   Live.clear();
   FrameEnd = std::max(FrameEnd, M.hostClock().now());
   M.hostCounters().JoinStallCycles += M.hostClock().advanceTo(FrameEnd);
+  RS.MakespanCycles = FrameEnd - FrameStart;
+  RS.Counters = M.countersSince(AtOpen);
 }

@@ -38,84 +38,83 @@
 #include "support/Diag.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <memory>
 #include <type_traits>
 #include <vector>
 
 namespace omm::offload {
 
-/// What one pool did over its lifetime; the callers translate this into
-/// JobRunStats / ParallelForStats / FrameStats.
-struct ResidentPoolStats {
-  /// Busy cycles per opened worker (body time only, as JobQueue always
-  /// measured it), indexed by open order.
-  std::vector<uint64_t> BusyCycles;
+/// What one resident region did — the result of distributeJobs,
+/// parallelForRange and runDataflow. Everything the machine counts
+/// (descriptors dispatched, steals, parcels, hangs, stragglers, cancels,
+/// speculative copies, host fallbacks) is read from Counters; the fields
+/// below are the facts no counter records.
+struct RegionStats {
+  /// Machine-wide counter delta from the pool's opening to its close()
+  /// (the closing join included). Counters.HostFallbackChunks is
+  /// HostChunks plus the stragglers escalated to the host.
+  sim::PerfCounters Counters;
+  /// Region makespan (pool open to last worker retired).
+  uint64_t MakespanCycles = 0;
+  /// Busy cycles per opened worker (body time only), indexed by open
+  /// order.
+  std::vector<uint64_t> WorkerBusyCycles;
   /// Descriptors executed per opened worker, same indexing.
-  std::vector<uint32_t> Chunks;
+  std::vector<uint32_t> WorkerChunks;
+  /// Resident-worker launches that succeeded.
+  uint32_t Launches = 0;
   /// Resident-worker launches that failed outright (dead core, injected
   /// launch fault); the pool opened without them.
   uint32_t FailedLaunches = 0;
-  /// Worst launch outcome (Ok when every worker opened), for callers
-  /// that surface an OffloadStatus.
+  /// Worst launch outcome (Ok when every worker opened).
   OffloadStatus WorstLaunchStatus = OffloadStatus::Ok;
-  /// Resident-worker launches that succeeded.
-  uint32_t Launches = 0;
-  /// Workers that died in their doorbell loop.
+  /// Workers that died mid-region, at a descriptor boundary (hung
+  /// workers included).
   uint32_t DeadWorkers = 0;
-  /// Descriptors handed back by dying workers (the popped one plus the
-  /// mailbox backlog) for re-dispatch.
+  /// Descriptors re-run on another worker, from two sources: the ones
+  /// dying workers handed back (the popped descriptor plus the mailbox
+  /// backlog), and one recovery copy per straggler that
+  /// DeadlinePolicy::CancelRestart restarted or a Speculate backup won.
   uint32_t RequeuedDescriptors = 0;
   /// Descriptors executed on a different accelerator than their static
   /// split intended (WorkDescriptor::Home).
   uint32_t FailoverDescriptors = 0;
-  /// Doorbell pushes, including re-dispatch of requeued descriptors.
-  uint64_t DescriptorsDispatched = 0;
-  /// Workers that wedged mid-descriptor and were abandoned by the
-  /// watchdog (a subset of DeadWorkers).
-  uint32_t HungWorkers = 0;
-  /// Descriptors that missed their chunk deadline (injected stragglers
-  /// and genuinely slow chunks alike; the watchdog cannot tell).
-  uint32_t StragglerDescriptors = 0;
-  /// Backup copies raced against stragglers (DeadlinePolicy::Speculate).
-  uint32_t SpeculativeCopies = 0;
-  /// Cooperative cancels raised against this pool's workers.
-  uint32_t Cancels = 0;
-  /// Straggling descriptors escalated to the host because no other
-  /// worker was alive to take the copy.
-  uint32_t HostEscalations = 0;
-  /// Steal probes issued by idle workers (each paid StealProbeCycles).
-  uint64_t StealsAttempted = 0;
-  /// Probes that found a victim and moved work (paid StealGrantCycles
-  /// plus one list-fetch MailboxDescriptorCycles on top of the probe).
-  uint64_t StealsSucceeded = 0;
-  /// Successful steals whose thief and victim sat in different domains
-  /// (each also paid InterDomainDescriptorDmaCycles on the gather).
-  /// Always zero on a flat machine.
-  uint64_t StealsRemoteDomain = 0;
-  /// Descriptors that migrated between workers through steals.
-  uint64_t DescriptorsStolen = 0;
-  /// Accelerator cycles spent probing and transferring steals.
-  uint64_t StealCycles = 0;
-  /// Continuation parcels spawned worker-to-worker (never through the
-  /// host).
-  uint64_t ParcelsSpawned = 0;
-  /// Spawner cycles paid in peer doorbells + peer descriptor copies.
-  uint64_t PeerDoorbellCycles = 0;
+  /// Chunks the driver ran on the host because no worker was left.
+  uint32_t HostChunks = 0;
+  /// Stage-1 descriptors the host seeded (runDataflow only).
+  uint32_t Seeds = 0;
 
   /// Descriptors minus launches: how many per-chunk launches the
   /// resident runtime amortized away (0 when nothing was dispatched,
   /// and for the degenerate one-descriptor-per-worker static split).
   uint64_t launchesSaved() const {
-    return DescriptorsDispatched > Launches
-               ? DescriptorsDispatched - Launches
+    return Counters.DescriptorsDispatched > Launches
+               ? Counters.DescriptorsDispatched - Launches
                : 0;
+  }
+
+  /// max/mean busy ratio; 1.0 = perfectly balanced.
+  double imbalance() const {
+    if (WorkerBusyCycles.empty())
+      return 1.0;
+    uint64_t Max = 0, Sum = 0;
+    for (uint64_t Busy : WorkerBusyCycles) {
+      Max = std::max(Max, Busy);
+      Sum += Busy;
+    }
+    if (Sum == 0)
+      return 1.0;
+    double Mean = static_cast<double>(Sum) / WorkerBusyCycles.size();
+    return static_cast<double>(Max) / Mean;
   }
 };
 
 /// A pool of resident workers for one parallel region. Construction
 /// launches the workers; close() (or destruction) retires them and
-/// resolves the region's makespan. Not reusable across regions — the
-/// workers' offload blocks end when the pool closes.
+/// resolves the region's makespan and counter delta. Not reusable
+/// across regions — the workers' offload blocks end when the pool
+/// closes.
 class ResidentWorkerPool {
 public:
   static constexpr unsigned NoWorker = ~0u;
@@ -137,7 +136,10 @@ public:
   ~ResidentWorkerPool() { close(); }
 
   sim::Machine &machine() { return M; }
-  const ResidentPoolStats &stats() const { return PS; }
+
+  /// The region's stats so far; Counters and MakespanCycles are filled
+  /// in by close().
+  const RegionStats &stats() const { return RS; }
 
   /// Live (not yet dead or retired) workers.
   unsigned liveCount() const { return static_cast<unsigned>(Live.size()); }
@@ -246,7 +248,7 @@ public:
     }
     if (Desc.Home != sim::WorkDescriptor::NoHome &&
         Desc.Home != Wk.AccelId) {
-      ++PS.FailoverDescriptors;
+      ++RS.FailoverDescriptors;
       ++M.hostCounters().FailoverChunks;
     }
     uint64_t Start = Accel.Clock.now();
@@ -261,8 +263,8 @@ public:
         Body(*Wk.Ctx, Desc.Begin, Desc.End);
     }
     uint64_t End = Accel.Clock.now();
-    PS.BusyCycles[Wk.StatIndex] += End - Start;
-    ++PS.Chunks[Wk.StatIndex];
+    RS.WorkerBusyCycles[Wk.StatIndex] += End - Start;
+    ++RS.WorkerChunks[Wk.StatIndex];
     ++Wk.Executed;
     Wk.LastBegin = Desc.Begin;
     Wk.LastEnd = Desc.End;
@@ -277,13 +279,36 @@ public:
     return true;
   }
 
-  /// Retires the surviving workers, folds every finish time into the
-  /// region makespan and joins the host to it (JoinStallCycles).
-  /// Idempotent; called by the destructor as a backstop.
-  void close();
+  /// Host fallback for a descriptor no worker can take: bills it
+  /// (HostChunks, the HostFallbackChunks counter, a HostFallback fault
+  /// event) and runs \p Body on a HostContext, in the same two call
+  /// forms executeNext accepts. A body hard-wired to OffloadContext
+  /// cannot fall back, which is a fatal configuration error (there is
+  /// nowhere left to run the work).
+  template <typename BodyFn>
+  void runOnHost(BodyFn &Body, const sim::WorkDescriptor &Desc) {
+    ++RS.HostChunks;
+    ++M.hostCounters().HostFallbackChunks;
+    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
+                 /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
+    HostContext Ctx(M);
+    if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                      const sim::WorkDescriptor &>)
+      Body(Ctx, Desc);
+    else if constexpr (std::is_invocable_v<BodyFn &, HostContext &, uint32_t,
+                                           uint32_t>)
+      Body(Ctx, Desc.Begin, Desc.End);
+    else
+      reportFatalError("offload: no accelerator available and the body is "
+                       "not host-invocable (take the context parameter as "
+                       "auto& to enable host fallback)");
+  }
 
-  /// Region makespan; valid after close().
-  uint64_t makespanCycles() const { return FrameEnd - FrameStart; }
+  /// Retires the surviving workers, folds every finish time into the
+  /// region makespan, joins the host to it (JoinStallCycles) and takes
+  /// the region's counter delta. Idempotent; called by the destructor
+  /// as a backstop.
+  void close();
 
 private:
   struct Worker {
@@ -353,7 +378,9 @@ private:
   sim::Machine &M;
   sim::FaultInjector *Faults;
   std::vector<Worker> Live;
-  ResidentPoolStats PS;
+  RegionStats RS;
+  /// Machine counters when the pool opened; close() subtracts them.
+  sim::PerfCounters AtOpen;
   /// Cached MachineConfig::WorkStealing.
   sim::StealPolicy Steal = sim::StealPolicy::None;
   /// The rotation stream behind pickVictim's tie-break; seeded from
@@ -366,6 +393,8 @@ private:
   /// host-dispatched Seq (dispatch/dispatchBulk fold theirs in), so a
   /// spawned child never collides with a seeded descriptor.
   uint64_t SpawnSeq = 0;
+  /// Steal probes issued so far; numbers each StealProbe event.
+  uint64_t ProbeSeq = 0;
   uint64_t FrameStart = 0;
   uint64_t FrameEnd = 0;
   bool Closed = false;

@@ -98,12 +98,11 @@ void TenantServer::applyPendingFaults(Tenant &T) {
 
 void TenantServer::recordFrame(Tenant &T, const game::FrameStats &Frame,
                                const PerfCounters &Before) {
-  PerfCounters Delta = M.totalCounters();
-  Delta.subtract(Before);
+  PerfCounters Delta = M.countersSince(Before);
   T.Stats.Counters.merge(Delta);
   T.Stats.FrameCycles.push_back(Frame.FrameCycles);
   ++T.Stats.FramesServed;
-  T.Stats.FaultScore += Frame.AiHangs + Frame.AiStragglers;
+  T.Stats.FaultScore += Delta.HangsDetected + Delta.StragglersDetected;
   if (Frame.DeadlineMissed)
     ++T.Stats.DeadlineMissedFrames;
   T.CostEstimate = std::max<uint64_t>(1, Frame.FrameCycles);

@@ -9,55 +9,12 @@
 
 #include "support/Diag.h"
 #include "support/MathExtras.h"
-#include "support/OStream.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace omm;
 using namespace omm::sim;
-
-void PerfCounters::print(OStream &OS) const {
-  auto Row = [&](const char *Name, uint64_t Value) {
-    OS.paddedInt(static_cast<int64_t>(Value), 14);
-    OS << "  " << Name << '\n';
-  };
-  Row("dma gets issued", DmaGetsIssued);
-  Row("dma puts issued", DmaPutsIssued);
-  Row("dma bytes read", DmaBytesRead);
-  Row("dma bytes written", DmaBytesWritten);
-  Row("dma stall cycles", DmaStallCycles);
-  Row("dma queue-full stall cycles", DmaQueueFullStallCycles);
-  Row("local loads", LocalLoads);
-  Row("local stores", LocalStores);
-  Row("host loads", HostLoads);
-  Row("host stores", HostStores);
-  Row("compute cycles", ComputeCycles);
-  Row("join stall cycles", JoinStallCycles);
-  Row("dma retries", DmaRetries);
-  Row("dma retry stall cycles", DmaRetryStallCycles);
-  Row("dma delayed transfers", DmaDelayedTransfers);
-  Row("dma injected delay cycles", DmaInjectedDelayCycles);
-  Row("launch faults", LaunchFaults);
-  Row("accelerators lost", AcceleratorsLost);
-  Row("accelerators recycled", AcceleratorsRecycled);
-  Row("failover chunks", FailoverChunks);
-  Row("host fallback chunks", HostFallbackChunks);
-  Row("descriptors dispatched", DescriptorsDispatched);
-  Row("doorbell cycles", DoorbellCycles);
-  Row("idle-poll cycles", IdlePollCycles);
-  Row("hangs detected", HangsDetected);
-  Row("stragglers detected", StragglersDetected);
-  Row("cancels issued", CancelsIssued);
-  Row("speculative redispatches", SpeculativeRedispatches);
-  Row("deadline-missed frames", DeadlineMissedFrames);
-  Row("steals attempted", StealsAttempted);
-  Row("steals succeeded", StealsSucceeded);
-  Row("descriptors stolen", DescriptorsStolen);
-  Row("steal cycles", StealCycles);
-  Row("parcels spawned", ParcelsSpawned);
-  Row("peer doorbell cycles", PeerDoorbellCycles);
-}
 
 Machine::Machine(const MachineConfig &Config)
     : Cfg(Config), Main(Config.MainMemorySize) {
@@ -160,6 +117,12 @@ PerfCounters Machine::totalCounters() const {
   for (const auto &Accel : Accels)
     Total.merge(Accel->Counters);
   return Total;
+}
+
+PerfCounters Machine::countersSince(const PerfCounters &Before) const {
+  PerfCounters Delta = totalCounters();
+  Delta.subtract(Before);
+  return Delta;
 }
 
 uint64_t Machine::globalTime() const {

@@ -180,6 +180,11 @@ public:
   /// Counters summed over the host and every accelerator.
   PerfCounters totalCounters() const;
 
+  /// Counters billed since \p Before, an earlier totalCounters()
+  /// snapshot: how a region of work (a resident pool, a frame, a tenant
+  /// slice) attributes its events.
+  PerfCounters countersSince(const PerfCounters &Before) const;
+
   /// Latest simulated time across all cores (frame-end time once all
   /// offloads are joined).
   uint64_t globalTime() const;

@@ -104,6 +104,8 @@ unsigned Mailbox::stealTailInto(Mailbox &Thief, unsigned MinBacklog) {
   ThiefAccel.Clock.advance(Cost);
   ThiefAccel.Counters.StealCycles += Cost;
   ++ThiefAccel.Counters.StealsSucceeded;
+  if (!M.sameDomain(Thief.AccelId, AccelId))
+    ++ThiefAccel.Counters.StealsRemoteDomain;
   ThiefAccel.Counters.DescriptorsStolen += Take;
   uint64_t LandedAt = ThiefAccel.Clock.now();
   // Move the newest Take slots, preserving their relative order, into

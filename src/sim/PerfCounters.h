@@ -25,47 +25,11 @@ class OStream;
 namespace omm::sim {
 
 /// Event counters for one accelerator's memory traffic plus host traffic.
+/// Every field, and merge/subtract/print, comes from the counter table in
+/// sim/PerfCounters.def.
 struct PerfCounters {
-  uint64_t DmaGetsIssued = 0;
-  uint64_t DmaPutsIssued = 0;
-  uint64_t DmaBytesRead = 0;    ///< Main memory -> local store.
-  uint64_t DmaBytesWritten = 0; ///< Local store -> main memory.
-  uint64_t DmaStallCycles = 0;  ///< Core cycles blocked in waits.
-  uint64_t DmaQueueFullStallCycles = 0; ///< Blocked on a full MFC queue.
-  uint64_t LocalLoads = 0;
-  uint64_t LocalStores = 0;
-  uint64_t HostLoads = 0;
-  uint64_t HostStores = 0;
-  uint64_t ComputeCycles = 0; ///< Explicitly charged computation.
-  uint64_t JoinStallCycles = 0; ///< Host cycles blocked in offload joins.
-  uint64_t DmaRetries = 0; ///< Transient DMA rejections retried.
-  uint64_t DmaRetryStallCycles = 0; ///< Core cycles in retry backoff.
-  uint64_t DmaDelayedTransfers = 0; ///< Transfers with injected latency.
-  uint64_t DmaInjectedDelayCycles = 0; ///< Injected latency total.
-  uint64_t LaunchFaults = 0; ///< Offload launches that failed.
-  uint64_t AcceleratorsLost = 0; ///< Cores that died.
-  uint64_t AcceleratorsRecycled = 0; ///< Dead cores restarted by a
-                                     ///< supervisor (tenant server).
-  uint64_t FailoverChunks = 0; ///< Chunks/slices re-run on another core.
-  uint64_t HostFallbackChunks = 0; ///< Chunks/slices the host ran instead.
-  uint64_t DescriptorsDispatched = 0; ///< Mailbox descriptors pushed to
-                                      ///< this core's resident worker.
-  uint64_t DoorbellCycles = 0; ///< Host cycles ringing worker doorbells.
-  uint64_t IdlePollCycles = 0; ///< Worker cycles polling empty mailboxes.
-  uint64_t HangsDetected = 0; ///< Wedged kernels flagged by the watchdog.
-  uint64_t StragglersDetected = 0; ///< Deadline-missing slow kernels.
-  uint64_t CancelsIssued = 0; ///< Cooperative cancel requests raised.
-  uint64_t SpeculativeRedispatches = 0; ///< Backup copies raced.
-  uint64_t DeadlineMissedFrames = 0; ///< Frames over their cycle budget.
-  uint64_t StealsAttempted = 0; ///< Steal probes by this core's worker.
-  uint64_t StealsSucceeded = 0; ///< Probes that claimed a victim's tail.
-  uint64_t DescriptorsStolen = 0; ///< Descriptors gathered by steals.
-  uint64_t StealCycles = 0; ///< Thief cycles in probes + handshakes +
-                            ///< list-form descriptor gathers.
-  uint64_t ParcelsSpawned = 0; ///< Continuation parcels this core's
-                               ///< worker pushed to peers.
-  uint64_t PeerDoorbellCycles = 0; ///< Spawner cycles in peer doorbells
-                                   ///< + descriptor copies.
+#define OMM_PERF_COUNTER(Name, Label) uint64_t Name = 0;
+#include "sim/PerfCounters.def"
 
   /// \returns total DMA transfers issued.
   uint64_t dmaTransfers() const { return DmaGetsIssued + DmaPutsIssued; }
@@ -75,91 +39,25 @@ struct PerfCounters {
 
   /// Accumulates \p Other into this set of counters.
   void merge(const PerfCounters &Other) {
-    DmaGetsIssued += Other.DmaGetsIssued;
-    DmaPutsIssued += Other.DmaPutsIssued;
-    DmaBytesRead += Other.DmaBytesRead;
-    DmaBytesWritten += Other.DmaBytesWritten;
-    DmaStallCycles += Other.DmaStallCycles;
-    DmaQueueFullStallCycles += Other.DmaQueueFullStallCycles;
-    LocalLoads += Other.LocalLoads;
-    LocalStores += Other.LocalStores;
-    HostLoads += Other.HostLoads;
-    HostStores += Other.HostStores;
-    ComputeCycles += Other.ComputeCycles;
-    JoinStallCycles += Other.JoinStallCycles;
-    DmaRetries += Other.DmaRetries;
-    DmaRetryStallCycles += Other.DmaRetryStallCycles;
-    DmaDelayedTransfers += Other.DmaDelayedTransfers;
-    DmaInjectedDelayCycles += Other.DmaInjectedDelayCycles;
-    LaunchFaults += Other.LaunchFaults;
-    AcceleratorsLost += Other.AcceleratorsLost;
-    AcceleratorsRecycled += Other.AcceleratorsRecycled;
-    FailoverChunks += Other.FailoverChunks;
-    HostFallbackChunks += Other.HostFallbackChunks;
-    DescriptorsDispatched += Other.DescriptorsDispatched;
-    DoorbellCycles += Other.DoorbellCycles;
-    IdlePollCycles += Other.IdlePollCycles;
-    HangsDetected += Other.HangsDetected;
-    StragglersDetected += Other.StragglersDetected;
-    CancelsIssued += Other.CancelsIssued;
-    SpeculativeRedispatches += Other.SpeculativeRedispatches;
-    DeadlineMissedFrames += Other.DeadlineMissedFrames;
-    StealsAttempted += Other.StealsAttempted;
-    StealsSucceeded += Other.StealsSucceeded;
-    DescriptorsStolen += Other.DescriptorsStolen;
-    StealCycles += Other.StealCycles;
-    ParcelsSpawned += Other.ParcelsSpawned;
-    PeerDoorbellCycles += Other.PeerDoorbellCycles;
+#define OMM_PERF_COUNTER(Name, Label) Name += Other.Name;
+#include "sim/PerfCounters.def"
   }
 
   /// Subtracts \p Other from this set of counters. With a snapshot taken
   /// before a region of work, `after.subtract(before)` attributes the
-  /// region's events — the tenant server uses this for per-tenant
-  /// accounting. Counters are monotonic, so the subtraction never wraps
-  /// when \p Other really is an earlier snapshot of the same counters.
+  /// region's events (Machine::countersSince wraps exactly that).
+  /// Counters are monotonic, so the subtraction never wraps when \p Other
+  /// really is an earlier snapshot of the same counters.
   void subtract(const PerfCounters &Other) {
-    DmaGetsIssued -= Other.DmaGetsIssued;
-    DmaPutsIssued -= Other.DmaPutsIssued;
-    DmaBytesRead -= Other.DmaBytesRead;
-    DmaBytesWritten -= Other.DmaBytesWritten;
-    DmaStallCycles -= Other.DmaStallCycles;
-    DmaQueueFullStallCycles -= Other.DmaQueueFullStallCycles;
-    LocalLoads -= Other.LocalLoads;
-    LocalStores -= Other.LocalStores;
-    HostLoads -= Other.HostLoads;
-    HostStores -= Other.HostStores;
-    ComputeCycles -= Other.ComputeCycles;
-    JoinStallCycles -= Other.JoinStallCycles;
-    DmaRetries -= Other.DmaRetries;
-    DmaRetryStallCycles -= Other.DmaRetryStallCycles;
-    DmaDelayedTransfers -= Other.DmaDelayedTransfers;
-    DmaInjectedDelayCycles -= Other.DmaInjectedDelayCycles;
-    LaunchFaults -= Other.LaunchFaults;
-    AcceleratorsLost -= Other.AcceleratorsLost;
-    AcceleratorsRecycled -= Other.AcceleratorsRecycled;
-    FailoverChunks -= Other.FailoverChunks;
-    HostFallbackChunks -= Other.HostFallbackChunks;
-    DescriptorsDispatched -= Other.DescriptorsDispatched;
-    DoorbellCycles -= Other.DoorbellCycles;
-    IdlePollCycles -= Other.IdlePollCycles;
-    HangsDetected -= Other.HangsDetected;
-    StragglersDetected -= Other.StragglersDetected;
-    CancelsIssued -= Other.CancelsIssued;
-    SpeculativeRedispatches -= Other.SpeculativeRedispatches;
-    DeadlineMissedFrames -= Other.DeadlineMissedFrames;
-    StealsAttempted -= Other.StealsAttempted;
-    StealsSucceeded -= Other.StealsSucceeded;
-    DescriptorsStolen -= Other.DescriptorsStolen;
-    StealCycles -= Other.StealCycles;
-    ParcelsSpawned -= Other.ParcelsSpawned;
-    PeerDoorbellCycles -= Other.PeerDoorbellCycles;
+#define OMM_PERF_COUNTER(Name, Label) Name -= Other.Name;
+#include "sim/PerfCounters.def"
   }
 
   /// Field-wise equality: the multi-tenant determinism contract compares
   /// whole counter sets, not just checksums.
   bool operator==(const PerfCounters &Other) const = default;
 
-  /// Prints the counters as a small table.
+  /// Prints the counters as a small table, one row per counter.
   void print(OStream &OS) const;
 };
 

@@ -86,7 +86,7 @@ MachineConfig armedConfig(DeadlinePolicy Policy) {
 struct QueueRun {
   uint64_t Makespan = 0;
   std::vector<uint64_t> Values;
-  JobRunStats Stats;
+  RegionStats Stats;
 };
 
 /// 8 chunks of 1000 cycles each over 2 workers, one value write per
@@ -99,7 +99,7 @@ QueueRun runQueue(DeadlinePolicy Policy, PrepareFn &&Prepare) {
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
   QueueRun Run;
   Run.Stats = distributeJobs(
-      M, Count, 1, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 1}, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I) {
           Ctx.compute(1000);
           Ctx.outerWrite((Data + I).addr(), uint64_t(I) * 31 + 7);
@@ -119,10 +119,10 @@ TEST(Deadline, HungWorkerIsDetectedBuriedAndRequeued) {
   QueueRun Hung = runQueue(DeadlinePolicy::None, [](Machine &M) {
     M.faults()->scheduleHang(0, 1); // Wedge on its second descriptor.
   });
-  EXPECT_EQ(Hung.Stats.Hangs, 1u);
+  EXPECT_EQ(Hung.Stats.Counters.HangsDetected, 1u);
   EXPECT_EQ(Hung.Stats.DeadWorkers, 1u);
-  EXPECT_GE(Hung.Stats.RequeuedChunks, 1u);
-  EXPECT_EQ(Hung.Stats.Cancels, 1u);
+  EXPECT_GE(Hung.Stats.RequeuedDescriptors, 1u);
+  EXPECT_EQ(Hung.Stats.Counters.CancelsIssued, 1u);
   // The wedged descriptor re-ran elsewhere: results bit-identical, at
   // a makespan cost of at least the missed deadline.
   EXPECT_EQ(Hung.Values, Clean.Values);
@@ -147,19 +147,19 @@ TEST(Deadline, StragglerPoliciesTradeTimeNotResults) {
 
   // Detect-only rides out the whole stall; both recovery policies beat
   // it at this slowdown (the copy finishes long before the victim).
-  EXPECT_EQ(None.Stats.Stragglers, 1u);
-  EXPECT_EQ(None.Stats.Cancels, 0u);
+  EXPECT_EQ(None.Stats.Counters.StragglersDetected, 1u);
+  EXPECT_EQ(None.Stats.Counters.CancelsIssued, 0u);
   EXPECT_GT(None.Makespan, Clean.Makespan);
   EXPECT_LT(Restart.Makespan, None.Makespan);
   EXPECT_LT(Speculate.Makespan, None.Makespan);
 
-  EXPECT_EQ(Restart.Stats.Stragglers, 1u);
-  EXPECT_EQ(Restart.Stats.Cancels, 1u);
-  EXPECT_EQ(Restart.Stats.SpeculativeRedispatches, 0u);
+  EXPECT_EQ(Restart.Stats.Counters.StragglersDetected, 1u);
+  EXPECT_EQ(Restart.Stats.Counters.CancelsIssued, 1u);
+  EXPECT_EQ(Restart.Stats.Counters.SpeculativeRedispatches, 0u);
 
-  EXPECT_EQ(Speculate.Stats.Stragglers, 1u);
-  EXPECT_EQ(Speculate.Stats.SpeculativeRedispatches, 1u);
-  EXPECT_EQ(Speculate.Stats.Cancels, 1u);
+  EXPECT_EQ(Speculate.Stats.Counters.StragglersDetected, 1u);
+  EXPECT_EQ(Speculate.Stats.Counters.SpeculativeRedispatches, 1u);
+  EXPECT_EQ(Speculate.Stats.Counters.CancelsIssued, 1u);
 }
 
 TEST(Deadline, ZeroRateTimingFaultsAreInvisible) {
@@ -174,15 +174,15 @@ TEST(Deadline, ZeroRateTimingFaultsAreInvisible) {
   constexpr uint32_t Count = 8;
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
   auto Stats = distributeJobs(
-      M, Count, 1, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 1}, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I) {
           Ctx.compute(1000);
           Ctx.outerWrite((Data + I).addr(), uint64_t(I) * 31 + 7);
         }
       });
   EXPECT_EQ(Stats.MakespanCycles, Baseline.Makespan);
-  EXPECT_EQ(Stats.Stragglers, 0u);
-  EXPECT_EQ(Stats.Hangs, 0u);
+  EXPECT_EQ(Stats.Counters.StragglersDetected, 0u);
+  EXPECT_EQ(Stats.Counters.HangsDetected, 0u);
 }
 
 TEST(Deadline, RequestCancelTrimsOnlyTheTrailingStall) {

@@ -12,7 +12,7 @@
 //     injection compute bit-identical state to fault-free runs;
 //   - the degenerate machines (zero accelerators, MaxWorkers == 0, all
 //     cores dead) complete on the host instead of crashing;
-//   - faults are observable: counters, JobRunStats/FrameStats fields and
+//   - faults are observable: counters, RegionStats/FrameStats fields and
 //     trace fault events all report what the runtime recovered from.
 //
 //===----------------------------------------------------------------------===//
@@ -117,8 +117,8 @@ TEST(FaultInjector, IdleInjectorIsBitIdenticalOnJobQueue) {
   auto Body = [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
     Ctx.compute((End - Begin) * 321);
   };
-  JobRunStats SA = distributeJobs(A, 300, 8, Body);
-  JobRunStats SB = distributeJobs(B, 300, 8, Body);
+  RegionStats SA = distributeJobs(A, 300, {.ChunkSize = 8}, Body);
+  RegionStats SB = distributeJobs(B, 300, {.ChunkSize = 8}, Body);
   EXPECT_EQ(SA.MakespanCycles, SB.MakespanCycles);
   EXPECT_EQ(SA.WorkerBusyCycles, SB.WorkerBusyCycles);
   EXPECT_EQ(SB.DeadWorkers, 0u);
@@ -302,8 +302,9 @@ TEST(FaultInjector, ZeroAcceleratorMachineRunsJobsOnHost) {
 
   constexpr uint32_t Count = 100;
   std::vector<unsigned> Visits(Count, 0);
-  JobRunStats Stats = distributeJobs(
-      M, Count, 16, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+  RegionStats Stats = distributeJobs(
+      M, Count, {.ChunkSize = 16},
+      [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 10);
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
@@ -321,12 +322,12 @@ TEST(FaultInjector, ZeroAcceleratorMachineRunsParallelForOnHost) {
   Cfg.NumAccelerators = 0;
   Machine M(Cfg);
   std::vector<unsigned> Visits(64, 0);
-  ParallelForStats Stats = parallelForRange(
+  RegionStats Stats = parallelForRange(
       M, 64, [&](auto &, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
       });
-  EXPECT_EQ(Stats.HostSlices, 1u);
+  EXPECT_EQ(Stats.HostChunks, 1u);
   for (uint32_t I = 0; I != 64; ++I)
     ASSERT_EQ(Visits[I], 1u) << I;
 }
@@ -335,13 +336,12 @@ TEST(FaultInjector, MaxWorkersZeroFallsBackToHost) {
   // Regression: this used to index an empty worker pool.
   Machine M;
   std::vector<unsigned> Visits(50, 0);
-  JobRunStats Stats = distributeJobs(
-      M, 50, 10,
+  RegionStats Stats = distributeJobs(
+      M, 50, {.ChunkSize = 10, .MaxWorkers = 0},
       [&](auto &, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
-      },
-      /*MaxWorkers=*/0);
+      });
   EXPECT_EQ(Stats.HostChunks, 5u);
   for (uint32_t I = 0; I != 50; ++I)
     ASSERT_EQ(Visits[I], 1u) << I;
@@ -359,8 +359,9 @@ TEST(FaultInjector, ScheduledWorkerDeathRequeuesItsChunk) {
 
   constexpr uint32_t Count = 240;
   std::vector<unsigned> Visits(Count, 0);
-  JobRunStats Stats = distributeJobs(
-      M, Count, 8, [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+  RegionStats Stats = distributeJobs(
+      M, Count, {.ChunkSize = 8},
+      [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 100);
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
@@ -368,7 +369,7 @@ TEST(FaultInjector, ScheduledWorkerDeathRequeuesItsChunk) {
   for (uint32_t I = 0; I != Count; ++I)
     ASSERT_EQ(Visits[I], 1u) << I;
   EXPECT_EQ(Stats.DeadWorkers, 1u);
-  EXPECT_EQ(Stats.RequeuedChunks, 1u);
+  EXPECT_EQ(Stats.RequeuedDescriptors, 1u);
   EXPECT_EQ(Stats.HostChunks, 0u);
   EXPECT_FALSE(M.accel(0).Alive);
   EXPECT_EQ(M.accel(0).Counters.AcceleratorsLost, 1u);
@@ -388,8 +389,8 @@ TEST(FaultInjector, AllWorkersDyingDrainsQueueOnHost) {
 
   constexpr uint32_t Count = 120;
   std::vector<unsigned> Visits(Count, 0);
-  JobRunStats Stats = distributeJobs(
-      M, Count, 10, [&](auto &, uint32_t Begin, uint32_t End) {
+  RegionStats Stats = distributeJobs(
+      M, Count, {.ChunkSize = 10}, [&](auto &, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
       });

@@ -84,8 +84,9 @@ void runJobSchedule(uint64_t Seed, SoakOutcome &Out) {
 
   std::vector<LocalStore::Mark> Before = storeMarks(M);
   std::vector<uint32_t> Visits(Count, 0);
-  JobRunStats Stats = distributeJobs(
-      M, Count, ChunkSize, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+  RegionStats Stats = distributeJobs(
+      M, Count, {.ChunkSize = ChunkSize},
+      [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 64);
         for (uint32_t I = Begin; I != End; ++I) {
           ++Visits[I];
@@ -124,7 +125,7 @@ void runParallelForSchedule(uint64_t Seed, SoakOutcome &Out) {
 
   std::vector<LocalStore::Mark> Before = storeMarks(M);
   std::vector<uint32_t> Visits(Count, 0);
-  ParallelForStats Stats = parallelForRange(
+  RegionStats Stats = parallelForRange(
       M, Count, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 40);
         for (uint32_t I = Begin; I != End; ++I) {
@@ -143,8 +144,8 @@ void runParallelForSchedule(uint64_t Seed, SoakOutcome &Out) {
   ASSERT_EQ(Before, After) << "leaked local-store marks, seed " << Seed;
 
   Out.Makespan = M.hostClock().now();
-  Out.DeadWorkers = Stats.LaunchFaults;
-  Out.HostChunks = Stats.HostSlices;
+  Out.DeadWorkers = Stats.FailedLaunches;
+  Out.HostChunks = static_cast<uint32_t>(Stats.Counters.HostFallbackChunks);
 }
 
 /// One seeded staged-dataflow schedule: 1-4 stages chained through
@@ -167,7 +168,7 @@ void runDataflowSchedule(uint64_t Seed, SoakOutcome &Out) {
 
   std::vector<LocalStore::Mark> Before = storeMarks(M);
   std::vector<uint32_t> Visits(Count * Opts.NumStages, 0);
-  DataflowStats Stats = runDataflow(
+  RegionStats Stats = runDataflow(
       M, Count, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
         Ctx.compute((Desc.End - Desc.Begin) * 48);
         for (uint32_t I = Desc.Begin; I != Desc.End; ++I) {

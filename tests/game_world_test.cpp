@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "game/GameWorld.h"
+#include "sim/DmaObserver.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,12 @@ GameWorldParams smallWorld() {
   Params.WorldHalfExtent = 30.0f;
   return Params;
 }
+
+/// Counts offload launches: each one opens a block.
+struct LaunchCounter : DmaObserver {
+  unsigned Count = 0;
+  void onBlockBegin(unsigned, uint64_t, uint64_t) override { ++Count; }
+};
 
 } // namespace
 
@@ -117,20 +124,26 @@ TEST(GameWorld, ParallelAiScheduleIsBitIdentical) {
 }
 
 TEST(GameWorld, ResidentAiScheduleIsBitIdenticalAndAmortizesLaunches) {
+  LaunchCounter Launches;
   Machine MParallel, MResident;
+  MResident.addObserver(&Launches);
   GameWorld Parallel(MParallel, smallWorld());
   GameWorld Resident(MResident, smallWorld());
   for (int Frame = 0; Frame != 3; ++Frame) {
     Parallel.doFrameOffloadAiParallel();
-    FrameStats Stats = Resident.doFrameOffloadAiResident();
+    PerfCounters Before = MResident.totalCounters();
+    unsigned LaunchesBefore = Launches.Count;
+    Resident.doFrameOffloadAiResident();
     ASSERT_EQ(Parallel.checksum(), Resident.checksum())
         << "divergence at frame " << Frame;
-    // Mailbox dispatch in action: more descriptors than workers, and
-    // every descriptor beyond the first per worker is a saved launch.
-    EXPECT_GT(Stats.AiDescriptors, MResident.numAccelerators());
-    EXPECT_EQ(Stats.AiLaunchesSaved,
-              Stats.AiDescriptors - MResident.numAccelerators());
+    // Mailbox dispatch in action: one launch per worker but more
+    // descriptors than workers, so every descriptor beyond the first per
+    // worker is a saved launch.
+    EXPECT_EQ(Launches.Count - LaunchesBefore, MResident.numAccelerators());
+    EXPECT_GT(MResident.countersSince(Before).DescriptorsDispatched,
+              MResident.numAccelerators());
   }
+  MResident.removeObserver(&Launches);
 }
 
 TEST(GameWorld, ParallelAiShortensTheAiStage) {

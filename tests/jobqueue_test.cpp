@@ -30,7 +30,7 @@ TEST(JobQueue, EveryIndexProcessedExactlyOnce) {
   Machine M;
   constexpr uint32_t Count = 500;
   std::vector<unsigned> Visits(Count, 0);
-  distributeJobs(M, Count, 16,
+  distributeJobs(M, Count, {.ChunkSize = 16},
                  [&](OffloadContext &, uint32_t Begin, uint32_t End) {
                    for (uint32_t I = Begin; I != End; ++I)
                      ++Visits[I];
@@ -41,15 +41,18 @@ TEST(JobQueue, EveryIndexProcessedExactlyOnce) {
 
 TEST(JobQueue, ZeroCountIsNoop) {
   Machine M;
-  auto Stats = distributeJobs(
-      M, 0, 16, [&](OffloadContext &, uint32_t, uint32_t) { FAIL(); });
+  auto Stats = distributeJobs(M, 0, {.ChunkSize = 16},
+                              [&](OffloadContext &, uint32_t, uint32_t) {
+                                FAIL();
+                              });
   EXPECT_EQ(Stats.MakespanCycles, 0u);
 }
 
 TEST(JobQueue, AllWorkersParticipateOnUniformWork) {
   Machine M;
   auto Stats = distributeJobs(
-      M, 600, 10, [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+      M, 600, {.ChunkSize = 10},
+      [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 500);
       });
   ASSERT_EQ(Stats.WorkerChunks.size(), M.numAccelerators());
@@ -61,9 +64,8 @@ TEST(JobQueue, AllWorkersParticipateOnUniformWork) {
 TEST(JobQueue, MaxWorkersRespected) {
   Machine M;
   auto Stats = distributeJobs(
-      M, 100, 10,
-      [&](OffloadContext &Ctx, uint32_t, uint32_t) { Ctx.compute(100); },
-      /*MaxWorkers=*/2);
+      M, 100, {.ChunkSize = 10, .MaxWorkers = 2},
+      [&](OffloadContext &Ctx, uint32_t, uint32_t) { Ctx.compute(100); });
   EXPECT_EQ(Stats.WorkerChunks.size(), 2u);
   for (unsigned W = 2; W != M.numAccelerators(); ++W)
     EXPECT_EQ(M.accel(W).Counters.ComputeCycles, 0u);
@@ -88,7 +90,8 @@ TEST(JobQueue, DynamicBeatsStaticSplitOnSkewedWork) {
   {
     Machine M;
     auto Stats = distributeJobs(
-        M, Count, 8, [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+        M, Count, {.ChunkSize = 8},
+        [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
           for (uint32_t I = Begin; I != End; ++I)
             Ctx.compute(skewedCost(I, Count));
         });
@@ -108,7 +111,7 @@ TEST(JobQueue, QueuePopCostDiscouragesTinyChunks) {
   uint64_t Fine, Coarse;
   {
     Machine M;
-    Fine = distributeJobs(M, Count, 1,
+    Fine = distributeJobs(M, Count, {.ChunkSize = 1},
                           [&](OffloadContext &Ctx, uint32_t, uint32_t) {
                             Ctx.compute(50);
                           })
@@ -117,7 +120,7 @@ TEST(JobQueue, QueuePopCostDiscouragesTinyChunks) {
   {
     Machine M;
     Coarse = distributeJobs(
-                 M, Count, 25,
+                 M, Count, {.ChunkSize = 25},
                  [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
                    Ctx.compute((End - Begin) * 50);
                  })
@@ -133,7 +136,7 @@ TEST(JobQueue, DisjointChunkWritesAreRaceCheckerClean) {
   M.addObserver(&Checker);
   constexpr uint32_t Count = 256;
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
-  distributeJobs(M, Count, 16,
+  distributeJobs(M, Count, {.ChunkSize = 16},
                  [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
                    for (uint32_t I = Begin; I != End; ++I)
                      (Data + I).write(Ctx, uint64_t(I) * 7);
@@ -149,7 +152,7 @@ TEST(JobQueue, DeterministicAcrossRuns) {
   for (int Run = 0; Run != 2; ++Run) {
     Machine M;
     Makespans[Run] =
-        distributeJobs(M, 300, 7,
+        distributeJobs(M, 300, {.ChunkSize = 7},
                        [&](OffloadContext &Ctx, uint32_t Begin,
                            uint32_t End) {
                          Ctx.compute((End - Begin) * 333);

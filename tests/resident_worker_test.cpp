@@ -10,7 +10,7 @@
 //     broken by descriptors-executed then accelerator id (so symmetric
 //     workers round-robin instead of piling onto the first);
 //   - N chunks cost one launch per worker plus N mailbox transactions,
-//     and LaunchesSaved reports the amortization;
+//     and launchesSaved() reports the amortization;
 //   - adaptive chunking cuts descriptor traffic without changing which
 //     indices run;
 //   - mailbox costs land on the right clocks and counters;
@@ -47,7 +47,7 @@ TEST(ResidentWorker, ClockTiesRoundRobinAcrossWorkers) {
   const uint32_t PerWorker = 10;
   const uint32_t Count = PerWorker * M.numAccelerators();
   auto Stats = distributeJobs(
-      M, Count, 1, [](OffloadContext &, uint32_t, uint32_t) {});
+      M, Count, {.ChunkSize = 1}, [](OffloadContext &, uint32_t, uint32_t) {});
   ASSERT_EQ(Stats.WorkerChunks.size(), M.numAccelerators());
   for (unsigned W = 0; W != M.numAccelerators(); ++W)
     EXPECT_EQ(Stats.WorkerChunks[W], PerWorker) << "worker " << W;
@@ -56,17 +56,18 @@ TEST(ResidentWorker, ClockTiesRoundRobinAcrossWorkers) {
 TEST(ResidentWorker, ChunksCostOneLaunchPerWorkerPlusMailboxTraffic) {
   Machine M;
   auto Stats = distributeJobs(
-      M, 600, 10, [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+      M, 600, {.ChunkSize = 10},
+      [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 300);
       });
   EXPECT_EQ(Stats.Launches, M.numAccelerators());
-  EXPECT_EQ(Stats.DescriptorsDispatched, 60u);
-  EXPECT_EQ(Stats.LaunchesSaved, 60u - M.numAccelerators());
-  // The machine-wide counters agree with the run's stats.
-  PerfCounters Totals = M.totalCounters();
-  EXPECT_EQ(Totals.DescriptorsDispatched, Stats.DescriptorsDispatched);
+  EXPECT_EQ(Stats.Counters.DescriptorsDispatched, 60u);
+  EXPECT_EQ(Stats.launchesSaved(), 60u - M.numAccelerators());
+  // The region's counter delta is the whole machine's: nothing else ran.
+  EXPECT_EQ(Stats.Counters, M.totalCounters());
   EXPECT_EQ(M.hostCounters().DoorbellCycles,
-            Stats.DescriptorsDispatched * M.config().MailboxDoorbellCycles);
+            Stats.Counters.DescriptorsDispatched *
+                M.config().MailboxDoorbellCycles);
 }
 
 TEST(ResidentWorker, StaticSplitIsTheDegenerateOneDescriptorCase) {
@@ -76,12 +77,11 @@ TEST(ResidentWorker, StaticSplitIsTheDegenerateOneDescriptorCase) {
         Ctx.compute((End - Begin) * 100);
       });
   // One slice per worker: nothing to amortize, and nothing failed.
-  EXPECT_EQ(Stats.LaunchesSaved, 0u);
-  EXPECT_EQ(Stats.LaunchFaults, 0u);
-  EXPECT_EQ(Stats.FailoverSlices, 0u);
-  EXPECT_EQ(Stats.HostSlices, 0u);
-  PerfCounters Totals = M.totalCounters();
-  EXPECT_EQ(Totals.DescriptorsDispatched, M.numAccelerators());
+  EXPECT_EQ(Stats.launchesSaved(), 0u);
+  EXPECT_EQ(Stats.FailedLaunches, 0u);
+  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+  EXPECT_EQ(Stats.Counters.HostFallbackChunks, 0u);
+  EXPECT_EQ(Stats.Counters.DescriptorsDispatched, M.numAccelerators());
 }
 
 TEST(ResidentWorker, AdaptiveChunkingCutsDescriptorsNotCoverage) {
@@ -92,12 +92,12 @@ TEST(ResidentWorker, AdaptiveChunkingCutsDescriptorsNotCoverage) {
   {
     Machine M;
     FixedDescriptors =
-        distributeJobs(M, Count, Floor,
+        distributeJobs(M, Count, {.ChunkSize = Floor},
                        [](OffloadContext &Ctx, uint32_t Begin,
                           uint32_t End) {
                          Ctx.compute((End - Begin) * 120);
                        })
-            .DescriptorsDispatched;
+            .Counters.DescriptorsDispatched;
   }
   {
     Machine M;
@@ -111,7 +111,7 @@ TEST(ResidentWorker, AdaptiveChunkingCutsDescriptorsNotCoverage) {
             ++Visits[I];
           Ctx.compute((End - Begin) * 120);
         });
-    AdaptiveDescriptors = Stats.DescriptorsDispatched;
+    AdaptiveDescriptors = Stats.Counters.DescriptorsDispatched;
   }
   for (uint32_t I = 0; I != Count; ++I)
     ASSERT_EQ(Visits[I], 1u) << I;
@@ -124,7 +124,7 @@ TEST(ResidentWorker, AdaptiveChunkingCutsDescriptorsNotCoverage) {
 TEST(ResidentWorker, DescriptorAndMailboxEventsAreObservable) {
   Machine M;
   trace::TraceRecorder Rec(M);
-  distributeJobs(M, 40, 8,
+  distributeJobs(M, 40, {.ChunkSize = 8},
                  [](OffloadContext &Ctx, uint32_t, uint32_t) {
                    Ctx.compute(500);
                  });
@@ -157,7 +157,7 @@ namespace {
 /// second descriptor is still queued. With \p Schedule false the same
 /// machine runs fault-free. \returns the output array's values.
 std::vector<uint64_t> runMidDrainSchedule(bool Schedule, uint32_t Count,
-                                          ParallelForStats *Out = nullptr,
+                                          RegionStats *Out = nullptr,
                                           uint64_t *HostCycles = nullptr) {
   MachineConfig Cfg;
   Cfg.NumAccelerators = 2;
@@ -168,7 +168,7 @@ std::vector<uint64_t> runMidDrainSchedule(bool Schedule, uint32_t Count,
     M.faults()->scheduleChunkKill(0, 0); // Kill worker 0 on its 1st pop.
   }
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
-  ParallelForStats Stats = parallelForRange(
+  RegionStats Stats = parallelForRange(
       M, Count, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I) {
           Ctx.compute(150);
@@ -189,14 +189,14 @@ std::vector<uint64_t> runMidDrainSchedule(bool Schedule, uint32_t Count,
 
 TEST(ResidentWorker, MidDrainKillRequeuesTheMailboxBacklogIntact) {
   constexpr uint32_t Count = 96;
-  ParallelForStats Stats;
+  RegionStats Stats;
   std::vector<uint64_t> Faulted = runMidDrainSchedule(true, Count, &Stats);
   std::vector<uint64_t> Clean = runMidDrainSchedule(false, Count);
   // Both slices ended up on the host: worker 1 never opened, worker 0
   // died with slice 1 still in its mailbox.
-  EXPECT_EQ(Stats.LaunchFaults, 1u);
-  EXPECT_EQ(Stats.HostSlices, 2u);
-  EXPECT_EQ(Stats.FailoverSlices, 0u);
+  EXPECT_EQ(Stats.FailedLaunches, 1u);
+  EXPECT_EQ(Stats.Counters.HostFallbackChunks, 2u);
+  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
   // The drained descriptor kept its boundaries: bit-identical output.
   EXPECT_EQ(Faulted, Clean);
 }

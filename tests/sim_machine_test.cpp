@@ -7,7 +7,12 @@
 
 #include "sim/Machine.h"
 
+#include "support/OStream.h"
+
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <iterator>
 
 using namespace omm::sim;
 
@@ -108,6 +113,59 @@ TEST(Machine, TotalCountersMerge) {
   EXPECT_EQ(Total.HostStores, 1u);
   EXPECT_EQ(Total.DmaGetsIssued, 1u);
   EXPECT_EQ(Total.DmaBytesRead, 64u);
+}
+
+namespace {
+
+/// The counter table expanded into (field, label) rows, in table order.
+struct CounterRow {
+  uint64_t PerfCounters::*Field;
+  const char *Label;
+};
+
+const CounterRow CounterTable[] = {
+#define OMM_PERF_COUNTER(Name, Label) {&PerfCounters::Name, Label},
+#include "sim/PerfCounters.def"
+};
+
+} // namespace
+
+TEST(PerfCounters, TableDrivesMergeSubtractAndPrint) {
+  // Every field is a table entry: nothing is declared outside it.
+  EXPECT_EQ(sizeof(PerfCounters), std::size(CounterTable) * sizeof(uint64_t));
+
+  // Distinct values per counter, so a dropped or crossed field shows.
+  PerfCounters A, B;
+  uint64_t N = 1;
+  for (const CounterRow &Row : CounterTable) {
+    A.*Row.Field = N * 1000;
+    B.*Row.Field = N++;
+  }
+  PerfCounters Sum = A;
+  Sum.merge(B);
+  for (const CounterRow &Row : CounterTable)
+    EXPECT_EQ(Sum.*Row.Field, A.*Row.Field + B.*Row.Field) << Row.Label;
+  Sum.subtract(B);
+  EXPECT_EQ(Sum, A);
+
+  // One "<value>  <label>" row per entry, in table order.
+  std::FILE *F = std::tmpfile();
+  ASSERT_NE(F, nullptr);
+  omm::OStream OS(F);
+  A.print(OS);
+  OS.flush();
+  std::rewind(F);
+  char Line[128], Want[128];
+  size_t Rows = 0;
+  while (std::fgets(Line, sizeof(Line), F)) {
+    ASSERT_LT(Rows, std::size(CounterTable)) << "extra row: " << Line;
+    const CounterRow &Row = CounterTable[Rows++];
+    std::snprintf(Want, sizeof(Want), "%14llu  %s\n",
+                  static_cast<unsigned long long>(A.*Row.Field), Row.Label);
+    EXPECT_STREQ(Line, Want);
+  }
+  std::fclose(F);
+  EXPECT_EQ(Rows, std::size(CounterTable));
 }
 
 namespace {

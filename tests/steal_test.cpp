@@ -72,9 +72,8 @@ TEST(WorkStealing, StealClaimsHalfTheTailInOrder) {
   EXPECT_EQ(Pool.trySteal(W1), 4u);
   EXPECT_EQ(Pool.mailbox(W0).size(), 4u);
   EXPECT_EQ(Pool.mailbox(W1).size(), 4u);
-  EXPECT_EQ(Pool.stats().StealsAttempted, 1u);
-  EXPECT_EQ(Pool.stats().StealsSucceeded, 1u);
-  EXPECT_EQ(Pool.stats().DescriptorsStolen, 4u);
+  EXPECT_EQ(M.accel(1).Counters.StealsAttempted, 1u);
+  EXPECT_EQ(M.accel(1).Counters.StealsSucceeded, 1u);
   // Probe + grant + one list fetch for the whole stolen tail, all on
   // the thief's clock and steal counter.
   EXPECT_EQ(M.accel(1).Counters.StealCycles,
@@ -235,8 +234,8 @@ TEST(WorkStealing, FailedProbeParksUntilNewWorkAppears) {
   EXPECT_EQ(Pool.pickIdleThief(), W1);
   EXPECT_EQ(Pool.trySteal(W1), 0u);
   EXPECT_EQ(M.accel(1).Counters.StealCycles, Cfg.StealProbeCycles);
-  EXPECT_EQ(Pool.stats().StealsAttempted, 1u);
-  EXPECT_EQ(Pool.stats().StealsSucceeded, 0u);
+  EXPECT_EQ(M.accel(1).Counters.StealsAttempted, 1u);
+  EXPECT_EQ(M.accel(1).Counters.StealsSucceeded, 0u);
   // Parked: the drain loop will not offer this worker as a thief again.
   EXPECT_EQ(Pool.pickIdleThief(), ResidentWorkerPool::NoWorker);
   // A dispatch unparks every worker (new work may now be stealable).
@@ -286,7 +285,7 @@ TEST(WorkStealing, ThiefDeathRequeuesStolenBacklogExactlyOnce) {
   EXPECT_EQ(Orphans[0].End, 28u);
   EXPECT_EQ(Orphans[1].Begin, 28u);
   EXPECT_EQ(Orphans[2].Begin, 34u);
-  EXPECT_EQ(Pool.stats().DescriptorsStolen, 3u);
+  EXPECT_EQ(M.accel(1).Counters.DescriptorsStolen, 3u);
   EXPECT_EQ(Pool.stats().RequeuedDescriptors, 3u);
   // Survivor takes the orphans and its own backlog.
   for (const WorkDescriptor &Desc : Orphans) {
@@ -340,6 +339,40 @@ TEST(WorkStealing, StealingRunsAreDeterministic) {
   EXPECT_EQ(A, B);
 }
 
+namespace {
+
+/// A skewed stealing distributeJobs region run after some unrelated
+/// work; checks that the region's counters are exactly the machine's
+/// delta across the call and \returns them.
+PerfCounters stealingRegionCounters(const MachineConfig &Cfg) {
+  Machine M(Cfg);
+  auto Skewed = [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+    for (uint32_t I = Begin; I != End; ++I)
+      Ctx.compute(I < 64 ? 900 : 60);
+  };
+  // Earlier traffic the region must not be billed for.
+  distributeJobs(M, 64, {.ChunkSize = 8}, Skewed);
+  PerfCounters Before = M.totalCounters();
+  RegionStats Stats = distributeJobs(M, 256, {.ChunkSize = 8}, Skewed);
+  EXPECT_EQ(Stats.Counters, M.countersSince(Before));
+  return Stats.Counters;
+}
+
+} // namespace
+
+TEST(WorkStealing, RegionCountersAreTheMachineDeltaAndBillRemoteSteals) {
+  MachineConfig Flat;
+  Flat.WorkStealing = StealPolicy::LocalityAware;
+  MachineConfig TwoDomains = Flat;
+  TwoDomains.AcceleratorsPerDomain = TwoDomains.NumAccelerators / 2;
+  PerfCounters FlatRun = stealingRegionCounters(Flat);
+  PerfCounters SplitRun = stealingRegionCounters(TwoDomains);
+  EXPECT_GT(FlatRun.StealsSucceeded, 0u);
+  EXPECT_EQ(FlatRun.StealsRemoteDomain, 0u);
+  EXPECT_GT(SplitRun.StealsRemoteDomain, 0u);
+  EXPECT_LE(SplitRun.StealsRemoteDomain, SplitRun.StealsSucceeded);
+}
+
 TEST(WorkStealing, StealingShortensASkewedStaticSplit) {
   // The expensive items all sit in the first worker's slice of the
   // static split; without stealing its clock bounds the region, with
@@ -353,7 +386,7 @@ TEST(WorkStealing, StealingShortensASkewedStaticSplit) {
     Machine M(Cfg);
     uint32_t Hot = Count / M.numAccelerators();
     OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
-    ParallelForStats Stats = parallelForRange(
+    RegionStats Stats = parallelForRange(
         M, Count, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
           for (uint32_t I = Begin; I != End; ++I) {
             Ctx.compute(I < Hot ? 2000 : 100);
@@ -361,7 +394,7 @@ TEST(WorkStealing, StealingShortensASkewedStaticSplit) {
           }
         });
     Cycles = M.hostClock().now();
-    Steals = Stats.StealsSucceeded;
+    Steals = Stats.Counters.StealsSucceeded;
     std::vector<uint64_t> Values(Count);
     for (uint32_t I = 0; I != Count; ++I)
       Values[I] = M.mainMemory().readValue<uint64_t>((Data + I).addr());

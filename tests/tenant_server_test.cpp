@@ -104,8 +104,7 @@ TEST(TenantServerTest, RoundRobinZeroFaultMatchesSequentialBitForBit) {
     for (int F = 0; F != NumTicks; ++F)
       SeqCycles[T].push_back(
           Worlds[T]->doFrameOffloadAiResident().FrameCycles);
-    SeqDeltas[T] = Seq.totalCounters();
-    SeqDeltas[T].subtract(Before);
+    SeqDeltas[T] = Seq.countersSince(Before);
   }
 
   // The full contract: state, per-frame cycle counts, and the whole

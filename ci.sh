@@ -6,7 +6,7 @@
 #
 # Usage: ./ci.sh [jobs]
 #
-# Five stages, all must be green:
+# Six stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the sweep-runner
@@ -25,8 +25,13 @@
 #                    a hang or straggler in one tenant may not move the
 #                    other tenants' pooled p99 by more than 5% (E15) —
 #                    and the domain-placement floor (E16)
-#   4. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
-#   5. soak        — the long randomised fault-injection endurance runs
+#   4. benchmark   — benchmark/run.py --quick: every BENCHMARK.json
+#                    workload at 1/20 of its frames through omm_bench
+#                    (built into .bench_build/); fails on a checksum
+#                    mismatch, fingerprint divergence, observer/counter
+#                    disagreement or metric-schema drift
+#   5. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
+#   6. soak        — the long randomised fault-injection endurance runs
 #                    (including the full-grid sweep determinism soak),
 #                    under the sanitizer build where their randomly
 #                    killed workers are most likely to expose leaks
@@ -101,6 +106,9 @@ python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
 python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
     --filter 'DomainSkew/hot_mult:16/policy:3' \
     --require domain_win_vs_oblivious '>=' 1.1
+
+echo "=== benchmark: every workload, quick, correctness and schema ==="
+python3 benchmark/run.py --quick
 
 echo "=== asan+ubsan: configure + build + ctest ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_SANITIZE=ON

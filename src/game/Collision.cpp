@@ -10,8 +10,9 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <vector>
 
 using namespace omm;
@@ -49,18 +50,39 @@ bool omm::game::respondToCollision(GameEntity &First, GameEntity &Second) {
 
 namespace {
 
-/// Integer cell coordinate key with a total order (deterministic
-/// iteration; see the LLVM guidance on pointer/unordered iteration).
-struct CellKey {
-  int32_t X, Y, Z;
-  bool operator<(const CellKey &O) const {
-    if (X != O.X)
-      return X < O.X;
-    if (Y != O.Y)
-      return Y < O.Y;
-    return Z < O.Z;
-  }
-};
+/// A cell's integer coordinates packed into one key: each coordinate,
+/// biased by 2^20, fills a 21-bit field with X in the high bits, so the
+/// integer order of keys is the lexicographic (X, Y, Z) order of cells.
+constexpr unsigned CellFieldBits = 21;
+constexpr int64_t CellBias = int64_t(1) << (CellFieldBits - 1);
+
+/// Cells stay one step inside the field, so adding a neighbour's key
+/// delta never carries into or borrows from the next field.
+constexpr float CellLimit = float(CellBias - 1);
+
+/// The biased field of the cell holding \p Coord.
+uint64_t cellField(float Coord, float InvCell) {
+  float Cell = std::floor(Coord * InvCell);
+  assert(Cell > -CellLimit && Cell < CellLimit &&
+         "position outside the broadphase grid's packed-key range");
+  return static_cast<uint64_t>(static_cast<int32_t>(Cell) + CellBias);
+}
+
+/// The key distance from a cell to its neighbour at offset (X, Y, Z).
+constexpr uint64_t keyDelta(int64_t X, int64_t Y, int64_t Z) {
+  return static_cast<uint64_t>(X * (int64_t(1) << (2 * CellFieldBits)) +
+                               Y * (int64_t(1) << CellFieldBits) + Z);
+}
+
+/// The 13 "forward" neighbour offsets, so each unordered cell pair is
+/// visited once. Each is lexicographically positive, so its key delta is
+/// positive and a cell's neighbour keys grow with the cell's key.
+constexpr uint64_t ForwardDelta[13] = {
+    keyDelta(1, 0, 0),  keyDelta(0, 1, 0),   keyDelta(0, 0, 1),
+    keyDelta(1, 1, 0),  keyDelta(1, -1, 0),  keyDelta(1, 0, 1),
+    keyDelta(1, 0, -1), keyDelta(0, 1, 1),   keyDelta(0, 1, -1),
+    keyDelta(1, 1, 1),  keyDelta(1, 1, -1),  keyDelta(1, -1, 1),
+    keyDelta(1, -1, -1)};
 
 } // namespace
 
@@ -73,30 +95,40 @@ omm::game::broadphaseHost(const EntityStore &Entities,
   struct Snapshot {
     Vec3 Position;
     float Radius;
+  };
+  struct Binned {
+    uint64_t Key;
     uint32_t Id;
   };
   std::vector<Snapshot> Snapshots;
+  std::vector<Binned> Bins;
   Snapshots.reserve(Entities.size());
-  std::map<CellKey, std::vector<uint32_t>> Grid;
+  Bins.reserve(Entities.size());
   float InvCell = 1.0f / Params.CellSize;
   for (uint32_t I = 0, E = Entities.size(); I != E; ++I) {
     auto Ptr = Entities.entity(I);
     Vec3 Position = Ptr.field<Vec3>(offsetof(GameEntity, Position)).hostRead(M);
     float Radius = Ptr.field<float>(offsetof(GameEntity, Radius)).hostRead(M);
-    Snapshots.push_back(Snapshot{Position, Radius, I});
-    CellKey Key{static_cast<int32_t>(std::floor(Position.X * InvCell)),
-                static_cast<int32_t>(std::floor(Position.Y * InvCell)),
-                static_cast<int32_t>(std::floor(Position.Z * InvCell))};
-    Grid[Key].push_back(I);
+    Snapshots.push_back(Snapshot{Position, Radius});
+    uint64_t Key = cellField(Position.X, InvCell) << (2 * CellFieldBits) |
+                   cellField(Position.Y, InvCell) << CellFieldBits |
+                   cellField(Position.Z, InvCell);
+    Bins.push_back(Binned{Key, I});
     M.hostCompute(Params.CyclesPerHash);
   }
 
-  // Candidate pairs: within a cell, and against the 13 "forward"
-  // neighbour cells so each unordered cell pair is visited once.
-  static constexpr int32_t Forward[13][3] = {
-      {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},  {1, -1, 0},
-      {1, 0, 1},  {1, 0, -1}, {0, 1, 1},  {0, 1, -1}, {1, 1, 1},
-      {1, 1, -1}, {1, -1, 1}, {1, -1, -1}};
+  // Cells in key order, ids ascending within a cell.
+  std::sort(Bins.begin(), Bins.end(), [](const Binned &A, const Binned &B) {
+    return A.Key != B.Key ? A.Key < B.Key : A.Id < B.Id;
+  });
+  std::vector<uint64_t> CellKeys;
+  std::vector<uint32_t> CellBegin;
+  for (uint32_t I = 0; I != Bins.size(); ++I)
+    if (CellKeys.empty() || CellKeys.back() != Bins[I].Key) {
+      CellKeys.push_back(Bins[I].Key);
+      CellBegin.push_back(I);
+    }
+  CellBegin.push_back(static_cast<uint32_t>(Bins.size()));
 
   std::vector<CollisionPair> Pairs;
   auto Consider = [&](uint32_t A, uint32_t B) {
@@ -108,8 +140,8 @@ omm::game::broadphaseHost(const EntityStore &Entities,
                         SB.Radius * 1.2f))
       return;
     CollisionPair Pair;
-    uint32_t First = std::min(SA.Id, SB.Id);
-    uint32_t Second = std::max(SA.Id, SB.Id);
+    uint32_t First = std::min(A, B);
+    uint32_t Second = std::max(A, B);
     Pair.FirstAddr = Entities.entity(First).addr().Value;
     Pair.SecondAddr = Entities.entity(Second).addr().Value;
     Pair.FirstId = First;
@@ -117,19 +149,25 @@ omm::game::broadphaseHost(const EntityStore &Entities,
     Pairs.push_back(Pair);
   };
 
-  for (const auto &[Key, Cell] : Grid) {
-    for (size_t A = 0; A != Cell.size(); ++A)
-      for (size_t B = A + 1; B != Cell.size(); ++B)
-        Consider(Cell[A], Cell[B]);
-    for (const auto &Offset : Forward) {
-      CellKey Neighbour{Key.X + Offset[0], Key.Y + Offset[1],
-                        Key.Z + Offset[2]};
-      auto It = Grid.find(Neighbour);
-      if (It == Grid.end())
+  // Candidate pairs: within a cell, then against each forward neighbour.
+  // Cells are visited in key order, so each offset's neighbour key only
+  // grows and one forward-only cursor per offset finds it (a merge join).
+  size_t NumCells = CellKeys.size();
+  size_t Cursor[std::size(ForwardDelta)] = {};
+  for (size_t C = 0; C != NumCells; ++C) {
+    for (uint32_t A = CellBegin[C]; A != CellBegin[C + 1]; ++A)
+      for (uint32_t B = A + 1; B != CellBegin[C + 1]; ++B)
+        Consider(Bins[A].Id, Bins[B].Id);
+    for (size_t K = 0; K != std::size(ForwardDelta); ++K) {
+      uint64_t Neighbour = CellKeys[C] + ForwardDelta[K];
+      size_t &N = Cursor[K];
+      while (N != NumCells && CellKeys[N] < Neighbour)
+        ++N;
+      if (N == NumCells || CellKeys[N] != Neighbour)
         continue;
-      for (uint32_t A : Cell)
-        for (uint32_t B : It->second)
-          Consider(A, B);
+      for (uint32_t A = CellBegin[C]; A != CellBegin[C + 1]; ++A)
+        for (uint32_t B = CellBegin[N]; B != CellBegin[N + 1]; ++B)
+          Consider(Bins[A].Id, Bins[B].Id);
     }
   }
   return Pairs;

@@ -8,10 +8,14 @@
 #include "game/Collision.h"
 
 #include "dmacheck/DmaRaceChecker.h"
+#include "game/GameWorld.h"
 #include "offload/Offload.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <map>
 #include <set>
 
 using namespace omm;
@@ -121,6 +125,213 @@ TEST(Broadphase, ChargesHostTime) {
   uint64_t Before = M.hostClock().now();
   broadphaseHost(Store, CollisionParams());
   EXPECT_GT(M.hostClock().now(), Before);
+}
+
+namespace {
+
+/// Integer cell coordinate key with a total order (deterministic
+/// iteration; see the LLVM guidance on pointer/unordered iteration).
+struct CellKey {
+  int32_t X, Y, Z;
+  bool operator<(const CellKey &O) const {
+    if (X != O.X)
+      return X < O.X;
+    if (Y != O.Y)
+      return Y < O.Y;
+    return Z < O.Z;
+  }
+};
+
+/// The broadphase as first written, over a std::map grid: the oracle
+/// for broadphaseHost's pair order and simulated cost.
+std::vector<CollisionPair>
+referenceBroadphase(const EntityStore &Entities,
+                    const CollisionParams &Params) {
+  Machine &M = Entities.machine();
+
+  // Bin every entity, reading its bounds from main memory (costed).
+  struct Snapshot {
+    Vec3 Position;
+    float Radius;
+    uint32_t Id;
+  };
+  std::vector<Snapshot> Snapshots;
+  Snapshots.reserve(Entities.size());
+  std::map<CellKey, std::vector<uint32_t>> Grid;
+  float InvCell = 1.0f / Params.CellSize;
+  for (uint32_t I = 0, E = Entities.size(); I != E; ++I) {
+    auto Ptr = Entities.entity(I);
+    Vec3 Position = Ptr.field<Vec3>(offsetof(GameEntity, Position)).hostRead(M);
+    float Radius = Ptr.field<float>(offsetof(GameEntity, Radius)).hostRead(M);
+    Snapshots.push_back(Snapshot{Position, Radius, I});
+    CellKey Key{static_cast<int32_t>(std::floor(Position.X * InvCell)),
+                static_cast<int32_t>(std::floor(Position.Y * InvCell)),
+                static_cast<int32_t>(std::floor(Position.Z * InvCell))};
+    Grid[Key].push_back(I);
+    M.hostCompute(Params.CyclesPerHash);
+  }
+
+  // Candidate pairs: within a cell, and against the 13 "forward"
+  // neighbour cells so each unordered cell pair is visited once.
+  static constexpr int32_t Forward[13][3] = {
+      {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},  {1, -1, 0},
+      {1, 0, 1},  {1, 0, -1}, {0, 1, 1},  {0, 1, -1}, {1, 1, 1},
+      {1, 1, -1}, {1, -1, 1}, {1, -1, -1}};
+
+  std::vector<CollisionPair> Pairs;
+  auto Consider = [&](uint32_t A, uint32_t B) {
+    M.hostCompute(Params.CyclesPerPairTest);
+    const Snapshot &SA = Snapshots[A];
+    const Snapshot &SB = Snapshots[B];
+    // Coarse test with margin; the narrowphase does the exact test.
+    if (!spheresOverlap(SA.Position, SA.Radius * 1.2f, SB.Position,
+                        SB.Radius * 1.2f))
+      return;
+    CollisionPair Pair;
+    uint32_t First = std::min(SA.Id, SB.Id);
+    uint32_t Second = std::max(SA.Id, SB.Id);
+    Pair.FirstAddr = Entities.entity(First).addr().Value;
+    Pair.SecondAddr = Entities.entity(Second).addr().Value;
+    Pair.FirstId = First;
+    Pair.SecondId = Second;
+    Pairs.push_back(Pair);
+  };
+
+  for (const auto &[Key, Cell] : Grid) {
+    for (size_t A = 0; A != Cell.size(); ++A)
+      for (size_t B = A + 1; B != Cell.size(); ++B)
+        Consider(Cell[A], Cell[B]);
+    for (const auto &Offset : Forward) {
+      CellKey Neighbour{Key.X + Offset[0], Key.Y + Offset[1],
+                        Key.Z + Offset[2]};
+      auto It = Grid.find(Neighbour);
+      if (It == Grid.end())
+        continue;
+      for (uint32_t A : Cell)
+        for (uint32_t B : It->second)
+          Consider(A, B);
+    }
+  }
+  return Pairs;
+}
+
+/// Host accesses in order, timed relative to the first one.
+struct HostAccessLog : DmaObserver {
+  std::vector<std::array<uint64_t, 4>> Accesses;
+  void onHostAccess(GlobalAddr Addr, uint64_t Size, bool IsWrite,
+                    uint64_t Time) override {
+    Accesses.push_back({Addr.Value, Size, IsWrite, Time});
+  }
+};
+
+struct BroadphaseRun {
+  std::vector<CollisionPair> Pairs;
+  uint64_t HostCycles;
+  PerfCounters Counters;
+  HostAccessLog Log;
+};
+
+template <typename BroadphaseFn>
+BroadphaseRun runBroadphase(BroadphaseFn Broadphase,
+                            const EntityStore &Store) {
+  Machine &M = Store.machine();
+  BroadphaseRun Run;
+  M.addObserver(&Run.Log);
+  uint64_t Start = M.hostClock().now();
+  PerfCounters Before = M.totalCounters();
+  Run.Pairs = Broadphase(Store, CollisionParams());
+  Run.HostCycles = M.hostClock().now() - Start;
+  Run.Counters = M.countersSince(Before);
+  M.removeObserver(&Run.Log);
+  for (auto &Access : Run.Log.Accesses)
+    Access[3] -= Start;
+  return Run;
+}
+
+/// Both broadphases over the same (unmodified) store must produce the
+/// same pairs in the same order at the same simulated cost.
+void expectMatchesReference(const EntityStore &Store) {
+  BroadphaseRun Ref = runBroadphase(referenceBroadphase, Store);
+  BroadphaseRun Got = runBroadphase(broadphaseHost, Store);
+  ASSERT_FALSE(Ref.Pairs.empty());
+  ASSERT_EQ(Got.Pairs.size(), Ref.Pairs.size());
+  for (size_t I = 0; I != Ref.Pairs.size(); ++I) {
+    EXPECT_EQ(Got.Pairs[I].FirstId, Ref.Pairs[I].FirstId) << "pair " << I;
+    EXPECT_EQ(Got.Pairs[I].SecondId, Ref.Pairs[I].SecondId) << "pair " << I;
+    EXPECT_EQ(Got.Pairs[I].FirstAddr, Ref.Pairs[I].FirstAddr) << "pair " << I;
+    EXPECT_EQ(Got.Pairs[I].SecondAddr, Ref.Pairs[I].SecondAddr)
+        << "pair " << I;
+  }
+  EXPECT_EQ(Got.HostCycles, Ref.HostCycles);
+  EXPECT_EQ(Got.Counters.HostLoads, Ref.Counters.HostLoads);
+  EXPECT_EQ(Got.Counters.ComputeCycles, Ref.Counters.ComputeCycles);
+  EXPECT_EQ(Got.Log.Accesses, Ref.Log.Accesses);
+}
+
+void placeEntity(EntityStore &Store, uint32_t Index, Vec3 Position,
+                 float Radius) {
+  GameEntity Entity = Store.peek(Index);
+  Entity.Position = Position;
+  Entity.Radius = Radius;
+  Store.poke(Index, Entity);
+}
+
+} // namespace
+
+TEST(Broadphase, MatchesReferenceOrderAndCost) {
+  {
+    SCOPED_TRACE("2000 entities at extent 100");
+    Machine M;
+    expectMatchesReference(EntityStore(M, 2000, 7, 100.0f));
+  }
+  {
+    SCOPED_TRACE("dense 300 entities at extent 30");
+    Machine M;
+    expectMatchesReference(EntityStore(M, 300, 5, 30.0f));
+  }
+  {
+    SCOPED_TRACE("every entity inside one cell");
+    Machine M;
+    EntityStore Store(M, 100, 11, 30.0f);
+    for (uint32_t I = 0; I != Store.size(); ++I)
+      placeEntity(Store, I,
+                  Vec3(8.25f + 0.5f * float(I % 15),
+                       8.25f + 0.5f * float(I / 15 % 15),
+                       8.25f + 0.5f * float(I % 7)),
+                  1.0f);
+    expectMatchesReference(Store);
+  }
+  {
+    SCOPED_TRACE("entities exactly on cell boundaries");
+    const float Coords[] = {-16.0f, -8.0f, -0.0f, 0.0f, 8.0f};
+    Machine M;
+    EntityStore Store(M, 125, 13, 30.0f);
+    for (uint32_t I = 0; I != Store.size(); ++I)
+      placeEntity(Store, I,
+                  Vec3(Coords[I % 5], Coords[I / 5 % 5], Coords[I / 25]),
+                  5.0f);
+    expectMatchesReference(Store);
+  }
+  {
+    SCOPED_TRACE("clustered world after 200 host-only frames");
+    Machine M;
+    GameWorld World(M, GameWorldParams());
+    for (int Frame = 0; Frame != 200; ++Frame)
+      World.doFrameHostOnly();
+    expectMatchesReference(World.entities());
+  }
+}
+
+TEST(BroadphaseDeath, PositionOutsidePackedKeyRangeAborts) {
+  // At the default 8-unit cell, +-8388592 lies in cell +-(2^20 - 2), the
+  // outermost cell a packed key holds; 8388600 is one cell further.
+  Machine M;
+  EntityStore Store(M, 2, 3, 10.0f);
+  placeEntity(Store, 0, Vec3(8388592.0f, -8388592.0f, 0.0f), 1.0f);
+  placeEntity(Store, 1, Vec3(0.0f, 0.0f, -8388592.0f), 1.0f);
+  EXPECT_TRUE(broadphaseHost(Store, CollisionParams()).empty());
+  placeEntity(Store, 1, Vec3(8388600.0f, 0.0f, 0.0f), 1.0f);
+  EXPECT_DEATH(broadphaseHost(Store, CollisionParams()), "packed-key range");
 }
 
 TEST(DetectContacts, FiltersToExactOverlaps) {

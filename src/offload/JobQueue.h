@@ -42,6 +42,7 @@
 #include "offload/ResidentWorker.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 namespace omm::offload {
@@ -64,9 +65,6 @@ struct JobQueueOptions {
   /// long (cutting mailbox traffic) and shrink toward ChunkSize as it
   /// drains (keeping the tail balanced).
   bool Adaptive = false;
-  /// Adaptive target: aim to cut the *remaining* range into about this
-  /// many descriptors per live worker.
-  uint32_t TargetChunksPerWorker = 4;
 };
 
 /// Runs Body(Ctx, Begin, End) for chunks of [0, Count), dynamically
@@ -83,19 +81,17 @@ RegionStats distributeJobs(sim::Machine &M, uint32_t Count,
   if (Count == 0)
     return {};
   uint32_t ChunkSize = std::max(1u, Opts.ChunkSize);
-  uint32_t TargetPerWorker = std::max(1u, Opts.TargetChunksPerWorker);
+  // Adaptive target: cut the *remaining* range into about this many
+  // descriptors per live worker.
+  constexpr uint32_t TargetChunksPerWorker = 4;
 
   ResidentWorkerPool Pool(M, Opts.MaxWorkers, Opts.FirstAccelerator);
-
-  // Descriptors handed back by dying workers; re-dispatched before any
-  // new chunk is carved so recovery preserves queue order.
-  std::vector<sim::WorkDescriptor> Orphans;
-  size_t OrphanHead = 0;
   // All carving goes through the shared plan (the runtime's single
-  // descriptor-construction site); both branches below advance it.
+  // descriptor-construction site).
   DispatchPlan Plan(Count);
 
-  if (Pool.stealingEnabled() && Pool.liveCount() > 0) {
+  if (M.config().WorkStealing != sim::StealPolicy::None &&
+      Pool.liveCount() > 0) {
     // Stealing mode: bulk initial placement instead of host-paced eager
     // dispatch. The range is carved into fixed ChunkSize descriptors
     // (the adaptive policy is moot — rebalancing is the workers' job
@@ -120,62 +116,23 @@ RegionStats distributeJobs(sim::Machine &M, uint32_t Count,
         Region.push_back(Plan.chunk(ChunkSize));
       Pool.dispatchBulk(W, Region);
     }
-    // Drain: orphans from dead workers are re-dispatched first; then,
-    // whenever the idlest empty worker trails the next loaded worker's
-    // clock, it probes for a steal instead of leaving the backlog where
-    // it is. Failed probes park the thief, so the loop always advances.
-    for (;;) {
-      if (OrphanHead < Orphans.size()) {
-        if (Pool.liveCount() == 0) {
-          Pool.runOnHost(Body, Orphans[OrphanHead++]);
-          continue;
-        }
-        unsigned W = Pool.pickWorker();
-        if (Pool.mailbox(W).full()) {
-          Pool.executeNext(W, Body, Orphans);
-          continue;
-        }
-        Pool.dispatch(W, Orphans[OrphanHead++]);
-        continue;
-      }
-      unsigned W = Pool.pickLoadedWorker();
-      if (W == ResidentWorkerPool::NoWorker)
-        break;
-      unsigned T = Pool.pickIdleThief();
-      if (T != ResidentWorkerPool::NoWorker &&
-          Pool.workerClock(T) < Pool.workerClock(W)) {
-        Pool.trySteal(T);
-        continue;
-      }
-      Pool.executeNext(W, Body, Orphans);
-    }
   }
 
-  while (!Plan.done() || OrphanHead < Orphans.size()) {
-    sim::WorkDescriptor Desc;
-    if (OrphanHead < Orphans.size()) {
-      Desc = Orphans[OrphanHead++];
-    } else {
-      uint32_t Chunk = ChunkSize;
-      if (Opts.Adaptive && Pool.liveCount() > 0)
-        // Guided self-scheduling: hand out 1/(target * workers) of what
-        // remains, never below the configured floor.
-        Chunk = std::max(ChunkSize, Plan.remaining() /
-                                        (TargetPerWorker * Pool.liveCount()));
-      Desc = Plan.chunk(Chunk);
-    }
-    if (Pool.liveCount() == 0) {
-      // Nowhere left to offload: the host works the queue itself.
-      Pool.runOnHost(Body, Desc);
-      continue;
-    }
-    // Eager dispatch: push to the least-loaded worker and let it pop
-    // immediately. A death on the pop orphans the descriptor (and any
-    // backlog); the next iteration re-dispatches it to a survivor.
-    unsigned W = Pool.pickWorker();
-    Pool.dispatch(W, Desc);
-    Pool.executeNext(W, Body, Orphans);
-  }
+  // Host-paced mode (stealing off, or no worker opened): every chunk
+  // left is pushed to the least-loaded worker and popped at once. In
+  // stealing mode the plan is already carved and this returns at once.
+  Pool.runEager(Body, [&]() -> std::optional<sim::WorkDescriptor> {
+    if (Plan.done())
+      return std::nullopt;
+    uint32_t Chunk = ChunkSize;
+    if (Opts.Adaptive && Pool.liveCount() > 0)
+      // Guided self-scheduling: hand out 1/(target * workers) of what
+      // remains, never below the configured floor.
+      Chunk = std::max(ChunkSize, Plan.remaining() / (TargetChunksPerWorker *
+                                                      Pool.liveCount()));
+    return Plan.chunk(Chunk);
+  });
+  Pool.drain(Body, /*MaySteal=*/true);
 
   Pool.close();
   return Pool.stats();

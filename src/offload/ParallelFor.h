@@ -70,40 +70,16 @@ RegionStats parallelForRange(sim::Machine &M, uint32_t Count, BodyFn &&Body,
   const std::vector<uint32_t> SliceLens =
       DispatchPlan::domainShares(Count, SliceDomains);
 
-  // Slices orphaned by a worker death, awaiting re-dispatch.
-  std::vector<sim::WorkDescriptor> Orphans;
-  size_t OrphanHead = 0;
-
-  // Home worker first; a slice whose home never opened (or has died)
-  // fails over into the least-loaded survivor's mailbox, and when the
-  // pool is empty the host runs it. The loop is bounded: every
-  // iteration dispatches, executes a descriptor, or shrinks the pool.
-  auto Dispatch = [&](sim::WorkDescriptor Desc) {
-    for (;;) {
-      if (Pool.liveCount() == 0) {
-        Pool.runOnHost(Body, Desc);
-        return;
-      }
-      unsigned W = Pool.findWorkerFor(Desc.Home);
-      if (W == ResidentWorkerPool::NoWorker)
-        W = Pool.pickWorker();
-      if (Pool.mailbox(W).full()) {
-        // Make room by letting the backed-up worker run a descriptor
-        // (a death here orphans its backlog; retry the pick).
-        Pool.executeNext(W, Body, Orphans);
-        continue;
-      }
-      Pool.dispatch(W, Desc);
-      return;
-    }
-  };
-
   // Publish the static split up front — the slice boundaries are fixed
   // by the full budget and never move, whatever happens to the workers.
-  // With stealing enabled each slice is published as StealSliceChunks
+  // A slice goes to its home worker through the pool's placement
+  // routine, which fails it over to the least-loaded survivor when that
+  // home never opened (or the host when nobody did). With stealing
+  // enabled each slice is published as StealSliceChunks
   // sub-descriptors through one bulk doorbell, so a thief can later
   // claim part of a slice instead of all-or-nothing.
-  const bool Stealing = Pool.stealingEnabled() && Pool.liveCount() > 0;
+  const bool Stealing = M.config().WorkStealing != sim::StealPolicy::None &&
+                        Pool.liveCount() > 0;
   // Slices are carved through the shared plan (the runtime's single
   // descriptor-construction site); only the per-worker lengths are
   // computed here, because they depend on the worker budget.
@@ -112,7 +88,7 @@ RegionStats parallelForRange(sim::Machine &M, uint32_t Count, BodyFn &&Body,
   for (unsigned W = 0; W != Workers; ++W) {
     uint32_t Len = SliceLens[W];
     if (!Stealing) {
-      Dispatch(Plan.slice(Len, /*Home=*/W));
+      Pool.place(Body, Plan.slice(Len, /*Home=*/W));
       continue;
     }
     uint32_t Subs = std::max(1u, std::min(M.config().StealSliceChunks, Len));
@@ -128,32 +104,10 @@ RegionStats parallelForRange(sim::Machine &M, uint32_t Count, BodyFn &&Body,
       Pool.dispatchBulk(LiveW, Region);
     else
       for (const sim::WorkDescriptor &Desc : Region)
-        Dispatch(Desc);
+        Pool.place(Body, Desc);
   }
 
-  // Drain: recovered orphans first (in death order), then whichever
-  // loaded worker has the lowest clock, until every mailbox is empty.
-  // In stealing mode an idle worker whose clock trails the next loaded
-  // worker probes for a victim first — that is the whole optimisation.
-  for (;;) {
-    if (OrphanHead < Orphans.size()) {
-      Dispatch(Orphans[OrphanHead++]);
-      continue;
-    }
-    unsigned W = Pool.pickLoadedWorker();
-    if (W == ResidentWorkerPool::NoWorker)
-      break;
-    if (Stealing) {
-      unsigned T = Pool.pickIdleThief();
-      if (T != ResidentWorkerPool::NoWorker &&
-          Pool.workerClock(T) < Pool.workerClock(W)) {
-        Pool.trySteal(T);
-        continue;
-      }
-    }
-    Pool.executeNext(W, Body, Orphans);
-  }
-
+  Pool.drain(Body, /*MaySteal=*/true);
   Pool.close();
   return Pool.stats();
 }

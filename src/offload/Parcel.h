@@ -15,7 +15,7 @@
 /// staged schedule is deleted. This is the HPX-parcel / active-message
 /// shape on top of the resident-worker runtime: a descriptor carries
 /// its continuation (WorkDescriptor::{Kernel, NextKernel, Policy}) and
-/// the pool's continuation table chains stage k to k+1.
+/// the pool's stage chain (its NumStages) links stage k to k+1.
 ///
 /// Determinism and fault composition follow the runtime's contract:
 /// workers die at the descriptor-pop boundary, *before* the body, so a
@@ -36,6 +36,7 @@
 #include "offload/ResidentWorker.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 namespace omm::offload {
@@ -86,31 +87,10 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
   sim::ParcelPolicy Policy =
       NumStages > 1 ? Opts.Policy : sim::ParcelPolicy::None;
 
-  ResidentWorkerPool Pool(M, Opts.MaxWorkers);
-  // Chain the stage kernels: a spawned child running kernel K continues
-  // to K+1 until the last stage ends the chain. Seeds carry the 1 -> 2
-  // link themselves, so the table starts at kernel 2.
-  for (uint16_t K = 2; K < NumStages; ++K)
-    Pool.setContinuation(K, static_cast<uint16_t>(K + 1));
-
-  // Descriptors handed back by dying workers — parents that never ran
-  // and parcels that never got popped alike — awaiting re-dispatch.
-  std::vector<sim::WorkDescriptor> Orphans;
-  size_t OrphanHead = 0;
-
-  // Host fallback runs the descriptor *and its remaining chain*: with
-  // no worker left there is nobody to deliver a continuation to, and
-  // the chain's stage ordering must not be lost.
-  auto RunChainOnHost = [&](sim::WorkDescriptor Desc) {
-    for (;;) {
-      Pool.runOnHost(Body, Desc);
-      if (!Desc.hasContinuation())
-        return;
-      Desc = DispatchPlan::continuation(
-          Desc, Pool.continuationOf(Desc.NextKernel), Desc.Seq,
-          sim::WorkDescriptor::NoHome);
-    }
-  };
+  // The pool chains the stage kernels: a spawned child running kernel K
+  // continues to K+1 until the last stage ends the chain. Seeds carry
+  // the 1 -> 2 link themselves.
+  ResidentWorkerPool Pool(M, Opts.MaxWorkers, /*FirstAccel=*/0, NumStages);
 
   // Stage-1 descriptors the host seeded, host-run ones included.
   uint32_t Seeds = 0;
@@ -118,20 +98,14 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
   Plan.stage(/*Kernel=*/1, NumStages > 1 ? 2 : 0, Policy);
   if (NumStages == 1) {
     // Degenerate single-stage region: no parcel ever exists, so this
-    // must BE the host-paced job queue — the same dispatch-then-pop
-    // pacing, cycle for cycle (the bit-identity spine).
-    while (!Plan.done() || OrphanHead < Orphans.size()) {
-      sim::WorkDescriptor Desc = OrphanHead < Orphans.size()
-                                     ? Orphans[OrphanHead++]
-                                     : (++Seeds, Plan.chunk(ChunkSize));
-      if (Pool.liveCount() == 0) {
-        RunChainOnHost(Desc);
-        continue;
-      }
-      unsigned W = Pool.pickWorker();
-      Pool.dispatch(W, Desc);
-      Pool.executeNext(W, Body, Orphans);
-    }
+    // must BE the host-paced job queue — the same eager loop, cycle for
+    // cycle (the bit-identity spine).
+    Pool.runEager(Body, [&]() -> std::optional<sim::WorkDescriptor> {
+      if (Plan.done())
+        return std::nullopt;
+      ++Seeds;
+      return Plan.chunk(ChunkSize);
+    });
   } else {
     // Staged region: doorbell every seed upfront, round-robin across
     // the live workers, before pacing a single pop. Host doorbells are
@@ -145,15 +119,15 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
     while (!Plan.done()) {
       if (Pool.liveCount() == 0) {
         ++Seeds;
-        RunChainOnHost(Plan.chunk(ChunkSize));
+        Pool.runOnHost(Body, Plan.chunk(ChunkSize));
         continue;
       }
       if (Next >= Pool.liveCount())
         Next = 0;
       if (Pool.mailbox(Next).full()) {
         // Make room by letting the backed-up worker run a descriptor (a
-        // death here orphans its backlog; the drain loop re-homes it).
-        Pool.executeNext(Next, Body, Orphans);
+        // death here orphans its backlog; the drain re-places it).
+        Pool.executeNext(Next, Body);
         continue;
       }
       ++Seeds;
@@ -163,27 +137,9 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
   }
 
   // Drain the continuations still in flight: the host's only remaining
-  // job is pacing pops (and re-dispatching orphans) until every chain
-  // has run to its end — there is no per-stage join anywhere.
-  for (;;) {
-    if (OrphanHead < Orphans.size()) {
-      if (Pool.liveCount() == 0) {
-        RunChainOnHost(Orphans[OrphanHead++]);
-        continue;
-      }
-      unsigned W = Pool.pickWorker();
-      if (Pool.mailbox(W).full()) {
-        Pool.executeNext(W, Body, Orphans);
-        continue;
-      }
-      Pool.dispatch(W, Orphans[OrphanHead++]);
-      continue;
-    }
-    unsigned W = Pool.pickLoadedWorker();
-    if (W == ResidentWorkerPool::NoWorker)
-      break;
-    Pool.executeNext(W, Body, Orphans);
-  }
+  // job is pacing pops (and re-placing orphans) until every chain has
+  // run to its end — there is no per-stage join anywhere, and no steal.
+  Pool.drain(Body, /*MaySteal=*/false);
 
   Pool.close();
   RegionStats Stats = Pool.stats();

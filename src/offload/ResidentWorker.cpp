@@ -15,10 +15,10 @@ using namespace omm;
 using namespace omm::offload;
 
 ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
-                                       unsigned FirstAccel)
+                                       unsigned FirstAccel, uint16_t NumStages)
     : M(M), Faults(M.faults()), AtOpen(M.totalCounters()),
       Steal(M.config().WorkStealing),
-      StealRng(M.config().StealSeed),
+      StealRng(M.config().StealSeed), NumStages(NumStages),
       DeadlinesArmed(M.watchdog().armsChunks()) {
   const sim::MachineConfig &Cfg = M.config();
   unsigned NumAccels = M.numAccelerators();
@@ -106,14 +106,6 @@ unsigned ResidentWorkerPool::pickIdleThief() const {
   return Best;
 }
 
-uint64_t ResidentWorkerPool::workerClock(unsigned W) const {
-  return M.accel(Live[W].AccelId).Clock.now();
-}
-
-bool ResidentWorkerPool::stealingEnabled() const {
-  return Steal != sim::StealPolicy::None;
-}
-
 void ResidentWorkerPool::unparkAll() {
   for (Worker &Wk : Live)
     Wk.StealParked = false;
@@ -140,12 +132,6 @@ void ResidentWorkerPool::dispatchBulk(
   for (const sim::WorkDescriptor &Desc : Descs)
     SpawnSeq = std::max(SpawnSeq, Desc.Seq + 1);
   unparkAll();
-}
-
-void ResidentWorkerPool::setContinuation(uint16_t Kernel, uint16_t Next) {
-  if (NextOf.size() <= Kernel)
-    NextOf.resize(static_cast<size_t>(Kernel) + 1, 0);
-  NextOf[Kernel] = Next;
 }
 
 void ResidentWorkerPool::spawnContinuation(unsigned W,
@@ -490,6 +476,8 @@ void ResidentWorkerPool::close() {
   if (Closed)
     return;
   Closed = true;
+  if (OrphanHead != Orphans.size())
+    reportFatalError("resident pool: closing with orphans unplaced");
   for (Worker &Wk : Live) {
     if (!Wk.Box->empty())
       reportFatalError("resident pool: closing with descriptors pending");

@@ -11,8 +11,17 @@
 /// accelerator, and from then on work reaches the accelerators through
 /// per-core mailboxes (sim/Mailbox.h) instead of fresh launches. N
 /// chunks cost one OffloadLaunchCycles launch plus N cheap mailbox
-/// transactions — the offload-overhead amortization both JobQueue.h and
-/// ParallelFor.h are built on.
+/// transactions — the offload-overhead amortization the three region
+/// drivers are built on: distributeJobs (JobQueue.h), parallelForRange
+/// (ParallelFor.h) and runDataflow (Parcel.h).
+///
+/// A driver only carves descriptors and seeds them; the pool runs
+/// everything after that. It owns the orphan queue, the one placement
+/// routine (place: live Home first, then pickWorker, make room when the
+/// mailbox is full, host when the pool is empty), the host-paced eager
+/// loop (runEager), the drain/steal loop (drain) and the host fallback
+/// (runOnHost), so every dispatch, steal and join-stall cycle of a
+/// region is spent in this one place.
 ///
 /// Scheduling is deterministic: the next descriptor goes to the worker
 /// with the lowest simulated clock, ties broken by fewest descriptors
@@ -22,10 +31,11 @@
 ///
 /// Fault handling follows the established recovery contract: a worker
 /// that dies popping a descriptor (FaultInjector::chunkFails) has that
-/// descriptor *and* everything still pending in its mailbox handed back
-/// to the caller for re-dispatch with the [Begin, End) boundaries
-/// untouched, so recovered runs compute bit-identical state. When the
-/// pool empties the caller falls back to the host, exactly as before.
+/// descriptor *and* everything still pending in its mailbox appended to
+/// the orphan queue with the [Begin, End) boundaries untouched, and the
+/// pool re-places them before anything else, so recovered runs compute
+/// bit-identical state. When the pool empties the host runs what is
+/// left, each descriptor with its remaining continuation chain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +50,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -126,16 +137,19 @@ public:
   /// domain's accelerators: FirstAccel = Domain * AcceleratorsPerDomain
   /// with a budget of at most AcceleratorsPerDomain. Launches follow
   /// the classifyLaunch fault gate, so a pool can open short-handed or
-  /// empty; the caller handles host fallback.
+  /// empty; place() and runOnHost() then fall back to the host.
+  ///
+  /// \p NumStages is runDataflow's stage chain: a spawned continuation
+  /// parcel running stage kernel K continues on to K+1 until kernel
+  /// \p NumStages ends the chain. It only shapes descriptors this pool
+  /// spawns (or runs on the host); 1, the default, chains nothing.
   ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
-                     unsigned FirstAccel = 0);
+                     unsigned FirstAccel = 0, uint16_t NumStages = 1);
 
   ResidentWorkerPool(const ResidentWorkerPool &) = delete;
   ResidentWorkerPool &operator=(const ResidentWorkerPool &) = delete;
 
   ~ResidentWorkerPool() { close(); }
-
-  sim::Machine &machine() { return M; }
 
   /// The region's stats so far; Counters and MakespanCycles are filled
   /// in by close().
@@ -149,22 +163,10 @@ public:
   /// empty.
   unsigned pickWorker() const;
 
-  /// As pickWorker, restricted to workers with a non-empty mailbox;
-  /// NoWorker when every mailbox is empty (the drain loop's exit).
-  unsigned pickLoadedWorker() const;
-
   /// As pickWorker, restricted to workers with an *empty* mailbox that
   /// have not parked after a failed steal; NoWorker when none qualify.
   /// The steal-mode drain loop's thief choice.
   unsigned pickIdleThief() const;
-
-  /// Worker \p W's accelerator clock (the drain loop compares a
-  /// prospective thief's progress against the loaded worker's).
-  uint64_t workerClock(unsigned W) const;
-
-  /// True when the machine is configured for accelerator-side stealing
-  /// (MachineConfig::WorkStealing != StealPolicy::None).
-  bool stealingEnabled() const;
 
   /// \returns the live worker running on accelerator \p AccelId, or
   /// NoWorker when that core never launched or has died.
@@ -173,22 +175,87 @@ public:
   unsigned accelId(unsigned W) const { return Live[W].AccelId; }
   sim::Mailbox &mailbox(unsigned W) { return *Live[W].Box; }
 
-  /// Registers the stage chain for continuation parcels: a spawned
-  /// child running kernel \p Kernel will itself continue on to
-  /// \p Next (0 ends the chain there). Unregistered kernels end their
-  /// chain. The table only shapes descriptors this pool spawns; it
-  /// never affects host-seeded descriptors.
-  void setContinuation(uint16_t Kernel, uint16_t Next);
-
-  /// The registered continuation of \p Kernel, or 0 for none.
-  uint16_t continuationOf(uint16_t Kernel) const {
-    return Kernel < NextOf.size() ? NextOf[Kernel] : 0;
-  }
-
   /// Host side: publishes \p Desc to worker \p W's mailbox (doorbell
   /// cost, dispatch counters). The caller must leave room (dispatching
   /// to a full mailbox is fatal; see executeNext to make room).
   void dispatch(unsigned W, const sim::WorkDescriptor &Desc);
+
+  /// The one placement routine, for seeds and orphans alike: \p Desc
+  /// goes to the live worker on its Home accelerator, else to
+  /// pickWorker's choice; a full mailbox first makes room by running
+  /// one of its descriptors (a death there re-picks). Chunk descriptors
+  /// carry NoHome and an orphaned parcel's Home is the recipient that
+  /// died holding it, so only a static slice (or a stolen part of one)
+  /// ever finds its home. With the pool empty the host runs \p Desc.
+  /// \returns the worker \p Desc was dispatched to, or NoWorker when
+  /// the host ran it.
+  template <typename BodyFn>
+  unsigned place(BodyFn &Body, sim::WorkDescriptor Desc) {
+    for (;;) {
+      if (Live.empty()) {
+        runOnHost(Body, Desc);
+        return NoWorker;
+      }
+      unsigned W = findWorkerFor(Desc.Home);
+      if (W == NoWorker)
+        W = pickWorker();
+      if (Live[W].Box->full()) {
+        executeNext(W, Body);
+        continue;
+      }
+      dispatch(W, Desc);
+      return W;
+    }
+  }
+
+  /// The host-paced eager loop: takes the oldest orphan, else the next
+  /// descriptor \p Carve returns (std::nullopt when the range is
+  /// exhausted), places it and lets its worker pop it at once. A death
+  /// on the pop orphans the descriptor, and the next iteration
+  /// re-places it. Mailboxes are empty whenever this loop returns.
+  template <typename BodyFn, typename CarveFn>
+  void runEager(BodyFn &Body, CarveFn &&Carve) {
+    for (;;) {
+      sim::WorkDescriptor Desc;
+      if (OrphanHead < Orphans.size()) {
+        Desc = Orphans[OrphanHead++];
+      } else if (std::optional<sim::WorkDescriptor> Next = Carve()) {
+        Desc = *Next;
+      } else {
+        return;
+      }
+      unsigned W = place(Body, Desc);
+      if (W != NoWorker)
+        executeNext(W, Body);
+    }
+  }
+
+  /// Runs everything seeded so far to completion: orphans are re-placed
+  /// first (in death order), then the loaded worker with the lowest
+  /// clock pops. With \p MaySteal and a stealing machine, an idle
+  /// worker whose clock trails that loaded worker's probes for a victim
+  /// first; failed probes park the thief, so the loop always advances.
+  /// runDataflow drains with \p MaySteal false and never steals.
+  template <typename BodyFn> void drain(BodyFn &Body, bool MaySteal) {
+    const bool Stealing = MaySteal && Steal != sim::StealPolicy::None;
+    for (;;) {
+      if (OrphanHead < Orphans.size()) {
+        place(Body, Orphans[OrphanHead++]);
+        continue;
+      }
+      unsigned W = pickLoadedWorker();
+      if (W == NoWorker)
+        return;
+      if (Stealing) {
+        unsigned T = pickIdleThief();
+        if (T != NoWorker && workerClock(T) < workerClock(W)) {
+          trySteal(T);
+          continue;
+        }
+      }
+      executeNext(W, Body);
+    }
+  }
 
   /// Host side, bulk initial placement: hands worker \p W the whole
   /// region slice \p Descs with one doorbell (Mailbox::pushBulk). Only
@@ -204,19 +271,11 @@ public:
   /// steal, which bounds the drain loop. \returns descriptors stolen.
   unsigned trySteal(unsigned W);
 
-  /// The deterministic victim choice for thief \p Thief given this
-  /// attempt's rotation offset \p Rotation: among live workers with at
-  /// least StealMinBacklog pending descriptors, LocalityAware prefers
-  /// the victim whose backlog tail is range-closest to the thief's last
-  /// executed chunk, then rotation order, then accelerator id; Rotation
-  /// skips the locality key. \returns NoWorker when none qualify.
-  unsigned pickVictim(unsigned Thief, unsigned Rotation) const;
-
   /// Worker side: worker \p W pops and executes its oldest descriptor.
   /// \returns true on success. On a death verdict the popped descriptor
   /// and the mailbox backlog are appended to \p Orphans (boundaries
   /// intact, oldest first), the worker is buried and the pool shrinks —
-  /// the caller re-dispatches the orphans; false is returned.
+  /// whoever owns \p Orphans re-dispatches them; false is returned.
   ///
   /// \p Body is invoked either as Body(Ctx, Begin, End) (the classic
   /// range form) or, when it accepts one, as Body(Ctx, Desc) so staged
@@ -279,29 +338,44 @@ public:
     return true;
   }
 
-  /// Host fallback for a descriptor no worker can take: bills it
-  /// (HostChunks, the HostFallbackChunks counter, a HostFallback fault
-  /// event) and runs \p Body on a HostContext, in the same two call
+  /// As above, orphaning into the pool's own queue, which place(),
+  /// runEager() and drain() re-place before anything else.
+  template <typename BodyFn> bool executeNext(unsigned W, BodyFn &Body) {
+    return executeNext(W, Body, Orphans);
+  }
+
+  /// Host fallback for a descriptor no worker can take: runs \p Desc
+  /// and then its remaining continuation chain (with no worker left
+  /// there is nobody to deliver a parcel to, and the chain's stage
+  /// order must survive the pool emptying). Each descriptor run is
+  /// billed (HostChunks, the HostFallbackChunks counter, a HostFallback
+  /// fault event) and invoked on a HostContext, in the same two call
   /// forms executeNext accepts. A body hard-wired to OffloadContext
   /// cannot fall back, which is a fatal configuration error (there is
   /// nowhere left to run the work).
   template <typename BodyFn>
-  void runOnHost(BodyFn &Body, const sim::WorkDescriptor &Desc) {
-    ++RS.HostChunks;
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                 /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-    HostContext Ctx(M);
-    if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
-                                      const sim::WorkDescriptor &>)
-      Body(Ctx, Desc);
-    else if constexpr (std::is_invocable_v<BodyFn &, HostContext &, uint32_t,
-                                           uint32_t>)
-      Body(Ctx, Desc.Begin, Desc.End);
-    else
-      reportFatalError("offload: no accelerator available and the body is "
-                       "not host-invocable (take the context parameter as "
-                       "auto& to enable host fallback)");
+  void runOnHost(BodyFn &Body, sim::WorkDescriptor Desc) {
+    for (;;) {
+      ++RS.HostChunks;
+      ++M.hostCounters().HostFallbackChunks;
+      M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
+                   /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
+      HostContext Ctx(M);
+      if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                        const sim::WorkDescriptor &>)
+        Body(Ctx, Desc);
+      else if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                             uint32_t, uint32_t>)
+        Body(Ctx, Desc.Begin, Desc.End);
+      else
+        reportFatalError("offload: no accelerator available and the body "
+                         "is not host-invocable (take the context "
+                         "parameter as auto& to enable host fallback)");
+      if (!Desc.hasContinuation())
+        return;
+      Desc = DispatchPlan::continuation(Desc, continuationOf(Desc.NextKernel),
+                                        Desc.Seq, sim::WorkDescriptor::NoHome);
+    }
   }
 
   /// Retires the surviving workers, folds every finish time into the
@@ -372,6 +446,30 @@ private:
   /// (clock, executed, accelerator id) dispatch order.
   bool beats(unsigned A, unsigned B) const;
 
+  /// As pickWorker, restricted to workers with a non-empty mailbox;
+  /// NoWorker when every mailbox is empty (the drain loop's exit).
+  unsigned pickLoadedWorker() const;
+
+  /// Worker \p W's accelerator clock (the drain loop compares a
+  /// prospective thief's progress against the loaded worker's).
+  uint64_t workerClock(unsigned W) const {
+    return M.accel(Live[W].AccelId).Clock.now();
+  }
+
+  /// The stage a spawned child running kernel \p Kernel continues on
+  /// to, or 0 when it ends its chain (the NumStages chain).
+  uint16_t continuationOf(uint16_t Kernel) const {
+    return Kernel < NumStages ? static_cast<uint16_t>(Kernel + 1) : 0;
+  }
+
+  /// The deterministic victim choice for thief \p Thief given this
+  /// attempt's rotation offset \p Rotation: among live workers with at
+  /// least StealMinBacklog pending descriptors, LocalityAware prefers
+  /// the victim whose backlog tail is range-closest to the thief's last
+  /// executed chunk, then rotation order, then accelerator id; Rotation
+  /// skips the locality key. \returns NoWorker when none qualify.
+  unsigned pickVictim(unsigned Thief, unsigned Rotation) const;
+
   /// Clears every worker's StealParked flag (new work became visible).
   void unparkAll();
 
@@ -386,9 +484,12 @@ private:
   /// The rotation stream behind pickVictim's tie-break; seeded from
   /// MachineConfig::StealSeed so victim choice replays deterministically.
   SplitMix64 StealRng;
-  /// Continuation table for spawned parcels, indexed by kernel id
-  /// (setContinuation).
-  std::vector<uint16_t> NextOf;
+  /// The last stage kernel of the region's continuation chain.
+  uint16_t NumStages;
+  /// Descriptors handed back by dying workers, oldest first, and the
+  /// cursor of the next one to re-place.
+  std::vector<sim::WorkDescriptor> Orphans;
+  size_t OrphanHead = 0;
   /// Sequence number for the next spawned parcel: kept past every
   /// host-dispatched Seq (dispatch/dispatchBulk fold theirs in), so a
   /// spawned child never collides with a seeded descriptor.

@@ -105,13 +105,13 @@ enum class DeadlinePolicy : uint8_t {
 };
 
 /// How a resident worker whose mailbox runs dry rebalances work
-/// (offload/ResidentWorker.h). With anything but None the host degrades
-/// to bulk initial placement (one doorbell per worker per region) and
-/// idle workers steal half a loaded victim's backlog tail through a
-/// cycle-costed handshake. None keeps the PR 3/4 host-paced dispatch
-/// bit-identically.
+/// (offload/ResidentWorker.h). With anything but None, distributeJobs
+/// and parallelForRange degrade the host to bulk initial placement (one
+/// doorbell per worker per region) and idle workers steal half a loaded
+/// victim's backlog tail through a cycle-costed handshake. runDataflow
+/// ignores the policy: its regions never steal.
 enum class StealPolicy : uint8_t {
-  /// No stealing; the host paces every descriptor (the PR 4 runtime).
+  /// No stealing; the host paces every descriptor.
   None,
   /// Victims picked by a seeded deterministic rotation only.
   Rotation,
@@ -223,8 +223,9 @@ struct MachineConfig {
   /// Recovery policy for deadline misses (watchdog must be armed).
   DeadlinePolicy DeadlineRecovery = DeadlinePolicy::None;
 
-  /// Accelerator-side work stealing between resident workers. None (the
-  /// default) reproduces the host-paced PR 4 schedules cycle for cycle.
+  /// Accelerator-side work stealing between the resident workers of
+  /// distributeJobs and parallelForRange regions (runDataflow ignores
+  /// it). None, the default, keeps every descriptor host-paced.
   StealPolicy WorkStealing = StealPolicy::None;
 
   /// Thief-side cycles per steal attempt: reading the candidate

@@ -13,6 +13,8 @@
 //   - parcels sitting undelivered in a dead recipient's mailbox drain
 //     back through the ordinary recovery path and run exactly once,
 //     bit-identical to the fault-free run;
+//   - a dataflow region never steals: every steal policy replays the
+//     StealPolicy::None run cycle for cycle;
 //   - with one stage (or ParcelPolicy::None) the driver is the plain
 //     host-paced job queue, cycle for cycle — the bit-identity spine;
 //   - GameWorld's staged and dataflow frame schedules compute the same
@@ -209,6 +211,36 @@ TEST(Parcel, FaultScheduleReplaysCycleForCycle) {
   }
   EXPECT_EQ(Makespan[0], Makespan[1]);
   EXPECT_EQ(Requeued[0], Requeued[1]);
+}
+
+TEST(Parcel, DataflowIgnoresTheStealPolicy) {
+  // runDataflow shares the pool's drain with the stealing drivers but
+  // never steals: whatever the machine's steal policy, a region with a
+  // worker death replays the StealPolicy::None run cycle for cycle.
+  auto Run = [](StealPolicy Steal, std::vector<uint64_t> &Out) {
+    MachineConfig Cfg = MachineConfig::cellLike();
+    Cfg.WorkStealing = Steal;
+    Cfg.Faults.Enabled = true;
+    Machine M(Cfg);
+    M.faults()->scheduleChunkKill(1, 1);
+    return runPipeline(M, ParcelPolicy::Ring, Out);
+  };
+  std::vector<uint64_t> NoneOut;
+  RegionStats None = Run(StealPolicy::None, NoneOut);
+  EXPECT_EQ(None.DeadWorkers, 1u);
+  EXPECT_EQ(NoneOut, referenceValues());
+  for (StealPolicy Steal : {StealPolicy::Rotation, StealPolicy::LocalityAware,
+                            StealPolicy::DomainAware}) {
+    std::vector<uint64_t> Out;
+    RegionStats Stats = Run(Steal, Out);
+    EXPECT_EQ(Stats.MakespanCycles, None.MakespanCycles)
+        << "policy " << static_cast<int>(Steal);
+    EXPECT_EQ(Stats.Counters, None.Counters)
+        << "policy " << static_cast<int>(Steal);
+    EXPECT_EQ(Stats.Counters.StealsAttempted, 0u)
+        << "policy " << static_cast<int>(Steal);
+    EXPECT_EQ(Out, NoneOut) << "policy " << static_cast<int>(Steal);
+  }
 }
 
 TEST(Parcel, HostRunsTheWholeChainWhenNoWorkerExists) {

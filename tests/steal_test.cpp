@@ -13,7 +13,9 @@
 //     identically and spreads across victims, and LocalityAware picks
 //     the victim whose backlog tail is range-closest to the thief;
 //   - a thief that dies mid-drain hands its stolen backlog back with
-//     boundaries intact — every index still runs exactly once;
+//     boundaries intact — every index still runs exactly once — and
+//     its orphans are placed home-first: stolen sub-slices return to
+//     their live home worker, NoHome chunks go to pickWorker;
 //   - StealPolicy::None ignores every other steal knob (bit-identical
 //     schedules to a machine that never heard of stealing);
 //   - stealing runs are deterministic end to end and actually shorten
@@ -410,4 +412,126 @@ TEST(WorkStealing, StealingShortensASkewedStaticSplit) {
   EXPECT_EQ(NoneSteals, 0u);
   EXPECT_GT(Steals, 0u);
   EXPECT_LT(StealCyclesTotal, NoneCycles);
+}
+
+namespace {
+
+/// Records the begin index of every descriptor a dying worker handed
+/// back (FaultKind::ChunkRequeued).
+struct RequeueLog : DmaObserver {
+  std::vector<uint32_t> Begins;
+  void onFault(const FaultEvent &Event) override {
+    if (Event.Kind == FaultKind::ChunkRequeued)
+      Begins.push_back(static_cast<uint32_t>(Event.Detail));
+  }
+};
+
+constexpr uint32_t OrphanCount = 96;
+/// Accelerator 0's slice (or bulk region) is hot, so its domain peer
+/// raids it.
+constexpr uint32_t OrphanHot = OrphanCount / 3;
+
+/// One stealing region on three workers in two domains: accelerators 0
+/// and 1 share domain 0, and accelerator 2 (domain 1) may never steal
+/// across the interconnect, so it idles with the lowest clock once its
+/// own third is done. Accelerator \p KilledAccel (when not ~0u) dies on
+/// its \p KillIndex-th pop. \p Run invokes the driver with a body;
+/// \p Runner receives the accelerator that ran each descriptor, keyed
+/// by begin index. \returns the final array contents.
+template <typename RunFn>
+std::vector<uint64_t> runOrphanRegion(unsigned KilledAccel, uint64_t KillIndex,
+                                      RequeueLog &Requeues,
+                                      std::vector<unsigned> &Runner,
+                                      RegionStats &Stats, RunFn &&Run) {
+  MachineConfig Cfg;
+  Cfg.NumAccelerators = 3;
+  Cfg.AcceleratorsPerDomain = 2;
+  Cfg.WorkStealing = StealPolicy::DomainAware;
+  Cfg.StealRemoteMinBacklog = ~0u;
+  Cfg.StealSliceChunks = 8;
+  Cfg.Faults.Enabled = true; // Rates stay 0.0; only the scheduled kill.
+  Machine M(Cfg);
+  if (KilledAccel != ~0u)
+    M.faults()->scheduleChunkKill(KilledAccel, KillIndex);
+  M.addObserver(&Requeues);
+  OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, OrphanCount);
+  Runner.assign(OrphanCount, ~0u);
+  Stats = Run(M, [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+    Runner[Begin] = Ctx.accelId();
+    for (uint32_t I = Begin; I != End; ++I) {
+      Ctx.compute(I < OrphanHot ? 2000 : 100);
+      Ctx.outerWrite((Data + I).addr(), uint64_t(I) * 29 + 5);
+    }
+  });
+  M.removeObserver(&Requeues);
+  std::vector<uint64_t> Values(OrphanCount);
+  for (uint32_t I = 0; I != OrphanCount; ++I)
+    Values[I] = M.mainMemory().readValue<uint64_t>((Data + I).addr());
+  return Values;
+}
+
+/// The fault-free run and the run where thief accelerator 1 dies on its
+/// ninth pop — the first after its own eight descriptors, so it dies
+/// holding only descriptors it stole from accelerator 0.
+template <typename RunFn>
+void runThiefDeath(RunFn &&Run, std::vector<uint64_t> &CleanValues,
+                   std::vector<uint64_t> &Values, RequeueLog &Requeues,
+                   std::vector<unsigned> &Runner, RegionStats &Stats) {
+  RequeueLog NoRequeues;
+  std::vector<unsigned> CleanRunner;
+  RegionStats Clean;
+  CleanValues = runOrphanRegion(~0u, 0, NoRequeues, CleanRunner, Clean, Run);
+  Values = runOrphanRegion(/*KilledAccel=*/1, /*KillIndex=*/8, Requeues,
+                           Runner, Stats, Run);
+}
+
+} // namespace
+
+TEST(WorkStealing, StolenSliceOrphansGoBackToTheirLiveHome) {
+  // parallelForRange: the sub-slices the dead thief held are homed on
+  // accelerator 0, which is alive, so placement returns them there even
+  // though accelerator 2 has the lower clock. No descriptor runs off
+  // its home: the thief ran none of its loot and nobody else steals.
+  std::vector<uint64_t> CleanValues, Values;
+  RequeueLog Requeues;
+  std::vector<unsigned> Runner;
+  RegionStats Stats;
+  runThiefDeath(
+      [](Machine &M, auto &&Body) {
+        return parallelForRange(M, OrphanCount, Body);
+      },
+      CleanValues, Values, Requeues, Runner, Stats);
+  EXPECT_EQ(Values, CleanValues);
+  EXPECT_EQ(Stats.DeadWorkers, 1u);
+  EXPECT_GT(Stats.Counters.StealsSucceeded, 0u);
+  ASSERT_FALSE(Requeues.Begins.empty());
+  for (uint32_t Begin : Requeues.Begins) {
+    EXPECT_LT(Begin, OrphanHot) << "not stolen from accelerator 0";
+    EXPECT_EQ(Runner[Begin], 0u) << "begin " << Begin;
+  }
+  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+}
+
+TEST(WorkStealing, ChunkOrphansGoToTheLeastLoadedSurvivor) {
+  // distributeJobs: the same death, but chunks carry NoHome, so the
+  // orphans go to pickWorker's choice — the idle accelerator 2, not
+  // the loaded victim they were stolen from — and nothing fails over.
+  std::vector<uint64_t> CleanValues, Values;
+  RequeueLog Requeues;
+  std::vector<unsigned> Runner;
+  RegionStats Stats;
+  runThiefDeath(
+      [](Machine &M, auto &&Body) {
+        return distributeJobs(M, OrphanCount, {.ChunkSize = 4}, Body);
+      },
+      CleanValues, Values, Requeues, Runner, Stats);
+  EXPECT_EQ(Values, CleanValues);
+  EXPECT_EQ(Stats.DeadWorkers, 1u);
+  EXPECT_GT(Stats.Counters.StealsSucceeded, 0u);
+  ASSERT_FALSE(Requeues.Begins.empty());
+  for (uint32_t Begin : Requeues.Begins) {
+    EXPECT_LT(Begin, OrphanHot) << "not stolen from accelerator 0";
+    EXPECT_EQ(Runner[Begin], 2u) << "begin " << Begin;
+  }
+  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
 }

@@ -19,9 +19,10 @@
 //     Dataflow rows report win_vs_staged (staged cycles / dataflow
 //     cycles, > 1 is a win) and host_round_trips_eliminated — the CI
 //     gate holds the win at >= 4 workers.
-//   - policy: recipient selection at full worker count. Ring and
-//     LeastLoaded spread stage work finer than chain-glued Self, which
-//     pays no peer traffic but re-creates the staged critical path.
+//   - policy: recipient selection at full worker count (2=Ring,
+//     3=LeastLoaded); the CI gate holds both at win_vs_staged >= 1.0.
+//     A third policy, Self (row 1: spawn into the spawner's own
+//     mailbox), lost to the staged schedule at 0.999x and was removed.
 //   - stage_depth: the synthetic pipeline at 1..4 stages against an
 //     equivalent sequence of distributeJobs passes; the win scales with
 //     the number of deleted boundaries, and depth 1 is the degenerate
@@ -66,15 +67,10 @@ GameWorldParams benchWorld() {
   return P;
 }
 
+/// Row argument 2 is Ring and 3 is LeastLoaded; the numbering predates
+/// the removal of the Self policy (row 1), so surviving row names hold.
 ParcelPolicy policyFromArg(int64_t Arg) {
-  switch (Arg) {
-  case 1:
-    return ParcelPolicy::Self;
-  case 3:
-    return ParcelPolicy::LeastLoaded;
-  default:
-    return ParcelPolicy::Ring;
-  }
+  return Arg == 3 ? ParcelPolicy::LeastLoaded : ParcelPolicy::Ring;
 }
 
 struct FrameRun {
@@ -304,7 +300,6 @@ BENCHMARK(BM_FrameSchedule)
 
 BENCHMARK(BM_Policy)
     ->ArgName("policy")
-    ->Arg(1)
     ->Arg(2)
     ->Arg(3)
     ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });

@@ -62,8 +62,9 @@ GameWorldParams paramsFor(uint32_t Entities, uint64_t CyclesPerAiNode) {
 /// Runs \p Frames frames under both schedules on fresh machines and
 /// reports frame time and stage breakdown for the requested schedule.
 void BM_Frame(benchmark::State &State) {
-  // Mode 0: host-only; 1: Figure 2 (AI on one accelerator); 2: AI
-  // spread over all six accelerators.
+  // Mode 0: host-only; 1: Figure 2 (the AI pass capped at one
+  // accelerator, doFrameOffloadAiParallel(1)); 2: AI spread over all
+  // six accelerators.
   int Mode = static_cast<int>(State.range(0));
   uint32_t Entities = static_cast<uint32_t>(State.range(1));
   uint64_t AiNodeCost = static_cast<uint64_t>(State.range(2));
@@ -84,9 +85,8 @@ void BM_Frame(benchmark::State &State) {
     uint64_t AiCycles = 0, CollisionCycles = 0;
     for (int I = 0; I != Frames; ++I) {
       FrameStats HostStats = HostWorld.doFrameHostOnly();
-      FrameStats OfflStats = Mode == 2
-                                 ? OfflWorld.doFrameOffloadAiParallel()
-                                 : OfflWorld.doFrameOffloadAI();
+      FrameStats OfflStats =
+          OfflWorld.doFrameOffloadAiParallel(Mode == 2 ? ~0u : 1u);
       HostCycles += HostStats.FrameCycles;
       OfflCycles += OfflStats.FrameCycles;
       const FrameStats &Mine = Mode != 0 ? OfflStats : HostStats;

@@ -59,7 +59,7 @@ void BM_DmaLatency(benchmark::State &State) {
     Config.DmaLatencyCycles = Latency;
     Machine M(Config);
     GameWorld World(M, frameParams());
-    uint64_t Cycles = World.doFrameOffloadAI().FrameCycles;
+    uint64_t Cycles = World.doFrameOffloadAiParallel(1).FrameCycles;
     reportSimCycles(State, Cycles);
   }
 }
@@ -99,7 +99,7 @@ void BM_DmaBandwidth(benchmark::State &State) {
     Config.DmaBytesPerCycle = BytesPerCycle;
     Machine M(Config);
     GameWorld World(M, frameParams());
-    uint64_t Cycles = World.doFrameOffloadAI().FrameCycles;
+    uint64_t Cycles = World.doFrameOffloadAiParallel(1).FrameCycles;
     reportSimCycles(State, Cycles);
   }
 }
@@ -200,7 +200,7 @@ void BM_AiTargetPrefetch(benchmark::State &State) {
     GameWorldParams Params = frameParams();
     Params.PrefetchAiTargets = Prefetch;
     GameWorld World(M, Params);
-    FrameStats Stats = World.doFrameOffloadAI();
+    FrameStats Stats = World.doFrameOffloadAiParallel(1);
     reportSimCycles(State, Stats.AiCycles);
     State.counters["frame_cycles"] =
         static_cast<double>(Stats.FrameCycles);

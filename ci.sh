@@ -21,10 +21,12 @@
 #                    on the regenerated rows: the finest-chunk speedup
 #                    floor (E10), the work-stealing p99 win floor (E12),
 #                    the parcel-dataflow win over the host-staged
-#                    schedule (E13), the multi-tenant isolation ceiling —
-#                    a hang or straggler in one tenant may not move the
-#                    other tenants' pooled p99 by more than 5% (E15) —
-#                    and the domain-placement floor (E16)
+#                    schedule at 4 and 6 workers and under every
+#                    recipient policy (E13), the multi-tenant
+#                    isolation ceiling — a hang or straggler in one
+#                    tenant may not move the other tenants' pooled p99
+#                    by more than 5% (E15) — and the domain-placement
+#                    floor (E16)
 #   4. benchmark   — benchmark/run.py --quick: every BENCHMARK.json
 #                    workload at 1/20 of its frames through omm_bench
 #                    (built into .bench_build/); fails on a checksum
@@ -87,6 +89,14 @@ python3 tools/bench_summary.py "$BASELINES/e13_parcels.json" \
 python3 tools/bench_summary.py "$BASELINES/e13_parcels.json" \
     --filter 'FrameSchedule/workers:6/dataflow:1' \
     --require host_round_trips_eliminated '>' 0
+# Every remaining recipient policy must beat the host-staged schedule:
+# a policy that loses to it (Self did, at 0.999x) gets deleted.
+python3 tools/bench_summary.py "$BASELINES/e13_parcels.json" \
+    --filter 'Policy/policy:2' \
+    --require win_vs_staged '>=' 1.0
+python3 tools/bench_summary.py "$BASELINES/e13_parcels.json" \
+    --filter 'Policy/policy:3' \
+    --require win_vs_staged '>=' 1.0
 # The isolation gate: a hang or an 8x straggler buried inside tenant
 # 0's slices may not move the OTHER tenants' pooled p99 frame cycles by
 # more than 5% over the fault-free run.

@@ -5,8 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs the paper's Figure 2 game loop both ways and prints a per-frame
-// comparison:
+// Runs the paper's Figure 2 game loop both ways — doFrameHostOnly
+// against doFrameOffloadAiParallel(1), the AI pass in one offload block
+// on one accelerator — and prints a per-frame comparison:
 //
 //   void GameWorld::doFrame(...) {
 //     __offload_handle_t h = __offload { this->calculateStrategy(...); };
@@ -79,7 +80,7 @@ int main(int Argc, char **Argv) {
   uint64_t HostTotal = 0, OfflTotal = 0;
   for (int Frame = 0; Frame != Frames; ++Frame) {
     FrameStats HostStats = HostWorld.doFrameHostOnly();
-    FrameStats OfflStats = OfflWorld.doFrameOffloadAI();
+    FrameStats OfflStats = OfflWorld.doFrameOffloadAiParallel(1);
     HostTotal += HostStats.FrameCycles;
     OfflTotal += OfflStats.FrameCycles;
     bool Match = HostWorld.checksum() == OfflWorld.checksum();

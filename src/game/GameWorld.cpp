@@ -512,66 +512,3 @@ FrameStats GameWorld::doFrameDataflow(sim::ParcelPolicy Policy,
   finishFrame(Stats, FrameStart);
   return Stats;
 }
-
-FrameStats GameWorld::doFrameOffloadAI(unsigned AccelId) {
-  FrameStats Stats;
-  uint64_t FrameStart = M.hostClock().now();
-  uint32_t AiEnd = degradedAiEnd();
-  Stats.AiEntitiesShed = Entities.size() - AiEnd;
-
-  // The AI inputs are snapshotted before the offload launches.
-  buildTargetSnapshot();
-
-  auto AiBody = [&](offload::OffloadContext &Ctx) {
-    aiPassOffload(Ctx, 0, AiEnd);
-  };
-
-  // __offload { this->calculateStrategy(...); } — with failover: a
-  // faulted launch is joined (the host pays the watchdog's detection
-  // latency) and re-issued on the least-busy surviving core; at most
-  // one attempt per accelerator bounds the loop.
-  if (M.numAccelerators() == 0)
-    AccelId = offload::NoAccelerator;
-  offload::OffloadHandle Handle = offload::offloadBlock(M, AccelId, AiBody);
-  unsigned Attempts = 1;
-  while (!Handle.ok()) {
-    ++Stats.FailedBlocks;
-    offload::offloadJoin(M, Handle);
-    unsigned Next = offload::pickAccelerator(M);
-    if (Next == offload::NoAccelerator || Attempts >= M.numAccelerators())
-      break;
-    Handle = offload::offloadBlock(M, Next, AiBody);
-    ++Attempts;
-  }
-  if (Handle.ok() && Attempts > 1) {
-    ++Stats.FailoverSlices;
-    ++M.hostCounters().FailoverChunks;
-  }
-  if (!Handle.ok()) {
-    // Every accelerator refused the block: the host runs the pass
-    // itself, in the host-only schedule's position, computing the same
-    // state the offload would have.
-    ++Stats.HostFallbackSlices;
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
-                 /*BlockId=*/0, M.hostClock().now(), /*Detail=*/0});
-    aiPassHost(0, AiEnd);
-    Stats.AiCycles = M.hostClock().now() - FrameStart;
-  } else {
-    Stats.AiCycles = Handle.completeAt() - FrameStart;
-  }
-
-  // Executed in parallel by host.
-  uint64_t Start = M.hostClock().now();
-  collisionPassHost(Stats);
-  Stats.CollisionCycles = M.hostClock().now() - Start;
-
-  // __offload_join(h); a handle that failed over was already joined.
-  if (Handle.joinable())
-    offload::offloadJoin(M, Handle);
-
-  updateAndRender(Stats);
-
-  finishFrame(Stats, FrameStart);
-  return Stats;
-}

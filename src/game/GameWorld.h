@@ -8,14 +8,17 @@
 /// \file
 /// Figure 2's GameWorld::doFrame: "computation is specified as parallel,
 /// distinct tasks with well defined synchronisation points executing in
-/// a pre-defined and fixed schedule each frame" (Section 4). Two
-/// schedules are provided:
+/// a pre-defined and fixed schedule each frame" (Section 4). The two
+/// schedules the paper compares are:
 ///
-///   doFrameHostOnly   : calculateStrategy; detectCollisions;
-///                       updateEntities; renderFrame — all on the host.
-///   doFrameOffloadAI  : the Figure 2 schedule — strategy calculation in
-///                       an offload block, collision detection on the
-///                       host in parallel, join, then update and render.
+///   doFrameHostOnly             : calculateStrategy; detectCollisions;
+///                                 updateEntities; renderFrame — all on
+///                                 the host.
+///   doFrameOffloadAiParallel(1) : the Figure 2 schedule — strategy
+///                                 calculation in one offload block on
+///                                 one accelerator, collision detection
+///                                 on the host in parallel, join, then
+///                                 update and render.
 ///
 /// Both produce bit-identical world state; the difference is frame time,
 /// which experiment E2 compares against the paper's "~50% performance
@@ -132,18 +135,14 @@ public:
   /// Runs one frame entirely on the host. \returns its timing breakdown.
   FrameStats doFrameHostOnly();
 
-  /// Runs one frame with AI offloaded (Figure 2): the offload block runs
-  /// calculateStrategy for all entities while the host detects
-  /// collisions; the join precedes updateEntities. A faulted launch
-  /// fails over to another live accelerator, or to the host when none
-  /// is left; world state stays bit-identical either way (FrameStats
-  /// records the recovery work).
-  FrameStats doFrameOffloadAI(unsigned AccelId = 0);
-
-  /// As doFrameOffloadAI, but the AI pass is split over up to
-  /// \p MaxAccelerators accelerators (each double-buffering its own
-  /// entity slice with its own target cache). Bit-identical state, with
-  /// the same per-slice failover as parallelForRange.
+  /// Runs one frame with the AI pass split over up to \p MaxAccelerators
+  /// accelerators, one offload block each (each double-buffering its own
+  /// entity slice with its own target cache), while the host detects
+  /// collisions; the join precedes updateEntities. MaxAccelerators = 1
+  /// is the paper's Figure 2 schedule: one offload block on one
+  /// accelerator. A faulted slice fails over to the next live
+  /// accelerator, or to the host when none is left; world state stays
+  /// bit-identical either way (FrameStats records the recovery work).
   FrameStats doFrameOffloadAiParallel(unsigned MaxAccelerators = ~0u);
 
   /// The persistent-worker schedule: the AI pass runs as adaptively

@@ -25,8 +25,6 @@ const char *offload::toString(OffloadStatus Status) {
     return "ok";
   case OffloadStatus::AcceleratorDead:
     return "accelerator_dead";
-  case OffloadStatus::LocalStoreExhausted:
-    return "local_store_exhausted";
   case OffloadStatus::NoAcceleratorAvailable:
     return "no_accelerator_available";
   case OffloadStatus::DeadlineExceeded:
@@ -73,13 +71,6 @@ offload::OffloadStatus offload::detail::classifyLaunch(Machine &M,
     M.killAccelerator(AccelId, BlockId);
     return OffloadStatus::AcceleratorDead;
   }
-  case LaunchFault::LocalStoreExhausted:
-    // The arena reservation fails before the core is disturbed; the
-    // core survives and stays schedulable.
-    ++M.hostCounters().LaunchFaults;
-    M.emitFault({FaultKind::LocalStoreExhausted, AccelId, BlockId, Now,
-                 /*Detail=*/0});
-    return OffloadStatus::LocalStoreExhausted;
   }
   return OffloadStatus::Ok;
 }
@@ -128,12 +119,7 @@ uint64_t offload::detail::finishLaunchTiming(Machine &M, unsigned AccelId,
                                              uint64_t BodyStart,
                                              uint64_t BodyEnd,
                                              float Slowdown) {
-  uint64_t SlowEnd = BodyEnd;
-  if (Slowdown > 1.0f) {
-    uint64_t Cost = BodyEnd - BodyStart;
-    SlowEnd += static_cast<uint64_t>(static_cast<double>(Cost) *
-                                     (static_cast<double>(Slowdown) - 1.0));
-  }
+  uint64_t SlowEnd = BodyEnd + stragglerStall(BodyEnd - BodyStart, Slowdown);
   const WatchdogTimer &WD = M.watchdog();
   if (WD.armsLaunches() && SlowEnd - BodyStart > WD.launchDeadline()) {
     ++M.hostCounters().StragglersDetected;

@@ -58,15 +58,14 @@ inline constexpr unsigned NoAccelerator = ~0u;
 
 /// Outcome of an offload launch. The runtime stopped assuming success
 /// when the fault injector arrived (MachineConfig::Faults): a launch can
-/// now find its core dead, fail to reserve its local-store arena, or
-/// have no core to go to at all. A non-Ok handle is still joinable —
-/// joining charges the host the fault-detection latency — but the block
-/// body never ran, so the caller must re-issue the work elsewhere
-/// (another accelerator, or the host).
+/// now find its core dead, hang past its deadline, or have no core to
+/// go to at all. A non-Ok handle is still joinable — joining charges the
+/// host the fault-detection latency — but the block body never ran, so
+/// the caller must re-issue the work elsewhere (another accelerator, or
+/// the host).
 enum class OffloadStatus : uint8_t {
   Ok,
   AcceleratorDead,       ///< The target core is (or just died) dead.
-  LocalStoreExhausted,   ///< The block arena could not be reserved.
   NoAcceleratorAvailable,///< Auto-pick found no live core.
   DeadlineExceeded,      ///< The block hung; the watchdog cancelled it
                          ///< and abandoned the core. Re-issue the work.
@@ -115,6 +114,16 @@ uint64_t finishLaunchTiming(sim::Machine &M, unsigned AccelId,
                             uint64_t BlockId, uint64_t BodyStart,
                             uint64_t BodyEnd, float Slowdown);
 
+/// \returns the trailing stall a straggler verdict appends to a body
+/// whose real work cost \p Cost cycles: Cost * (Slowdown - 1), or 0 when
+/// \p Slowdown <= 1. Shared by the launch path and the resident workers.
+inline uint64_t stragglerStall(uint64_t Cost, float Slowdown) {
+  if (!(Slowdown > 1.0f))
+    return 0;
+  return static_cast<uint64_t>(static_cast<double>(Cost) *
+                               (static_cast<double>(Slowdown) - 1.0));
+}
+
 /// \returns \p Value rounded up to the next multiple of \p Quantum
 /// (any quantum, unlike alignTo; 0 quantizes nothing).
 inline uint64_t roundUpToQuantum(uint64_t Value, uint64_t Quantum) {
@@ -137,8 +146,8 @@ public:
 
   OffloadHandle(OffloadHandle &&Other) noexcept
       : AccelId(Other.AccelId), BlockId(Other.BlockId),
-        CompleteAt(Other.CompleteAt), CancelFloorAt(Other.CancelFloorAt),
-        Status(Other.Status), Joinable(Other.Joinable) {
+        CompleteAt(Other.CompleteAt), Status(Other.Status),
+        Joinable(Other.Joinable) {
     Other.Joinable = false;
   }
 
@@ -148,7 +157,6 @@ public:
       AccelId = Other.AccelId;
       BlockId = Other.BlockId;
       CompleteAt = Other.CompleteAt;
-      CancelFloorAt = Other.CancelFloorAt;
       Status = Other.Status;
       Joinable = Other.Joinable;
       Other.Joinable = false;
@@ -180,33 +188,11 @@ public:
   /// True until offloadJoin consumes the handle (or it is moved from).
   bool joinable() const { return Joinable; }
 
-  /// Raises a cooperative cancel against a still-running block. The
-  /// worker observes the request at its next cancel-poll boundary, but
-  /// never before the body's real work is done (results are already in
-  /// memory; cancellation only trims the block's trailing stall, so it
-  /// frees the core earlier without changing what was computed). No-op
-  /// on a joined, failed, or already-complete block.
-  void requestCancel(sim::Machine &M) {
-    if (!Joinable || Status != OffloadStatus::Ok)
-      return;
-    uint64_t SeenAt = detail::roundUpToQuantum(M.hostClock().now(),
-                                               M.config().CancelPollCycles);
-    uint64_t NewComplete =
-        std::min(CompleteAt, std::max(CancelFloorAt, SeenAt));
-    if (NewComplete >= CompleteAt)
-      return;
-    CompleteAt = NewComplete;
-    M.accel(AccelId).FreeAt = NewComplete;
-    ++M.hostCounters().CancelsIssued;
-    M.emitFault({sim::FaultKind::CancelIssued, AccelId, BlockId,
-                 M.hostClock().now(), /*Detail=*/NewComplete});
-  }
-
 private:
   OffloadHandle(unsigned AccelId, uint64_t BlockId, uint64_t CompleteAt,
                 OffloadStatus Status = OffloadStatus::Ok)
       : AccelId(AccelId), BlockId(BlockId), CompleteAt(CompleteAt),
-        CancelFloorAt(CompleteAt), Status(Status), Joinable(true) {}
+        Status(Status), Joinable(true) {}
 
   void warnIfLeaked() {
 #ifndef NDEBUG
@@ -230,9 +216,6 @@ private:
   unsigned AccelId = 0;
   uint64_t BlockId = 0;
   uint64_t CompleteAt = 0;
-  /// Earliest cycle a cancel can retire the block: the end of its real
-  /// work. Cancellation never rewinds below it (exactly-once results).
-  uint64_t CancelFloorAt = 0;
   OffloadStatus Status = OffloadStatus::Ok;
   bool Joinable = false;
 };
@@ -310,9 +293,7 @@ OffloadHandle offloadBlock(sim::Machine &M, unsigned AccelId, BodyFn &&Body) {
                                                 Timing.Slowdown);
   Accel.FreeAt = SlowEnd;
 
-  OffloadHandle Handle(AccelId, BlockId, SlowEnd);
-  Handle.CancelFloorAt = BodyEnd;
-  return Handle;
+  return OffloadHandle(AccelId, BlockId, SlowEnd);
 }
 
 /// As above, with the runtime choosing the least-busy live accelerator.
@@ -379,15 +360,6 @@ public:
     return Worst;
   }
 
-  /// Raises a cooperative cancel against every still-pending block (the
-  /// frame gave up on this batch — e.g. its budget expired). Results
-  /// are unaffected; each block retires at its cancel-poll boundary
-  /// instead of running out its stall. joinAll still must be called.
-  void cancelAll(sim::Machine &M) {
-    for (OffloadHandle &Handle : Handles)
-      Handle.requestCancel(M);
-  }
-
   unsigned pendingCount() const {
     return static_cast<unsigned>(Handles.size());
   }
@@ -431,9 +403,6 @@ public:
 
   /// Indices not yet carved.
   uint32_t remaining() const { return Count - Next; }
-
-  /// Sequence number the next carved descriptor will take.
-  uint64_t seq() const { return Seq; }
 
   /// Carves the next fixed-size chunk [Next, min(Next + ChunkSize,
   /// Count)) — distributeJobs' unit, including the adaptive policy

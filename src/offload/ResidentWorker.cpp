@@ -141,8 +141,6 @@ void ResidentWorkerPool::spawnContinuation(unsigned W,
   switch (Done.Policy) {
   case sim::ParcelPolicy::None:
     return;
-  case sim::ParcelPolicy::Self:
-    break;
   case sim::ParcelPolicy::Ring: {
     // Next live worker in accelerator-id order, wrapping; a lone
     // survivor rings to itself.
@@ -351,11 +349,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   Worker &Wk = Live[W];
   sim::Accelerator &Accel = M.accel(Wk.AccelId);
   uint64_t Cost = UnslowedEnd - Start;
-  uint64_t Stall = 0;
-  if (Slowdown > 1.0f)
-    Stall = static_cast<uint64_t>(static_cast<double>(Cost) *
-                                  (static_cast<double>(Slowdown) - 1.0));
-  uint64_t SlowEnd = UnslowedEnd + Stall;
+  uint64_t SlowEnd = UnslowedEnd + detail::stragglerStall(Cost, Slowdown);
   // The deadline applies to every descriptor when armed — the watchdog
   // cannot tell an injected straggler from genuinely slow work.
   if (!DeadlinesArmed || SlowEnd - Start <= WD.chunkDeadline()) {

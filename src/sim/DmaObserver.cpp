@@ -24,8 +24,6 @@ const char *sim::faultKindName(FaultKind Kind) {
     return "launch_on_dead_accelerator";
   case FaultKind::NoAcceleratorAvailable:
     return "no_accelerator_available";
-  case FaultKind::LocalStoreExhausted:
-    return "local_store_exhausted";
   case FaultKind::DmaCommandRejected:
     return "dma_command_rejected";
   case FaultKind::DmaCompletionDelayed:

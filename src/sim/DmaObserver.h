@@ -65,7 +65,6 @@ enum class FaultKind : uint8_t {
   AcceleratorDeath,       ///< A core died and is lost for good.
   LaunchOnDeadAccelerator,///< A launch targeted an already-dead core.
   NoAcceleratorAvailable, ///< Auto-pick found no live core.
-  LocalStoreExhausted,    ///< A launch could not reserve its arena.
   DmaCommandRejected,     ///< Transient MFC rejection (runtime retries).
   DmaCompletionDelayed,   ///< A transfer's completion was pushed out.
   ChunkRequeued,          ///< A dead worker's chunk moved to a survivor.

@@ -43,9 +43,6 @@ LaunchFault FaultInjector::classifyLaunch(unsigned AccelId) {
   // Zero rates draw nothing, keeping an idle injector bit-invisible.
   if (Config.AccelDeathRate > 0.0f && S.Rng.nextBool(Config.AccelDeathRate))
     return LaunchFault::AcceleratorDeath;
-  if (Config.LocalStoreFailRate > 0.0f &&
-      S.Rng.nextBool(Config.LocalStoreFailRate))
-    return LaunchFault::LocalStoreExhausted;
   return LaunchFault::None;
 }
 

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The machine's fault oracle: a seeded source of accelerator deaths,
-/// transient DMA command rejections, delayed transfer completions and
-/// local-store exhaustion, configured via MachineConfig::Faults. The
+/// transient DMA command rejections, delayed transfer completions, kernel
+/// hangs and stragglers, configured via MachineConfig::Faults. The
 /// paper's premise (Section 2) is that explicit DMA and private stores
 /// make failure handling a first-class programming concern; this is the
 /// subsystem that lets the offload runtime's recovery paths be exercised
@@ -43,8 +43,6 @@ namespace omm::sim {
 enum class LaunchFault : uint8_t {
   None,                ///< The launch proceeds normally.
   AcceleratorDeath,    ///< The core dies starting the block.
-  LocalStoreExhausted, ///< The block arena cannot be reserved; the core
-                       ///< survives and the launch must be re-routed.
 };
 
 /// What the injector decided about one launch/descriptor's timing: it

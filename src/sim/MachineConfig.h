@@ -49,11 +49,6 @@ struct FaultInjectionConfig {
   /// DmaDelayCycles (a congested or degraded link).
   float DmaDelayRate = 0.0f;
 
-  /// Probability that a launch fails because the accelerator cannot
-  /// reserve its block arena (local-store exhaustion). The core
-  /// survives; the launch must be retried or re-routed.
-  float LocalStoreFailRate = 0.0f;
-
   /// Probability that an offload launch / mailbox descriptor wedges
   /// forever (the kernel hang the watchdog exists for). A hang with no
   /// armed watchdog deadline is a fatal configuration error: nothing
@@ -314,23 +309,18 @@ struct MachineConfig {
   /// with that line.
   unsigned HostThreads = 0;
 
-  /// When true the machine behaves as a traditional single-space SMP:
-  /// accelerators address main memory directly at HostAccessCycles and
-  /// DMA degenerates to a cheap copy. Used as the paper's "traditional
-  /// memory architecture" baseline.
-  bool CacheCoherentSharedMemory = false;
-
   /// Deterministic fault injection (off by default).
   FaultInjectionConfig Faults;
 
   /// A Cell BE-like configuration (the paper's PlayStation 3 target).
   static MachineConfig cellLike() { return MachineConfig(); }
 
-  /// A traditional cache-coherent shared-memory multicore (the paper's
-  /// XBox 360-like contrast target): one address space, uniform cost.
+  /// The paper's XBox 360-like contrast target, approximated by cost
+  /// alone: the Cell-like machine with cheap DMA (latency 0 cycles,
+  /// 64 B/cycle). Accelerators still move data through DMA into their
+  /// local stores; only the transfer cost changes.
   static MachineConfig sharedMemoryLike() {
     MachineConfig Config;
-    Config.CacheCoherentSharedMemory = true;
     Config.DmaLatencyCycles = 0;
     Config.DmaBytesPerCycle = 64;
     return Config;

@@ -52,7 +52,6 @@ class Machine;
 /// continuations.
 enum class ParcelPolicy : uint8_t {
   None,        ///< No continuation; the descriptor ends its chain.
-  Self,        ///< Spawn into the spawner's own mailbox.
   Ring,        ///< Spawn to the next live worker in accelerator-id
                ///< order, wrapping (a static all-to-all ring).
   LeastLoaded, ///< Spawn to the live worker with the shortest backlog,

@@ -14,11 +14,10 @@
 //   - an injected straggler finishes late under DeadlinePolicy::None,
 //     earlier under CancelRestart and Speculate, with identical results
 //     under every policy;
-//   - OffloadHandle::requestCancel trims only the trailing stall of a
-//     slowed block (never the real work) and is a no-op on a block with
-//     nothing to trim;
-//   - a hung AI launch fails over inside doFrameOffloadAI without
-//     changing world state;
+//   - a launch-path straggler appends its stall after the real work and
+//     still joins Ok (cancellation exists only on the resident path);
+//   - a hung AI launch fails over inside doFrameOffloadAiParallel(1)
+//     without changing world state;
 //   - the frame-budget degradation ladder sheds deterministically.
 //
 //===----------------------------------------------------------------------===//
@@ -185,9 +184,8 @@ TEST(Deadline, ZeroRateTimingFaultsAreInvisible) {
   EXPECT_EQ(Stats.Counters.HangsDetected, 0u);
 }
 
-TEST(Deadline, RequestCancelTrimsOnlyTheTrailingStall) {
+TEST(Deadline, LaunchStragglerAppendsItsStallAndJoinsOk) {
   MachineConfig Cfg;
-  Cfg.CancelPollCycles = 16;
   Cfg.Faults.Enabled = true;
   uint64_t CleanComplete;
   {
@@ -204,30 +202,7 @@ TEST(Deadline, RequestCancelTrimsOnlyTheTrailingStall) {
   ASSERT_TRUE(Handle.ok());
   uint64_t SlowComplete = Handle.completeAt();
   EXPECT_GT(SlowComplete, CleanComplete); // The stall is appended.
-  // A cancel raised while the host is still at the launch site clamps
-  // to the real work's end — exactly the fault-free completion cycle;
-  // the stall is trimmed, the results are not.
-  Handle.requestCancel(M);
-  uint64_t Trimmed = Handle.completeAt();
-  EXPECT_EQ(Trimmed, CleanComplete);
-  EXPECT_EQ(M.hostCounters().CancelsIssued, 1u);
-  EXPECT_EQ(M.accel(0).FreeAt, Trimmed);
-  // A second cancel has nothing left to trim.
-  Handle.requestCancel(M);
-  EXPECT_EQ(Handle.completeAt(), Trimmed);
-  EXPECT_EQ(M.hostCounters().CancelsIssued, 1u);
   EXPECT_EQ(offloadJoin(M, Handle), OffloadStatus::Ok);
-}
-
-TEST(Deadline, RequestCancelIsANoOpOnAnUnslowedBlock) {
-  Machine M;
-  OffloadHandle Handle =
-      offloadBlock(M, 0, [](OffloadContext &Ctx) { Ctx.compute(500); });
-  uint64_t Complete = Handle.completeAt();
-  Handle.requestCancel(M);
-  EXPECT_EQ(Handle.completeAt(), Complete);
-  EXPECT_EQ(M.hostCounters().CancelsIssued, 0u);
-  offloadJoin(M, Handle);
 }
 
 TEST(Deadline, HungAiLaunchFailsOverWithoutChangingTheWorld) {
@@ -238,7 +213,7 @@ TEST(Deadline, HungAiLaunchFailsOverWithoutChangingTheWorld) {
     Machine M;
     game::GameWorld World(M, Params);
     for (int F = 0; F != 3; ++F)
-      World.doFrameOffloadAI();
+      World.doFrameOffloadAiParallel(1);
     CleanChecksum = World.checksum();
   }
   MachineConfig Cfg;
@@ -247,9 +222,9 @@ TEST(Deadline, HungAiLaunchFailsOverWithoutChangingTheWorld) {
   Machine M(Cfg);
   M.faults()->scheduleHang(0, 0); // Frame 0's AI launch wedges.
   game::GameWorld World(M, Params);
-  game::FrameStats First = World.doFrameOffloadAI();
+  game::FrameStats First = World.doFrameOffloadAiParallel(1);
   for (int F = 0; F != 2; ++F)
-    World.doFrameOffloadAI();
+    World.doFrameOffloadAiParallel(1);
   EXPECT_GE(First.FailedBlocks, 1u);
   EXPECT_EQ(M.totalCounters().HangsDetected, 1u);
   EXPECT_FALSE(M.accel(0).Alive); // The wedged core was abandoned.

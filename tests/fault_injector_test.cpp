@@ -285,8 +285,6 @@ TEST(FaultInjector, StatusNamesAreStable) {
   EXPECT_STREQ(toString(OffloadStatus::Ok), "ok");
   EXPECT_STREQ(toString(OffloadStatus::AcceleratorDead),
                "accelerator_dead");
-  EXPECT_STREQ(toString(OffloadStatus::LocalStoreExhausted),
-               "local_store_exhausted");
   EXPECT_STREQ(toString(OffloadStatus::NoAcceleratorAvailable),
                "no_accelerator_available");
 }
@@ -462,10 +460,11 @@ TEST(FaultInjector, SingleOffloadFrameFailsOverToAnotherCore) {
   B.killAccelerator(0);
   GameWorld CleanWorld(A, smallWorld());
   GameWorld FaultWorld(B, smallWorld());
-  CleanWorld.doFrameOffloadAI(0);
-  FrameStats Stats = FaultWorld.doFrameOffloadAI(0);
+  CleanWorld.doFrameOffloadAiParallel(1);
+  FrameStats Stats = FaultWorld.doFrameOffloadAiParallel(1);
   EXPECT_EQ(CleanWorld.checksum(), FaultWorld.checksum());
-  EXPECT_EQ(Stats.FailedBlocks, 1u);
+  // The known-dead core is skipped, not launched into: no launch fails.
+  EXPECT_EQ(Stats.FailedBlocks, 0u);
   EXPECT_EQ(Stats.FailoverSlices, 1u);
 }
 
@@ -476,10 +475,10 @@ TEST(FaultInjector, SingleOffloadFrameFallsBackToHostWhenAllDead) {
   GameWorld CleanWorld(A, smallWorld());
   GameWorld FaultWorld(B, smallWorld());
   CleanWorld.doFrameHostOnly();
-  FrameStats Stats = FaultWorld.doFrameOffloadAI(0);
+  FrameStats Stats = FaultWorld.doFrameOffloadAiParallel(1);
   EXPECT_EQ(CleanWorld.checksum(), FaultWorld.checksum());
   EXPECT_EQ(Stats.HostFallbackSlices, 1u);
-  EXPECT_GT(Stats.FailedBlocks, 0u);
+  EXPECT_EQ(Stats.FailedBlocks, 0u); // Every core was known dead.
 }
 
 //===----------------------------------------------------------------------===//

@@ -417,8 +417,7 @@ TEST_P(FaultRecoveryProperty, DataflowFramesMatchStagedBitForBit) {
   RunResult Reference = runStagedFrames(MachineConfig::cellLike());
   MachineConfig Faulty = MachineConfig::cellLike();
   Faulty.Faults = faultsFor(GetParam());
-  for (ParcelPolicy Policy : {ParcelPolicy::Self, ParcelPolicy::Ring,
-                              ParcelPolicy::LeastLoaded}) {
+  for (ParcelPolicy Policy : {ParcelPolicy::Ring, ParcelPolicy::LeastLoaded}) {
     RunResult Clean =
         runDataflowFrames(MachineConfig::cellLike(), Policy);
     RunResult Injected = runDataflowFrames(Faulty, Policy, GetParam());

@@ -161,9 +161,9 @@ void runDataflowSchedule(uint64_t Seed, SoakOutcome &Out) {
   DataflowOptions Opts;
   Opts.ChunkSize = 1 + static_cast<uint32_t>(Rng.nextBelow(12));
   Opts.NumStages = 1 + static_cast<uint16_t>(Rng.nextBelow(4));
-  constexpr ParcelPolicy Policies[] = {
-      ParcelPolicy::Self, ParcelPolicy::Ring, ParcelPolicy::LeastLoaded};
-  Opts.Policy = Policies[Rng.nextBelow(3)];
+  constexpr ParcelPolicy Policies[] = {ParcelPolicy::Ring,
+                                       ParcelPolicy::LeastLoaded};
+  Opts.Policy = Policies[Rng.nextBelow(2)];
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
 
   std::vector<LocalStore::Mark> Before = storeMarks(M);

@@ -53,7 +53,7 @@ TEST(GameWorld, HostAndOffloadSchedulesAgreeBitExactly) {
 
   for (int Frame = 0; Frame != 3; ++Frame) {
     HostWorld.doFrameHostOnly();
-    AccelWorld.doFrameOffloadAI();
+    AccelWorld.doFrameOffloadAiParallel(1);
     ASSERT_EQ(HostWorld.checksum(), AccelWorld.checksum())
         << "divergence at frame " << Frame;
   }
@@ -70,7 +70,7 @@ TEST(GameWorld, OffloadingAiImprovesFrameTime) {
   uint64_t HostTotal = 0, AccelTotal = 0;
   for (int Frame = 0; Frame != 3; ++Frame) {
     HostTotal += HostWorld.doFrameHostOnly().FrameCycles;
-    AccelTotal += AccelWorld.doFrameOffloadAI().FrameCycles;
+    AccelTotal += AccelWorld.doFrameOffloadAiParallel(1).FrameCycles;
   }
   EXPECT_LT(AccelTotal, HostTotal);
 }
@@ -78,7 +78,7 @@ TEST(GameWorld, OffloadingAiImprovesFrameTime) {
 TEST(GameWorld, OffloadFrameOverlapsAiWithCollision) {
   Machine M;
   GameWorld World(M, smallWorld());
-  FrameStats Stats = World.doFrameOffloadAI();
+  FrameStats Stats = World.doFrameOffloadAiParallel(1);
   // The frame must be shorter than the sum of its stages (overlap).
   EXPECT_LT(Stats.FrameCycles, Stats.AiCycles + Stats.CollisionCycles +
                                    Stats.UpdateCycles +
@@ -101,7 +101,7 @@ TEST(GameWorld, MultiFrameStability) {
   GameWorldParams Params = smallWorld();
   GameWorld World(M, Params);
   for (int Frame = 0; Frame != 10; ++Frame)
-    World.doFrameOffloadAI();
+    World.doFrameOffloadAiParallel(1);
   // Entities remain inside the world and finite.
   for (uint32_t I = 0; I != Params.NumEntities; ++I) {
     GameEntity E = World.entities().peek(I);
@@ -116,7 +116,7 @@ TEST(GameWorld, ParallelAiScheduleIsBitIdentical) {
   GameWorld Single(MSingle, smallWorld());
   GameWorld Parallel(MParallel, smallWorld());
   for (int Frame = 0; Frame != 3; ++Frame) {
-    Single.doFrameOffloadAI();
+    Single.doFrameOffloadAiParallel(1);
     Parallel.doFrameOffloadAiParallel();
     ASSERT_EQ(Single.checksum(), Parallel.checksum())
         << "divergence at frame " << Frame;
@@ -152,20 +152,23 @@ TEST(GameWorld, ParallelAiShortensTheAiStage) {
   Machine MSingle, MParallel;
   GameWorld Single(MSingle, Params);
   GameWorld Parallel(MParallel, Params);
-  FrameStats SingleStats = Single.doFrameOffloadAI();
+  FrameStats SingleStats = Single.doFrameOffloadAiParallel(1);
   FrameStats ParallelStats = Parallel.doFrameOffloadAiParallel();
   EXPECT_LT(ParallelStats.AiCycles * 2, SingleStats.AiCycles);
 }
 
 TEST(GameWorld, ParallelAiRespectsWorkerCap) {
-  Machine M;
-  GameWorld World(M, smallWorld());
-  World.doFrameOffloadAiParallel(/*MaxAccelerators=*/2);
-  unsigned Used = 0;
-  for (unsigned I = 0; I != M.numAccelerators(); ++I)
-    if (M.accel(I).Counters.ComputeCycles != 0)
-      ++Used;
-  EXPECT_EQ(Used, 2u);
+  // A cap of 1 is the Figure 2 schedule: exactly one accelerator works.
+  for (unsigned Cap : {1u, 2u}) {
+    Machine M;
+    GameWorld World(M, smallWorld());
+    World.doFrameOffloadAiParallel(/*MaxAccelerators=*/Cap);
+    unsigned Used = 0;
+    for (unsigned I = 0; I != M.numAccelerators(); ++I)
+      if (M.accel(I).Counters.ComputeCycles != 0)
+        ++Used;
+    EXPECT_EQ(Used, Cap);
+  }
 }
 
 TEST(GameWorld, TargetPrefetchPreservesStateAndHelps) {
@@ -179,8 +182,8 @@ TEST(GameWorld, TargetPrefetchPreservesStateAndHelps) {
 
   uint64_t PlainAi = 0, PrefetchAi = 0;
   for (int Frame = 0; Frame != 3; ++Frame) {
-    PlainAi += PlainWorld.doFrameOffloadAI().AiCycles;
-    PrefetchAi += PrefetchWorld.doFrameOffloadAI().AiCycles;
+    PlainAi += PlainWorld.doFrameOffloadAiParallel(1).AiCycles;
+    PrefetchAi += PrefetchWorld.doFrameOffloadAiParallel(1).AiCycles;
     ASSERT_EQ(PlainWorld.checksum(), PrefetchWorld.checksum());
   }
   // Prefetching hides target-read latency behind the decision compute.
@@ -193,14 +196,14 @@ TEST(GameWorld, DeterministicAcrossIdenticalRuns) {
     Machine M;
     GameWorld World(M, smallWorld());
     for (int I = 0; I != 5; ++I)
-      World.doFrameOffloadAI();
+      World.doFrameOffloadAiParallel(1);
     A = World.checksum();
   }
   {
     Machine M;
     GameWorld World(M, smallWorld());
     for (int I = 0; I != 5; ++I)
-      World.doFrameOffloadAI();
+      World.doFrameOffloadAiParallel(1);
     B = World.checksum();
   }
   EXPECT_EQ(A, B);

@@ -40,7 +40,7 @@ uint64_t runFrames(const MachineConfig &Config, bool Offload, int Frames,
   GameWorld World(M, testWorld());
   for (int I = 0; I != Frames; ++I) {
     if (Offload)
-      World.doFrameOffloadAI();
+      World.doFrameOffloadAiParallel(1);
     else
       World.doFrameHostOnly();
   }
@@ -105,7 +105,7 @@ TEST_P(ArchSweep, GameStateIsArchitectureIndependent) {
   Machine M(configFor(GetParam()));
   GameWorld World(M, testWorld());
   for (int I = 0; I != 2; ++I)
-    World.doFrameOffloadAI();
+    World.doFrameOffloadAiParallel(1);
   EXPECT_EQ(World.checksum(), Reference);
 
   Machine MParallel(configFor(GetParam()));
@@ -161,7 +161,7 @@ TEST(Integration, OffloadedFramesAreRaceCheckerClean) {
   M.addObserver(&Checker);
   GameWorld World(M, testWorld());
   for (int I = 0; I != 2; ++I)
-    World.doFrameOffloadAI();
+    World.doFrameOffloadAiParallel(1);
   EXPECT_EQ(Checker.raceCount(), 0u);
   for (const auto &D : Diags.diags())
     ADD_FAILURE() << D.Message;
@@ -194,7 +194,7 @@ TEST(Integration, SharedMemoryMachineNarrowsTheOffloadGap) {
 TEST(Integration, LocalStorePeakStaysWithinCapacity) {
   Machine M;
   GameWorld World(M, testWorld());
-  World.doFrameOffloadAI();
+  World.doFrameOffloadAiParallel(1);
   for (unsigned I = 0; I != M.numAccelerators(); ++I)
     EXPECT_LE(M.accel(I).Store.peakUsage(), M.config().LocalStoreSize);
 }
@@ -202,7 +202,7 @@ TEST(Integration, LocalStorePeakStaysWithinCapacity) {
 TEST(Integration, PerfCountersAreInternallyConsistent) {
   Machine M;
   GameWorld World(M, testWorld());
-  World.doFrameOffloadAI();
+  World.doFrameOffloadAiParallel(1);
   PerfCounters Total = M.totalCounters();
   EXPECT_GT(Total.DmaGetsIssued, 0u);
   EXPECT_GT(Total.DmaPutsIssued, 0u);

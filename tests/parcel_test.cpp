@@ -105,8 +105,7 @@ std::vector<uint64_t> referenceValues() {
 
 TEST(Parcel, EveryPolicyRunsEveryStageInOrderExactlyOnce) {
   std::vector<uint64_t> Ref = referenceValues();
-  for (ParcelPolicy Policy : {ParcelPolicy::Self, ParcelPolicy::Ring,
-                              ParcelPolicy::LeastLoaded}) {
+  for (ParcelPolicy Policy : {ParcelPolicy::Ring, ParcelPolicy::LeastLoaded}) {
     Machine M;
     std::vector<uint64_t> Out;
     RegionStats Stats = runPipeline(M, Policy, Out);
@@ -330,8 +329,7 @@ TEST(Parcel, StagedAndDataflowFramesAgreeBitExactly) {
   // The dataflow frame is a pure reordering of the staged frame: same
   // shards, same float math, so the worlds must match bit for bit
   // under every recipient policy.
-  for (ParcelPolicy Policy : {ParcelPolicy::Self, ParcelPolicy::Ring,
-                              ParcelPolicy::LeastLoaded}) {
+  for (ParcelPolicy Policy : {ParcelPolicy::Ring, ParcelPolicy::LeastLoaded}) {
     Machine MStaged, MFlow;
     game::GameWorld Staged(MStaged, smallWorld());
     game::GameWorld Flow(MFlow, smallWorld());

@@ -41,7 +41,6 @@ TEST(MachineConfig, CellLikeDefaults) {
   EXPECT_EQ(Cfg.NumAccelerators, 6u);
   EXPECT_EQ(Cfg.LocalStoreSize, 256u * 1024u);
   EXPECT_EQ(Cfg.NumDmaTags, 32u);
-  EXPECT_FALSE(Cfg.CacheCoherentSharedMemory);
 }
 
 TEST(MachineConfig, LegalDmaSizes) {

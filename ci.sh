@@ -27,11 +27,13 @@
 #                    tenant may not move the other tenants' pooled p99
 #                    by more than 5% (E15) — and the domain-placement
 #                    floor (E16)
-#   4. benchmark   — benchmark/run.py --quick: every BENCHMARK.json
-#                    workload at 1/20 of its frames through omm_bench
-#                    (built into .bench_build/); fails on a checksum
-#                    mismatch, fingerprint divergence, observer/counter
-#                    disagreement or metric-schema drift
+#   4. benchmark   — benchmark/run.py --quick, untraced and then with
+#                    --trace 1: every BENCHMARK.json workload at 1/20 of
+#                    its frames through omm_bench (built into
+#                    .bench_build/); fails on a checksum mismatch,
+#                    fingerprint divergence, observer/counter
+#                    disagreement or end-to-end or per-layer
+#                    metric-schema drift
 #   5. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
 #   6. soak        — the long randomised fault-injection endurance runs
 #                    (including the full-grid sweep determinism soak),
@@ -119,6 +121,9 @@ python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
 
 echo "=== benchmark: every workload, quick, correctness and schema ==="
 python3 benchmark/run.py --quick
+# The traced run is the only one that checks the DMA observer stream
+# against the counters and self-checks the per-layer metric schema.
+python3 benchmark/run.py --quick --trace 1
 
 echo "=== asan+ubsan: configure + build + ctest ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_SANITIZE=ON

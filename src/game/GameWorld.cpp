@@ -7,6 +7,7 @@
 
 #include "game/GameWorld.h"
 
+#include "offload/Accessors.h"
 #include "offload/DoubleBuffer.h"
 #include "offload/JobQueue.h"
 #include "offload/Offload.h"
@@ -362,63 +363,131 @@ FrameStats GameWorld::finishServedFrame() {
   return Stats;
 }
 
+namespace {
+
+/// True for the accelerator instantiation of a shard stage, which stages
+/// the shard through local store; the HostContext instantiation (host
+/// fallback) keeps plain per-entity outer accesses.
+template <typename ContextT>
+constexpr bool StagesInLocalStore =
+    std::is_same_v<ContextT, offload::OffloadContext>;
+
+/// Tag of the AI stage's batched target-snapshot gets (a low tag; the
+/// runtime reserves the top ones).
+constexpr unsigned TargetTag = 0;
+
+} // namespace
+
 template <typename ContextT>
 void GameWorld::aiStageShard(ContextT &Ctx, uint32_t Begin, uint32_t End) {
   uint32_t Count = Entities.size();
   offload::OuterPtr<TargetInfo> Targets(Snapshot);
-  for (uint32_t I = Begin; I != End; ++I) {
-    GameEntity Self =
-        Ctx.template outerRead<GameEntity>(Entities.entity(I).addr());
-    TargetInfo Target = Ctx.template outerRead<TargetInfo>(
-        (Targets + defaultTargetFor(I, Count)).addr());
+  auto Think = [&](uint32_t I, GameEntity &Self, const TargetInfo &Target) {
     AiDecision Decision =
         calculateStrategy(Self, Target, Params.Dt, Params.Ai);
     Ctx.compute(uint64_t(Decision.NodesEvaluated) * Params.Ai.CyclesPerNode *
                 Params.aiCostMult(I));
-    Ctx.outerWrite(Entities.entity(I).addr(), Self);
+  };
+  if constexpr (StagesInLocalStore<ContextT>) {
+    // The target snapshots are random-access (a hash of the id), so
+    // they cannot be one contiguous get: issue all of them back to back
+    // on one tag, stage the shard itself in with one bulk get while
+    // they fly, and wait once (Figure 1's issue-then-wait instead of a
+    // blocking transfer per read).
+    uint32_t N = End - Begin;
+    offload::OffloadContext::LocalScope Scope(Ctx);
+    auto Local = offload::allocLocalArray<TargetInfo>(Ctx, N);
+    for (uint32_t I = 0; I != N; ++I)
+      Ctx.dmaGet((Local + I).addr(),
+                 (Targets + defaultTargetFor(Begin + I, Count)).addr(),
+                 sizeof(TargetInfo), TargetTag);
+    offload::ArrayAccessor<GameEntity> Shard(Ctx, Entities.entity(Begin), N);
+    Ctx.dmaWait(TargetTag);
+    for (uint32_t I = 0; I != N; ++I) {
+      GameEntity Self = Shard.get(I);
+      Think(Begin + I, Self, (Local + I).read(Ctx));
+      Shard.set(I, Self);
+    }
+  } else {
+    for (uint32_t I = Begin; I != End; ++I) {
+      GameEntity Self =
+          Ctx.template outerRead<GameEntity>(Entities.entity(I).addr());
+      TargetInfo Target = Ctx.template outerRead<TargetInfo>(
+          (Targets + defaultTargetFor(I, Count)).addr());
+      Think(I, Self, Target);
+      Ctx.outerWrite(Entities.entity(I).addr(), Self);
+    }
   }
 }
 
 template <typename ContextT>
 void GameWorld::collisionStageShard(ContextT &Ctx, uint32_t Begin,
                                     uint32_t End, FrameStats &Stats) {
-  // The whole shard stages in (plain C++ scratch; the simulated costs
-  // are the outer reads and the per-test/response compute charges), all
-  // pairs inside it are tested in ascending (A, B) order, and the shard
-  // writes back. Entities outside [Begin, End) are never touched, which
-  // is what lets this stage run while a neighbouring shard is still in
-  // its AI stage.
+  // The whole shard stages into a plain C++ scratch copy, all pairs
+  // inside it are tested in ascending (A, B) order, and the shard writes
+  // back. The simulated costs are the transfers plus the per-entity
+  // hash and per-test/response compute charges. Entities outside
+  // [Begin, End) are never touched, which is what lets this stage run
+  // while a neighbouring shard is still in its AI stage.
   uint32_t N = End - Begin;
   std::vector<GameEntity> Shard(N);
-  for (uint32_t I = 0; I != N; ++I) {
-    Shard[I] = Ctx.template outerRead<GameEntity>(
-        Entities.entity(Begin + I).addr());
-    Ctx.compute(Params.Collision.CyclesPerHash);
-  }
-  for (uint32_t A = 0; A != N; ++A)
-    for (uint32_t B = A + 1; B != N; ++B) {
-      Ctx.compute(Params.Collision.CyclesPerPairTest);
-      ++Stats.PairsTested;
-      if (!spheresOverlap(Shard[A].Position, Shard[A].Radius,
-                          Shard[B].Position, Shard[B].Radius))
-        continue;
-      Ctx.compute(Params.Collision.CyclesPerResponse);
-      if (respondToCollision(Shard[A], Shard[B]))
-        ++Stats.Contacts;
+  auto TestPairs = [&] {
+    for (uint32_t A = 0; A != N; ++A)
+      for (uint32_t B = A + 1; B != N; ++B) {
+        Ctx.compute(Params.Collision.CyclesPerPairTest);
+        ++Stats.PairsTested;
+        if (!spheresOverlap(Shard[A].Position, Shard[A].Radius,
+                            Shard[B].Position, Shard[B].Radius))
+          continue;
+        Ctx.compute(Params.Collision.CyclesPerResponse);
+        if (respondToCollision(Shard[A], Shard[B]))
+          ++Stats.Contacts;
+      }
+  };
+  if constexpr (StagesInLocalStore<ContextT>) {
+    // One bulk get in, one bulk put out (on the accessor's destruction).
+    offload::OffloadContext::LocalScope Scope(Ctx);
+    offload::ArrayAccessor<GameEntity> Staged(Ctx, Entities.entity(Begin),
+                                              N);
+    for (uint32_t I = 0; I != N; ++I) {
+      Shard[I] = Staged.get(I);
+      Ctx.compute(Params.Collision.CyclesPerHash);
     }
-  for (uint32_t I = 0; I != N; ++I)
-    Ctx.outerWrite(Entities.entity(Begin + I).addr(), Shard[I]);
+    TestPairs();
+    for (uint32_t I = 0; I != N; ++I)
+      Staged.set(I, Shard[I]);
+  } else {
+    for (uint32_t I = 0; I != N; ++I) {
+      Shard[I] = Ctx.template outerRead<GameEntity>(
+          Entities.entity(Begin + I).addr());
+      Ctx.compute(Params.Collision.CyclesPerHash);
+    }
+    TestPairs();
+    for (uint32_t I = 0; I != N; ++I)
+      Ctx.outerWrite(Entities.entity(Begin + I).addr(), Shard[I]);
+  }
 }
 
 template <typename ContextT>
 void GameWorld::physicsStageShard(ContextT &Ctx, uint32_t Begin,
                                   uint32_t End) {
-  for (uint32_t I = Begin; I != End; ++I) {
-    GameEntity E =
-        Ctx.template outerRead<GameEntity>(Entities.entity(I).addr());
+  auto Integrate = [&](GameEntity &E) {
     Ctx.compute(Params.Physics.CyclesPerIntegrate);
     integrateEntity(E, Params.Dt, Params.WorldHalfExtent, Params.Physics);
-    Ctx.outerWrite(Entities.entity(I).addr(), E);
+  };
+  if constexpr (StagesInLocalStore<ContextT>) {
+    offload::OffloadContext::LocalScope Scope(Ctx);
+    offload::ArrayAccessor<GameEntity> Shard(Ctx, Entities.entity(Begin),
+                                             End - Begin);
+    for (uint32_t I = 0; I != Shard.size(); ++I)
+      Shard.update(I, Integrate);
+  } else {
+    for (uint32_t I = Begin; I != End; ++I) {
+      GameEntity E =
+          Ctx.template outerRead<GameEntity>(Entities.entity(I).addr());
+      Integrate(E);
+      Ctx.outerWrite(Entities.entity(I).addr(), E);
+    }
   }
 }
 

@@ -55,7 +55,9 @@ struct GameWorldParams {
   /// Shard width of the staged schedules (doFrameStaged /
   /// doFrameDataflow): every stage — AI, shard-confined collision,
   /// physics — runs over fixed [k*N, (k+1)*N) shards of this many
-  /// entities, so both schedules agree on the collision pair set.
+  /// entities, so both schedules agree on the collision pair set. An
+  /// accelerator stages a whole shard in its local store (the AI stage
+  /// holds 80 bytes per entity: the entity and its target snapshot).
   uint32_t StageShardElems = 64;
   /// When true the offloaded AI pass issues an asynchronous cache
   /// prefetch for the *next* entity's target snapshot while processing
@@ -250,11 +252,15 @@ private:
   /// detectCollisions: broadphase + narrowphase on the host.
   void collisionPassHost(FrameStats &Stats);
 
-  /// The staged-schedule shard stages, written against the generic
-  /// context surface (compute + outer accesses) so the same body runs
-  /// on a resident worker or as host fallback with identical float
-  /// math — the staged/dataflow bit-identity rests on that. Each stage
-  /// reads and writes entities in [Begin, End) only.
+  /// The staged-schedule shard stages. Each stage's float math is
+  /// written once and shared by both instantiations, so a shard
+  /// computes the same entities on a resident worker as in host
+  /// fallback; the staged/dataflow bit-identity rests on that. Only the
+  /// data movement differs. An OffloadContext stages the whole shard
+  /// in with one bulk get and out with one bulk put (an ArrayAccessor;
+  /// the AI stage also batches its target-snapshot gets under one
+  /// wait). A HostContext keeps one cache-modelled host access per
+  /// entity. Each stage reads and writes entities in [Begin, End) only.
   template <typename ContextT>
   void aiStageShard(ContextT &Ctx, uint32_t Begin, uint32_t End);
   /// Shard-confined collision: every (A, B) pair inside the shard is

@@ -105,6 +105,12 @@ public:
   /// data phases serialising as usual. This is how production Cell code
   /// gathers many small, scattered records (e.g. the entities of many
   /// collision pairs) without paying a latency per record.
+  ///
+  /// Accounting asymmetry: PerfCounters bills the list as one command
+  /// (one DmaGetsIssued or DmaPutsIssued), but the observer sees one
+  /// onIssue record per element, since each element is its own memory
+  /// range for the race checker and the trace. A consumer that equates
+  /// observed issues with counted transfers must not see list traffic.
   void getList(const ListElement *Elements, unsigned Count, unsigned Tag);
   void putList(const ListElement *Elements, unsigned Count, unsigned Tag);
 

@@ -162,6 +162,12 @@ TEST(Integration, OffloadedFramesAreRaceCheckerClean) {
   GameWorld World(M, testWorld());
   for (int I = 0; I != 2; ++I)
     World.doFrameOffloadAiParallel(1);
+  // The shard frames stage whole shards through local store with bulk
+  // transfers and batched target gets; none of those may race the
+  // accesses that follow.
+  World.doFrameStaged();
+  World.doFrameDataflow(ParcelPolicy::Ring);
+  World.doFrameDataflow(ParcelPolicy::LeastLoaded);
   EXPECT_EQ(Checker.raceCount(), 0u);
   for (const auto &D : Diags.diags())
     ADD_FAILURE() << D.Message;

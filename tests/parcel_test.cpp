@@ -19,7 +19,11 @@
 //     host-paced job queue, cycle for cycle — the bit-identity spine;
 //   - GameWorld's staged and dataflow frame schedules compute the same
 //     world, and the dataflow frame is cheaper once enough workers
-//     exist to pipeline the stages.
+//     exist to pipeline the stages;
+//   - the accelerator shard stages (bulk-staged through local store)
+//     and their host-fallback instantiation (per-entity host accesses)
+//     compute the same world, and each accelerator stage moves its
+//     shard with one bulk get and one bulk put.
 //
 //===----------------------------------------------------------------------===//
 
@@ -356,4 +360,58 @@ TEST(Parcel, DataflowFrameBeatsTheStagedFrame) {
     FlowTotal += Flow.doFrameDataflow().FrameCycles;
   }
   EXPECT_LT(FlowTotal, StagedTotal);
+}
+
+namespace {
+
+/// Runs \p Frame on two worlds — one on the Cell-like machine, one on
+/// a machine without accelerators, where every shard stage runs through
+/// HostContext — and asserts equal checksums after every frame.
+template <typename FrameFn>
+void expectHostAndAcceleratorAgree(const char *Schedule, FrameFn &&Frame) {
+  MachineConfig HostOnly = MachineConfig::cellLike();
+  HostOnly.NumAccelerators = 0;
+  Machine MAccel, MHost(HostOnly);
+  game::GameWorld Accel(MAccel, smallWorld());
+  game::GameWorld Host(MHost, smallWorld());
+  for (int I = 0; I != 3; ++I) {
+    Frame(Accel);
+    game::FrameStats HostStats = Frame(Host);
+    EXPECT_GT(HostStats.HostFallbackSlices, 0u) << Schedule;
+    ASSERT_EQ(Accel.checksum(), Host.checksum())
+        << Schedule << " frame " << I;
+  }
+}
+
+} // namespace
+
+TEST(Parcel, AcceleratorAndHostShardBodiesComputeTheSameWorld) {
+  expectHostAndAcceleratorAgree(
+      "staged", [](game::GameWorld &W) { return W.doFrameStaged(); });
+  expectHostAndAcceleratorAgree(
+      "dataflow", [](game::GameWorld &W) { return W.doFrameDataflow(); });
+}
+
+TEST(Parcel, ShardStagesMoveEachShardWithOneBulkTransfer) {
+  // 200 entities in four 64-entity shards (the last one partial): three
+  // stages x four shards of one bulk get and one bulk put each, plus
+  // one 16-byte target-snapshot get per entity. A return to per-entity
+  // transfers (800 gets, 600 puts) fails here.
+  Machine MStaged, MFlow;
+  game::GameWorld Staged(MStaged, smallWorld());
+  game::GameWorld Flow(MFlow, smallWorld());
+  ASSERT_EQ(smallWorld().StageShardElems, 64u);
+  for (int Frame = 0; Frame != 2; ++Frame) {
+    PerfCounters Before = MStaged.totalCounters();
+    Staged.doFrameStaged();
+    PerfCounters Delta = MStaged.countersSince(Before);
+    EXPECT_EQ(Delta.DmaGetsIssued, 3u * 4 + 200) << "staged";
+    EXPECT_EQ(Delta.DmaPutsIssued, 3u * 4) << "staged";
+
+    Before = MFlow.totalCounters();
+    Flow.doFrameDataflow();
+    Delta = MFlow.countersSince(Before);
+    EXPECT_EQ(Delta.DmaGetsIssued, 3u * 4 + 200) << "dataflow";
+    EXPECT_EQ(Delta.DmaPutsIssued, 3u * 4) << "dataflow";
+  }
 }

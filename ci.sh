@@ -10,7 +10,9 @@
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the sweep-runner
-#                    byte-identity and bench-toolchain tests)
+#                    byte-identity and bench-toolchain tests, and runs
+#                    all 9 examples as `example_*` integration smokes
+#                    that pass on exit 0)
 #   2. baselines   — every committed BENCH_baseline/ snapshot is
 #                    regenerated through tools/refresh_baselines (full
 #                    sweeps via tools/sweeprun) into build/bench/baselines/
@@ -47,7 +49,7 @@ cd "$(dirname "$0")"
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== tier-1: configure + build + ctest ==="
+echo "=== tier-1: configure + build + ctest (tests and example smokes) ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build -LE soak --output-on-failure -j "$JOBS"

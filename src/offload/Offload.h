@@ -34,6 +34,14 @@
 /// installed observers as an onBlockBegin/onBlockEnd span so tools (the
 /// race checker, the trace recorder) can attribute traffic to blocks.
 ///
+/// Launches are fail-stop: a core runs the block or is lost before the
+/// body starts. Timing faults (hangs, stragglers) are never drawn here;
+/// they exist only at resident descriptor pops (ResidentWorker.h). Every
+/// accelerator block — offloadBlock, a resident worker's lifetime, a
+/// TaskSchedule task — goes through the one detail::openBlock /
+/// detail::closeBlock pair, so launch cost, fault gate and the observer
+/// span each have exactly one site.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMM_OFFLOAD_OFFLOAD_H
@@ -56,19 +64,16 @@ class OffloadHandle;
 /// a machine with no live core, and the AccelId of failed auto-picks).
 inline constexpr unsigned NoAccelerator = ~0u;
 
-/// Outcome of an offload launch. The runtime stopped assuming success
-/// when the fault injector arrived (MachineConfig::Faults): a launch can
-/// now find its core dead, hang past its deadline, or have no core to
-/// go to at all. A non-Ok handle is still joinable — joining charges the
-/// host the fault-detection latency — but the block body never ran, so
-/// the caller must re-issue the work elsewhere (another accelerator, or
-/// the host).
+/// Outcome of an offload launch. Launches are fail-stop: a core either
+/// runs the whole block or is lost before the body's first instruction.
+/// A non-Ok handle is still joinable — joining charges the host the
+/// fault-detection latency — but the block body never ran, so the
+/// caller must re-issue the work elsewhere (another accelerator, or the
+/// host).
 enum class OffloadStatus : uint8_t {
   Ok,
   AcceleratorDead,       ///< The target core is (or just died) dead.
   NoAcceleratorAvailable,///< Auto-pick found no live core.
-  DeadlineExceeded,      ///< The block hung; the watchdog cancelled it
-                         ///< and abandoned the core. Re-issue the work.
 };
 
 /// \returns a stable name for \p Status (diagnostics and reports).
@@ -80,49 +85,33 @@ namespace detail {
 /// with the accelerator, so the block's cycles vanish from frame time.
 void reportLeakedHandle(unsigned AccelId, uint64_t BlockId);
 
-/// Launch-time fault check shared by offloadBlock and the job queue's
-/// resident workers. \returns Ok if the launch may proceed; otherwise
-/// the launch must not run the body: liveness was consulted and, when a
-/// fault injector is attached, its verdict applied — a dying core's
-/// clock has been burned and the core marked dead, counters bumped and
-/// the fault event emitted. AccelId == NoAccelerator yields
-/// NoAcceleratorAvailable.
-OffloadStatus classifyLaunch(sim::Machine &M, unsigned AccelId,
-                             uint64_t BlockId);
+/// One accelerator block between openBlock and closeBlock: the core it
+/// runs on, its machine-wide id and the local-store mark it unwinds to.
+struct BlockSpan {
+  unsigned AccelId = 0;
+  uint64_t BlockId = 0;
+  sim::LocalStore::Mark Mark;
+};
 
-/// Builds the joinable-but-failed handle for a faulted launch: joining
-/// it stalls the host until the runtime watchdog reports the fault
-/// (FaultDetectCycles after the launch).
-OffloadHandle failedHandle(sim::Machine &M, unsigned AccelId,
-                           uint64_t BlockId, OffloadStatus Status);
+/// The one launch protocol, shared by offloadBlock, the resident
+/// workers and TaskSchedule. Charges the host HostLaunchCycles, takes
+/// the block id and applies the fail-stop gate: AccelId ==
+/// NoAccelerator yields NoAcceleratorAvailable, a dead core
+/// AcceleratorDead, and an attached fault injector's death verdict
+/// burns the core's wasted cycles and kills it (AcceleratorDead). Every
+/// failure bumps LaunchFaults and emits its fault event; the body must
+/// not run. On Ok the core's clock moves to max(FreeAt, \p NotBefore,
+/// host now) + OffloadLaunchCycles, the local store is marked and the
+/// observers see onBlockBegin. \p Span's AccelId and BlockId are
+/// filled in either way; its Mark only on Ok.
+OffloadStatus openBlock(sim::Machine &M, unsigned AccelId,
+                        uint64_t NotBefore, BlockSpan &Span);
 
-/// Handles a launch the injector wedged forever: fatal unless the
-/// watchdog arms launch deadlines; otherwise the hang is detected at
-/// the watchdog sweep after the deadline, the block cancelled (the
-/// cancel is never observed — the core is wedged) and the core
-/// abandoned. \returns a joinable DeadlineExceeded handle completing at
-/// the detection cycle, so callers' existing re-issue loops recover.
-OffloadHandle hungLaunch(sim::Machine &M, unsigned AccelId,
-                         uint64_t BlockId);
-
-/// Applies a straggler verdict to a completed block: the body ran once
-/// for real in [\p BodyStart, \p BodyEnd]; the slowdown appends a stall
-/// after it. \returns the slowed completion cycle (== \p BodyEnd when
-/// \p Slowdown <= 1), after bumping counters/events for a detected
-/// miss when the watchdog arms launch deadlines.
-uint64_t finishLaunchTiming(sim::Machine &M, unsigned AccelId,
-                            uint64_t BlockId, uint64_t BodyStart,
-                            uint64_t BodyEnd, float Slowdown);
-
-/// \returns the trailing stall a straggler verdict appends to a body
-/// whose real work cost \p Cost cycles: Cost * (Slowdown - 1), or 0 when
-/// \p Slowdown <= 1. Shared by the launch path and the resident workers.
-inline uint64_t stragglerStall(uint64_t Cost, float Slowdown) {
-  if (!(Slowdown > 1.0f))
-    return 0;
-  return static_cast<uint64_t>(static_cast<double>(Cost) *
-                               (static_cast<double>(Slowdown) - 1.0));
-}
+/// Ends a block openBlock opened: onBlockEnd fires before the DMA drain
+/// (so the race checker can report missing waits), then the queue
+/// drains, the local store unwinds to the span's mark and the core's
+/// FreeAt moves to its clock. \returns that completion cycle.
+uint64_t closeBlock(sim::Machine &M, const BlockSpan &Span);
 
 /// \returns \p Value rounded up to the next multiple of \p Quantum
 /// (any quantum, unlike alignTo; 0 quantizes nothing).
@@ -206,12 +195,6 @@ private:
   friend OffloadHandle offloadBlock(sim::Machine &M, unsigned AccelId,
                                     BodyFn &&Body);
   friend OffloadStatus offloadJoin(sim::Machine &M, OffloadHandle &Handle);
-  friend OffloadHandle detail::failedHandle(sim::Machine &M,
-                                            unsigned AccelId,
-                                            uint64_t BlockId,
-                                            OffloadStatus Status);
-  friend OffloadHandle detail::hungLaunch(sim::Machine &M, unsigned AccelId,
-                                          uint64_t BlockId);
 
   unsigned AccelId = 0;
   uint64_t BlockId = 0;
@@ -249,51 +232,24 @@ inline unsigned pickAccelerator(sim::Machine &M) {
 /// runtime synchronises its software caches at block exit.
 template <typename BodyFn>
 OffloadHandle offloadBlock(sim::Machine &M, unsigned AccelId, BodyFn &&Body) {
-  const sim::MachineConfig &Cfg = M.config();
-  M.hostClock().advance(Cfg.HostLaunchCycles);
-  uint64_t LaunchTime = M.hostClock().now();
-  uint64_t BlockId = M.takeBlockId();
-
-  // Dead cores and injected launch faults abort here, before the body
-  // can run or move a byte — fail-stop at the launch boundary is what
-  // keeps recovered runs bit-identical to fault-free ones.
-  if (OffloadStatus Fault = detail::classifyLaunch(M, AccelId, BlockId);
+  // Dead cores and injected launch faults abort in openBlock, before the
+  // body can run or move a byte — fail-stop at the launch boundary is
+  // what keeps recovered runs bit-identical to fault-free ones. Joining
+  // the failed handle stalls the host until the runtime watchdog
+  // reports the fault.
+  detail::BlockSpan Span;
+  if (OffloadStatus Fault =
+          detail::openBlock(M, AccelId, /*NotBefore=*/0, Span);
       Fault != OffloadStatus::Ok)
-    return detail::failedHandle(M, AccelId, BlockId, Fault);
-
-  // Timing faults are decided at the same boundary: a hang wedges the
-  // core before the body (which therefore never runs and is safe to
-  // re-issue); a straggler lets the body run once for real and appends
-  // its slowdown as a trailing stall afterwards.
-  sim::TimingFault Timing;
-  if (sim::FaultInjector *FI = M.faults())
-    Timing = FI->classifyTiming(AccelId);
-  if (Timing.Hangs)
-    return detail::hungLaunch(M, AccelId, BlockId);
-
-  sim::Accelerator &Accel = M.accel(AccelId);
-  Accel.Clock.mergeTo(std::max(Accel.FreeAt, LaunchTime) +
-                      Cfg.OffloadLaunchCycles);
-  uint64_t BodyStart = Accel.Clock.now();
-
-  sim::LocalStore::Mark Mark = Accel.Store.mark();
+    return OffloadHandle(AccelId, Span.BlockId,
+                         M.hostClock().now() +
+                             M.config().Faults.FaultDetectCycles,
+                         Fault);
   {
-    if (sim::DmaObserver *Obs = M.observer())
-      Obs->onBlockBegin(AccelId, BlockId, Accel.Clock.now());
     OffloadContext Ctx(M, AccelId);
     Body(Ctx);
-    if (sim::DmaObserver *Obs = M.observer())
-      Obs->onBlockEnd(AccelId, BlockId, Accel.Clock.now());
-    Accel.Dma.waitAll();
   }
-  Accel.Store.reset(Mark);
-  uint64_t BodyEnd = Accel.Clock.now();
-  uint64_t SlowEnd = detail::finishLaunchTiming(M, AccelId, BlockId,
-                                                BodyStart, BodyEnd,
-                                                Timing.Slowdown);
-  Accel.FreeAt = SlowEnd;
-
-  return OffloadHandle(AccelId, BlockId, SlowEnd);
+  return OffloadHandle(AccelId, Span.BlockId, detail::closeBlock(M, Span));
 }
 
 /// As above, with the runtime choosing the least-busy live accelerator.

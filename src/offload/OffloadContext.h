@@ -102,26 +102,6 @@ public:
     dmaGate();
     Accel.Dma.put(Dst, Src, Size, Tag);
   }
-  void dmaGetFenced(sim::LocalAddr Dst, sim::GlobalAddr Src, uint32_t Size,
-                    unsigned Tag) {
-    dmaGate();
-    Accel.Dma.getFenced(Dst, Src, Size, Tag);
-  }
-  void dmaPutFenced(sim::GlobalAddr Dst, sim::LocalAddr Src, uint32_t Size,
-                    unsigned Tag) {
-    dmaGate();
-    Accel.Dma.putFenced(Dst, Src, Size, Tag);
-  }
-  void dmaGetBarrier(sim::LocalAddr Dst, sim::GlobalAddr Src, uint32_t Size,
-                     unsigned Tag) {
-    dmaGate();
-    Accel.Dma.getBarrier(Dst, Src, Size, Tag);
-  }
-  void dmaPutBarrier(sim::GlobalAddr Dst, sim::LocalAddr Src, uint32_t Size,
-                     unsigned Tag) {
-    dmaGate();
-    Accel.Dma.putBarrier(Dst, Src, Size, Tag);
-  }
   void dmaGetLarge(sim::LocalAddr Dst, sim::GlobalAddr Src, uint64_t Size,
                    unsigned Tag) {
     dmaGate();
@@ -144,7 +124,6 @@ public:
   }
   void dmaWait(unsigned Tag) { Accel.Dma.waitTag(Tag); }
   void dmaWaitMask(uint32_t Mask) { Accel.Dma.waitTagMask(Mask); }
-  void dmaWaitAll() { Accel.Dma.waitAll(); }
 
   //===--------------------------------------------------------------===//
   // Automatic outer access (what a compiled __outer dereference does).
@@ -154,7 +133,6 @@ public:
   /// nullptr to return to direct synchronous transfers. The programmer
   /// picks the cache "based on profiling" (Section 4.2).
   void bindCache(SoftwareCacheBase *Cache) { BoundCache = Cache; }
-  SoftwareCacheBase *boundCache() { return BoundCache; }
 
   /// Reads a T from main memory, via the bound cache if any, else via a
   /// synchronous DMA of the enclosing aligned region.

@@ -14,13 +14,22 @@
 using namespace omm;
 using namespace omm::offload;
 
+/// \returns the trailing stall a straggler verdict appends to a body
+/// whose real work cost \p Cost cycles: Cost * (Slowdown - 1), or 0 when
+/// \p Slowdown <= 1.
+static uint64_t stragglerStall(uint64_t Cost, float Slowdown) {
+  if (!(Slowdown > 1.0f))
+    return 0;
+  return static_cast<uint64_t>(static_cast<double>(Cost) *
+                               (static_cast<double>(Slowdown) - 1.0));
+}
+
 ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
                                        unsigned FirstAccel, uint16_t NumStages)
     : M(M), Faults(M.faults()), AtOpen(M.totalCounters()),
       Steal(M.config().WorkStealing),
       StealRng(M.config().StealSeed), NumStages(NumStages),
       DeadlinesArmed(M.watchdog().armsChunks()) {
-  const sim::MachineConfig &Cfg = M.config();
   unsigned NumAccels = M.numAccelerators();
   unsigned Avail = FirstAccel < NumAccels ? NumAccels - FirstAccel : 0;
   unsigned Budget = std::min(Avail, MaxWorkers);
@@ -28,32 +37,20 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
   FrameEnd = FrameStart;
   for (unsigned W = 0; W != Budget; ++W) {
     unsigned A = FirstAccel + W;
-    M.hostClock().advance(Cfg.HostLaunchCycles);
-    uint64_t BlockId = M.takeBlockId();
-    if (OffloadStatus St = detail::classifyLaunch(M, A, BlockId);
-        St != OffloadStatus::Ok) {
-      // classifyLaunch already billed the fault; the pool just opens
-      // one worker short. A core killed during launch still burned
-      // cycles that bound the makespan.
+    Worker Wk;
+    if (detail::openBlock(M, A, /*NotBefore=*/0, Wk.Span) !=
+        OffloadStatus::Ok) {
+      // openBlock already billed the fault; the pool just opens one
+      // worker short. A core killed during launch still burned cycles
+      // that bound the makespan.
       ++RS.FailedLaunches;
-      if (RS.WorstLaunchStatus == OffloadStatus::Ok)
-        RS.WorstLaunchStatus = St;
       FrameEnd = std::max(FrameEnd, M.accel(A).FreeAt);
       continue;
     }
-    sim::Accelerator &Accel = M.accel(A);
-    Accel.Clock.mergeTo(std::max(Accel.FreeAt, M.hostClock().now()) +
-                        Cfg.OffloadLaunchCycles);
-    Worker Wk;
-    Wk.AccelId = A;
-    Wk.BlockId = BlockId;
     Wk.StatIndex = static_cast<unsigned>(Live.size());
-    Wk.Mark = Accel.Store.mark();
+    Wk.Ctx = std::make_unique<OffloadContext>(M, A);
+    Wk.Box = std::make_unique<sim::Mailbox>(M, A, Wk.Span.BlockId);
     Live.push_back(std::move(Wk));
-    if (sim::DmaObserver *Obs = M.observer())
-      Obs->onBlockBegin(A, BlockId, Accel.Clock.now());
-    Live.back().Ctx = std::make_unique<OffloadContext>(M, A);
-    Live.back().Box = std::make_unique<sim::Mailbox>(M, A, BlockId);
     ++RS.Launches;
   }
   RS.WorkerBusyCycles.assign(Live.size(), 0);
@@ -65,13 +62,13 @@ bool ResidentWorkerPool::beats(unsigned A, unsigned B) const {
   // executed, then the lower accelerator id. Without the tuple,
   // zero-cost regions would funnel every descriptor to pool order's
   // first entry.
-  uint64_t ClockA = M.accel(Live[A].AccelId).Clock.now();
-  uint64_t ClockB = M.accel(Live[B].AccelId).Clock.now();
+  uint64_t ClockA = M.accel(accelId(A)).Clock.now();
+  uint64_t ClockB = M.accel(accelId(B)).Clock.now();
   return ClockA < ClockB ||
          (ClockA == ClockB &&
           (Live[A].Executed < Live[B].Executed ||
            (Live[A].Executed == Live[B].Executed &&
-            Live[A].AccelId < Live[B].AccelId)));
+            accelId(A) < accelId(B))));
 }
 
 unsigned ResidentWorkerPool::pickWorker() const {
@@ -113,7 +110,7 @@ void ResidentWorkerPool::unparkAll() {
 
 unsigned ResidentWorkerPool::findWorkerFor(unsigned AccelId) const {
   for (unsigned W = 0; W != Live.size(); ++W)
-    if (Live[W].AccelId == AccelId)
+    if (accelId(W) == AccelId)
       return W;
   return NoWorker;
 }
@@ -146,10 +143,10 @@ void ResidentWorkerPool::spawnContinuation(unsigned W,
     // survivor rings to itself.
     unsigned Best = NoWorker, First = 0;
     for (unsigned V = 0; V != Live.size(); ++V) {
-      if (Live[V].AccelId < Live[First].AccelId)
+      if (accelId(V) < accelId(First))
         First = V;
-      if (Live[V].AccelId > Wk.AccelId &&
-          (Best == NoWorker || Live[V].AccelId < Live[Best].AccelId))
+      if (accelId(V) > Wk.Span.AccelId &&
+          (Best == NoWorker || accelId(V) < accelId(Best)))
         Best = V;
     }
     Target = Best != NoWorker ? Best : First;
@@ -171,8 +168,8 @@ void ResidentWorkerPool::spawnContinuation(unsigned W,
   }
   sim::WorkDescriptor Child = DispatchPlan::continuation(
       Done, continuationOf(Done.NextKernel), SpawnSeq++,
-      Live[Target].AccelId);
-  Live[Target].Box->pushParcel(Child, Wk.AccelId, Wk.BlockId);
+      accelId(Target));
+  Live[Target].Box->pushParcel(Child, Wk.Span.AccelId, Wk.Span.BlockId);
   unparkAll();
 }
 
@@ -200,7 +197,7 @@ unsigned ResidentWorkerPool::pickVictim(unsigned Thief,
     // same-domain and both rules vanish.
     unsigned Far = 0;
     if (Steal == sim::StealPolicy::DomainAware &&
-        !M.sameDomain(Live[Thief].AccelId, Live[V].AccelId)) {
+        !M.sameDomain(accelId(Thief), accelId(V))) {
       if (Live[V].Box->size() < RemoteMinBacklog)
         continue;
       Far = 1;
@@ -221,7 +218,7 @@ unsigned ResidentWorkerPool::pickVictim(unsigned Thief,
          (Dist < BestDist ||
           (Dist == BestDist &&
            (Rot < BestRot ||
-            (Rot == BestRot && Live[V].AccelId < Live[Best].AccelId)))))) {
+            (Rot == BestRot && accelId(V) < accelId(Best))))))) {
       Best = V;
       BestFar = Far;
       BestDist = Dist;
@@ -234,7 +231,7 @@ unsigned ResidentWorkerPool::pickVictim(unsigned Thief,
 unsigned ResidentWorkerPool::trySteal(unsigned W) {
   const sim::MachineConfig &Cfg = M.config();
   Worker &Wk = Live[W];
-  sim::Accelerator &Accel = M.accel(Wk.AccelId);
+  sim::Accelerator &Accel = M.accel(Wk.Span.AccelId);
   // The probe reads the victims' queue headers from main memory; it is
   // paid whether or not anyone qualifies.
   Accel.Clock.advance(Cfg.StealProbeCycles);
@@ -246,10 +243,10 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
           1, static_cast<uint64_t>(Live.size()))));
   unsigned V = pickVictim(W, Rotation);
   if (sim::DmaObserver *Obs = M.observer())
-    Obs->onDispatchEvent({sim::DispatchEventKind::StealProbe, Wk.AccelId,
-                    Wk.BlockId, ProbeSeq, Accel.Clock.now(),
+    Obs->onDispatchEvent({sim::DispatchEventKind::StealProbe, Wk.Span.AccelId,
+                    Wk.Span.BlockId, ProbeSeq, Accel.Clock.now(),
                     V == NoWorker ? ~0ull
-                                  : static_cast<uint64_t>(Live[V].AccelId)});
+                                  : static_cast<uint64_t>(accelId(V))});
   if (V == NoWorker) {
     // Nothing can appear in a victim's backlog until the host dispatches
     // again or someone else's steal lands; park until then so the drain
@@ -268,39 +265,33 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
 }
 
 void ResidentWorkerPool::closeWorker(Worker &Wk) {
-  sim::Accelerator &Accel = M.accel(Wk.AccelId);
-  if (sim::DmaObserver *Obs = M.observer())
-    Obs->onBlockEnd(Wk.AccelId, Wk.BlockId, Accel.Clock.now());
-  Accel.Dma.waitAll();
   Wk.Ctx.reset();
-  Accel.Store.reset(Wk.Mark);
-  Accel.FreeAt = Accel.Clock.now();
-  FrameEnd = std::max(FrameEnd, Accel.FreeAt);
+  FrameEnd = std::max(FrameEnd, detail::closeBlock(M, Wk.Span));
 }
 
 void ResidentWorkerPool::buryWorker(unsigned W,
                                     const sim::WorkDescriptor &Popped,
                                     std::vector<sim::WorkDescriptor> &Orphans) {
   Worker &Wk = Live[W];
-  sim::Accelerator &Accel = M.accel(Wk.AccelId);
+  sim::Accelerator &Accel = M.accel(Wk.Span.AccelId);
   // The worker died holding the popped descriptor, before the body
   // touched any state: hand it back first, then whatever was still
   // queued behind it, oldest first, so re-dispatch preserves order.
   ++RS.DeadWorkers;
   ++RS.RequeuedDescriptors;
   ++M.hostCounters().FailoverChunks;
-  M.emitFault({sim::FaultKind::ChunkRequeued, Wk.AccelId, Wk.BlockId,
+  M.emitFault({sim::FaultKind::ChunkRequeued, Wk.Span.AccelId, Wk.Span.BlockId,
                Accel.Clock.now(), Popped.Begin});
   Orphans.push_back(Popped);
   std::vector<sim::WorkDescriptor> Pending = Wk.Box->drain();
   for (const sim::WorkDescriptor &Desc : Pending) {
     ++RS.RequeuedDescriptors;
     ++M.hostCounters().FailoverChunks;
-    M.emitFault({sim::FaultKind::ChunkRequeued, Wk.AccelId, Wk.BlockId,
-                 Accel.Clock.now(), Desc.Begin});
+    M.emitFault({sim::FaultKind::ChunkRequeued, Wk.Span.AccelId,
+                 Wk.Span.BlockId, Accel.Clock.now(), Desc.Begin});
     Orphans.push_back(Desc);
   }
-  M.killAccelerator(Wk.AccelId, Wk.BlockId);
+  M.killAccelerator(Wk.Span.AccelId, Wk.Span.BlockId);
   closeWorker(Wk);
   Live.erase(Live.begin() + W);
 }
@@ -314,7 +305,7 @@ void ResidentWorkerPool::hangWorker(unsigned W,
                      "deadline armed; nothing can ever complete the work "
                      "(set MachineConfig::ChunkDeadlineCycles)");
   Worker &Wk = Live[W];
-  sim::Accelerator &Accel = M.accel(Wk.AccelId);
+  sim::Accelerator &Accel = M.accel(Wk.Span.AccelId);
   // The wedged worker makes no progress; the watchdog's sweep flags the
   // descriptor at the first check after its deadline. The cancel is
   // raised but never observed, so the core is abandoned and the
@@ -324,9 +315,9 @@ void ResidentWorkerPool::hangWorker(unsigned W,
   Accel.Clock.advanceTo(DetectAt);
   ++M.hostCounters().HangsDetected;
   ++M.hostCounters().CancelsIssued;
-  M.emitFault({sim::FaultKind::KernelHang, Wk.AccelId, Wk.BlockId, DetectAt,
-               Popped.Begin});
-  M.emitFault({sim::FaultKind::CancelIssued, Wk.AccelId, Wk.BlockId,
+  M.emitFault({sim::FaultKind::KernelHang, Wk.Span.AccelId, Wk.Span.BlockId,
+               DetectAt, Popped.Begin});
+  M.emitFault({sim::FaultKind::CancelIssued, Wk.Span.AccelId, Wk.Span.BlockId,
                DetectAt, /*Detail=*/DetectAt});
   buryWorker(W, Popped, Orphans);
 }
@@ -347,9 +338,9 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   const sim::MachineConfig &Cfg = M.config();
   const sim::WatchdogTimer &WD = M.watchdog();
   Worker &Wk = Live[W];
-  sim::Accelerator &Accel = M.accel(Wk.AccelId);
+  sim::Accelerator &Accel = M.accel(Wk.Span.AccelId);
   uint64_t Cost = UnslowedEnd - Start;
-  uint64_t SlowEnd = UnslowedEnd + detail::stragglerStall(Cost, Slowdown);
+  uint64_t SlowEnd = UnslowedEnd + stragglerStall(Cost, Slowdown);
   // The deadline applies to every descriptor when armed — the watchdog
   // cannot tell an injected straggler from genuinely slow work.
   if (!DeadlinesArmed || SlowEnd - Start <= WD.chunkDeadline()) {
@@ -359,8 +350,8 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
 
   uint64_t DetectAt = WD.detectionCycle(Start + WD.chunkDeadline());
   ++M.hostCounters().StragglersDetected;
-  M.emitFault({sim::FaultKind::StragglerDetected, Wk.AccelId, Wk.BlockId,
-               DetectAt, /*Detail=*/SlowEnd - Start});
+  M.emitFault({sim::FaultKind::StragglerDetected, Wk.Span.AccelId,
+               Wk.Span.BlockId, DetectAt, /*Detail=*/SlowEnd - Start});
 
   // Cancellation can only trim the trailing stall: the body's real work
   // is done and its results are in memory, so the victim never retires
@@ -372,7 +363,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     uint64_t VictimEnd =
         std::min(SlowEnd, std::max(UnslowedEnd, SeenAt));
     ++M.hostCounters().CancelsIssued;
-    M.emitFault({sim::FaultKind::CancelIssued, Wk.AccelId, Wk.BlockId,
+    M.emitFault({sim::FaultKind::CancelIssued, Wk.Span.AccelId, Wk.Span.BlockId,
                  RaisedAt, /*Detail=*/VictimEnd});
     Accel.Clock.advanceTo(VictimEnd);
   };
@@ -383,7 +374,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   // runtime would perform, without perturbing results.
   auto RunCopyOn = [&](unsigned W2) -> uint64_t {
     Worker &Copy = Live[W2];
-    sim::Accelerator &Accel2 = M.accel(Copy.AccelId);
+    sim::Accelerator &Accel2 = M.accel(Copy.Span.AccelId);
     uint64_t CopyStart = std::max(Accel2.Clock.now(), DetectAt);
     uint64_t CopyFinish =
         CopyStart + Cfg.MailboxDescriptorCycles + Cost;
@@ -393,11 +384,11 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     ++Copy.Executed;
     ++RS.RequeuedDescriptors;
     ++M.hostCounters().FailoverChunks;
-    M.emitFault({sim::FaultKind::ChunkRequeued, Copy.AccelId, Copy.BlockId,
-                 CopyStart, Desc.Begin});
+    M.emitFault({sim::FaultKind::ChunkRequeued, Copy.Span.AccelId,
+                 Copy.Span.BlockId, CopyStart, Desc.Begin});
     if (sim::DmaObserver *Obs = M.observer())
       Obs->onDispatchEvent({sim::DispatchEventKind::DescriptorRun,
-                            Copy.AccelId, Copy.BlockId, Desc.Seq,
+                            Copy.Span.AccelId, Copy.Span.BlockId, Desc.Seq,
                             CopyStart + Cfg.MailboxDescriptorCycles,
                             /*Detail=*/0, Desc.Begin, Desc.End,
                             CopyFinish});
@@ -411,7 +402,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     M.hostClock().advanceTo(DetectAt);
     M.hostClock().advance(Cost);
     ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, Wk.BlockId,
+    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, Wk.Span.BlockId,
                  M.hostClock().now(), Desc.Begin});
   };
 
@@ -436,10 +427,10 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     if (W2 == NoWorker)
       return EscalateToHost();
     ++M.hostCounters().SpeculativeRedispatches;
-    M.emitFault({sim::FaultKind::SpeculativeRedispatch, Live[W2].AccelId,
-                 Live[W2].BlockId, DetectAt, Desc.Begin});
+    M.emitFault({sim::FaultKind::SpeculativeRedispatch, accelId(W2),
+                 Live[W2].Span.BlockId, DetectAt, Desc.Begin});
     Worker &Copy = Live[W2];
-    sim::Accelerator &Accel2 = M.accel(Copy.AccelId);
+    sim::Accelerator &Accel2 = M.accel(Copy.Span.AccelId);
     uint64_t CopyStart = std::max(Accel2.Clock.now(), DetectAt);
     uint64_t CopyFinish =
         CopyStart + Cfg.MailboxDescriptorCycles + Cost;
@@ -457,8 +448,8 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
                                   SlowEnd, Cfg.CancelPollCycles)));
       Accel2.Clock.advanceTo(CopyEnd);
       ++M.hostCounters().CancelsIssued;
-      M.emitFault({sim::FaultKind::CancelIssued, Copy.AccelId, Copy.BlockId,
-                   SlowEnd, /*Detail=*/CopyEnd});
+      M.emitFault({sim::FaultKind::CancelIssued, Copy.Span.AccelId,
+                   Copy.Span.BlockId, SlowEnd, /*Detail=*/CopyEnd});
       Accel.Clock.advanceTo(SlowEnd);
     }
     return;

@@ -78,8 +78,6 @@ struct RegionStats {
   /// Resident-worker launches that failed outright (dead core, injected
   /// launch fault); the pool opened without them.
   uint32_t FailedLaunches = 0;
-  /// Worst launch outcome (Ok when every worker opened).
-  OffloadStatus WorstLaunchStatus = OffloadStatus::Ok;
   /// Workers that died mid-region, at a descriptor boundary (hung
   /// workers included).
   uint32_t DeadWorkers = 0;
@@ -135,9 +133,10 @@ public:
   /// \p FirstAccel (0 — the default — is the historical whole-machine
   /// pool). A non-zero base is how a caller pins a region to one
   /// domain's accelerators: FirstAccel = Domain * AcceleratorsPerDomain
-  /// with a budget of at most AcceleratorsPerDomain. Launches follow
-  /// the classifyLaunch fault gate, so a pool can open short-handed or
-  /// empty; place() and runOnHost() then fall back to the host.
+  /// with a budget of at most AcceleratorsPerDomain. Each worker opens
+  /// through detail::openBlock and its fail-stop gate, so a pool can
+  /// open short-handed or empty; place() and runOnHost() then fall back
+  /// to the host.
   ///
   /// \p NumStages is runDataflow's stage chain: a spawned continuation
   /// parcel running stage kernel K continues on to K+1 until kernel
@@ -172,7 +171,7 @@ public:
   /// NoWorker when that core never launched or has died.
   unsigned findWorkerFor(unsigned AccelId) const;
 
-  unsigned accelId(unsigned W) const { return Live[W].AccelId; }
+  unsigned accelId(unsigned W) const { return Live[W].Span.AccelId; }
   sim::Mailbox &mailbox(unsigned W) { return *Live[W].Box; }
 
   /// Host side: publishes \p Desc to worker \p W's mailbox (doorbell
@@ -289,9 +288,9 @@ public:
   bool executeNext(unsigned W, BodyFn &Body,
                    std::vector<sim::WorkDescriptor> &Orphans) {
     Worker &Wk = Live[W];
-    sim::Accelerator &Accel = M.accel(Wk.AccelId);
+    sim::Accelerator &Accel = M.accel(Wk.Span.AccelId);
     sim::WorkDescriptor Desc = Wk.Box->pop();
-    if (Faults && Faults->chunkFails(Wk.AccelId)) {
+    if (Faults && Faults->chunkFails(Wk.Span.AccelId)) {
       buryWorker(W, Desc, Orphans);
       return false;
     }
@@ -300,13 +299,13 @@ public:
     // construction); a straggler's slowdown lands after the real work.
     sim::TimingFault Timing;
     if (Faults)
-      Timing = Faults->classifyTiming(Wk.AccelId);
+      Timing = Faults->classifyTiming(Wk.Span.AccelId);
     if (Timing.Hangs) {
       hangWorker(W, Desc, Orphans);
       return false;
     }
     if (Desc.Home != sim::WorkDescriptor::NoHome &&
-        Desc.Home != Wk.AccelId) {
+        Desc.Home != Wk.Span.AccelId) {
       ++RS.FailoverDescriptors;
       ++M.hostCounters().FailoverChunks;
     }
@@ -329,7 +328,7 @@ public:
     Wk.LastEnd = Desc.End;
     if (sim::DmaObserver *Obs = M.observer())
       Obs->onDispatchEvent({sim::DispatchEventKind::DescriptorRun,
-                            Wk.AccelId, Wk.BlockId, Desc.Seq, Start,
+                            Wk.Span.AccelId, Wk.Span.BlockId, Desc.Seq, Start,
                             /*Detail=*/0, Desc.Begin, Desc.End, End});
     if (Timing.Slowdown > 1.0f || DeadlinesArmed)
       finishDescriptor(W, Desc, Start, End, Timing.Slowdown);
@@ -386,8 +385,9 @@ public:
 
 private:
   struct Worker {
-    unsigned AccelId = 0;
-    uint64_t BlockId = 0;
+    /// The worker's one offload block, open from the pool's launch to
+    /// closeWorker.
+    detail::BlockSpan Span;
     unsigned StatIndex = 0;
     uint32_t Executed = 0;
     /// [Begin, End) of the last descriptor this worker executed — the
@@ -399,13 +399,12 @@ private:
     /// or successful steal. A parked worker stops probing, so the drain
     /// loop cannot spin on hopeless probes.
     bool StealParked = false;
-    sim::LocalStore::Mark Mark;
     std::unique_ptr<OffloadContext> Ctx;
     std::unique_ptr<sim::Mailbox> Box;
   };
 
-  /// Ends worker \p W's block (observer, DMA drain, arena reset,
-  /// FreeAt) and folds its finish time into the makespan.
+  /// Ends worker \p Wk's block (closeBlock: observer, DMA drain, arena
+  /// reset, FreeAt) and folds its finish time into the makespan.
   void closeWorker(Worker &Wk);
 
   /// The death path: requeues \p Popped plus the mailbox backlog into
@@ -453,7 +452,7 @@ private:
   /// Worker \p W's accelerator clock (the drain loop compares a
   /// prospective thief's progress against the loaded worker's).
   uint64_t workerClock(unsigned W) const {
-    return M.accel(Live[W].AccelId).Clock.now();
+    return M.accel(accelId(W)).Clock.now();
   }
 
   /// The stage a spawned child running kernel \p Kernel continues on

@@ -55,7 +55,6 @@ TaskSchedule::Target TaskSchedule::taskTarget(TaskId Task) const {
 }
 
 TaskSchedule::RunReport TaskSchedule::run(Machine &M) {
-  const MachineConfig &Cfg = M.config();
   RunReport Report;
   Report.Timings.assign(Tasks.size(), TaskTiming());
 
@@ -86,34 +85,29 @@ TaskSchedule::RunReport TaskSchedule::run(Machine &M) {
       if (Done[Task] || Tasks[Task].Where != Target::Accelerator ||
           !DepsDone(Task))
         continue;
-      uint64_t Ready = ReadyAt(Task);
-      M.hostClock().advance(Cfg.HostLaunchCycles);
-
-      unsigned AccelId = pickAccelerator(M);
-      Accelerator &Accel = M.accel(AccelId);
-      uint64_t Start =
-          std::max({Accel.FreeAt, Ready, M.hostClock().now()}) +
-          Cfg.OffloadLaunchCycles;
-      Accel.Clock.mergeTo(Start);
-      uint64_t BlockId = M.takeBlockId();
-      LocalStore::Mark Mark = Accel.Store.mark();
-      {
-        if (DmaObserver *Obs = M.observer())
-          Obs->onBlockBegin(AccelId, BlockId, Accel.Clock.now());
-        OffloadContext Ctx(M, AccelId);
-        Tasks[Task].AccelBody(Ctx);
-        if (DmaObserver *Obs = M.observer())
-          Obs->onBlockEnd(AccelId, BlockId, Accel.Clock.now());
-        Accel.Dma.waitAll();
+      // A core that dies at launch is retried on the next live pick;
+      // the body runs only once openBlock returns Ok.
+      detail::BlockSpan Span;
+      for (;;) {
+        OffloadStatus Status =
+            detail::openBlock(M, pickAccelerator(M), ReadyAt(Task), Span);
+        if (Status == OffloadStatus::Ok)
+          break;
+        if (Status == OffloadStatus::NoAcceleratorAvailable)
+          reportFatalError("task schedule: no live accelerator for task '" +
+                           Tasks[Task].Name + "'");
       }
-      Accel.Store.reset(Mark);
-      Accel.FreeAt = Accel.Clock.now();
+      uint64_t Start = M.accel(Span.AccelId).Clock.now();
+      {
+        OffloadContext Ctx(M, Span.AccelId);
+        Tasks[Task].AccelBody(Ctx);
+      }
 
       TaskTiming &Timing = Report.Timings[Task];
       Timing.StartCycle = Start;
-      Timing.FinishCycle = Accel.FreeAt;
+      Timing.FinishCycle = detail::closeBlock(M, Span);
       Timing.Where = Target::Accelerator;
-      Timing.AccelId = AccelId;
+      Timing.AccelId = Span.AccelId;
       Report.AccelBusyCycles += Timing.FinishCycle - Timing.StartCycle;
 
       Done[Task] = true;

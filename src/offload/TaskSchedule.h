@@ -13,7 +13,8 @@
 /// named tasks, each bound to the host or to an accelerator, executed
 /// once per frame under the simulator's parallel-time model. The
 /// scheduler is a deterministic greedy list scheduler: every ready
-/// accelerator task launches immediately (to the least-busy core), host
+/// accelerator task launches immediately (to the least-busy live core,
+/// through offloadBlock's fail-stop launch gate), host
 /// tasks run in dependency order on the single host core, and the run
 /// report carries per-task start/finish times plus the critical path —
 /// the profile a game team uses to decide *what to offload next*.
@@ -74,8 +75,10 @@ public:
     uint64_t AccelBusyCycles = 0;
   };
 
-  /// Executes the graph once. Aborts on dependency cycles. The host
-  /// clock ends at the frame's completion (all tasks joined).
+  /// Executes the graph once. A task whose core dies at launch is
+  /// re-launched on the next live pick. Aborts on dependency cycles and
+  /// when an accelerator task finds no live core. The host clock ends
+  /// at the frame's completion (all tasks joined).
   RunReport run(sim::Machine &M);
 
 private:

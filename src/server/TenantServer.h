@@ -154,7 +154,6 @@ public:
   game::GameWorld &world(unsigned Tenant);
   const TenantStats &stats(unsigned Tenant) const;
   uint64_t checksum(unsigned Tenant) const;
-  uint64_t tickIndex() const { return Tick; }
 
   /// Serves one tick: runs admission over all tenants, then one frame
   /// for each admitted tenant (per the mode) and one host-only frame

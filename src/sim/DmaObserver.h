@@ -69,8 +69,8 @@ enum class FaultKind : uint8_t {
   DmaCompletionDelayed,   ///< A transfer's completion was pushed out.
   ChunkRequeued,          ///< A dead worker's chunk moved to a survivor.
   HostFallback,           ///< Work ran on the host; no core could.
-  KernelHang,             ///< A launch/descriptor wedged; watchdog fired.
-  StragglerDetected,      ///< A launch/descriptor missed its deadline.
+  KernelHang,             ///< A descriptor wedged; watchdog fired.
+  StragglerDetected,      ///< A descriptor missed its chunk deadline.
   CancelIssued,           ///< A cooperative cancel request was raised.
   SpeculativeRedispatch,  ///< A backup copy was raced vs a straggler.
   FrameDeadlineMissed,    ///< A frame exceeded its cycle budget.

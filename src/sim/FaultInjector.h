@@ -8,7 +8,10 @@
 /// \file
 /// The machine's fault oracle: a seeded source of accelerator deaths,
 /// transient DMA command rejections, delayed transfer completions, kernel
-/// hangs and stragglers, configured via MachineConfig::Faults. The
+/// hangs and stragglers, configured via MachineConfig::Faults. Launches
+/// are fail-stop: classifyLaunch only ever kills a core. Hangs and
+/// stragglers (classifyTiming) are drawn only when a resident worker
+/// pops a mailbox descriptor. The
 /// paper's premise (Section 2) is that explicit DMA and private stores
 /// make failure handling a first-class programming concern; this is the
 /// subsystem that lets the offload runtime's recovery paths be exercised
@@ -45,9 +48,10 @@ enum class LaunchFault : uint8_t {
   AcceleratorDeath,    ///< The core dies starting the block.
 };
 
-/// What the injector decided about one launch/descriptor's timing: it
-/// either wedges forever or runs slow by a cycle-cost multiplier
-/// (1.0 = on time). Orthogonal to the fail-stop LaunchFault verdicts.
+/// What the injector decided about one popped mailbox descriptor's
+/// timing: it either wedges forever or runs slow by a cycle-cost
+/// multiplier (1.0 = on time). Launches never draw one; they get only
+/// the fail-stop LaunchFault verdicts.
 struct TimingFault {
   bool Hangs = false;
   float Slowdown = 1.0f;
@@ -91,19 +95,19 @@ public:
   /// chunk (0 = the next one).
   void scheduleChunkKill(unsigned AccelId, uint64_t ChunkIndex);
 
-  /// Classifies the timing of the next launch/descriptor on \p AccelId:
-  /// hang, straggle (with a drawn slowdown), or run on time. One shared
-  /// index covers both launch and descriptor sites, mirroring how the
-  /// watchdog deadlines apply uniformly. Scheduled timing faults take
+  /// Classifies the timing of the next descriptor \p AccelId's resident
+  /// worker pops: hang, straggle (with a drawn slowdown), or run on
+  /// time. The only caller is ResidentWorkerPool::executeNext, so the
+  /// timing index counts descriptor pops. Scheduled timing faults take
   /// precedence over the random rates without consuming a draw.
   TimingFault classifyTiming(unsigned AccelId);
 
-  /// Forces \p AccelId's \p Index-th classified timing event (0 = the
-  /// next one) to hang.
+  /// Forces \p AccelId's \p Index-th descriptor pop (0 = the next one)
+  /// to hang.
   void scheduleHang(unsigned AccelId, uint64_t Index);
 
-  /// Forces \p AccelId's \p Index-th classified timing event to run
-  /// \p Slowdown times slower.
+  /// Forces \p AccelId's \p Index-th descriptor pop to run \p Slowdown
+  /// times slower.
   void scheduleStraggler(unsigned AccelId, uint64_t Index, float Slowdown);
 
 private:

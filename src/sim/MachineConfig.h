@@ -49,14 +49,15 @@ struct FaultInjectionConfig {
   /// DmaDelayCycles (a congested or degraded link).
   float DmaDelayRate = 0.0f;
 
-  /// Probability that an offload launch / mailbox descriptor wedges
-  /// forever (the kernel hang the watchdog exists for). A hang with no
-  /// armed watchdog deadline is a fatal configuration error: nothing
-  /// else can ever complete the work.
+  /// Probability that a resident worker wedges forever on a popped
+  /// mailbox descriptor (the kernel hang the watchdog exists for).
+  /// Launches are fail-stop and never hang. A hang with no armed chunk
+  /// deadline is a fatal configuration error: nothing else can ever
+  /// complete the work.
   float HangRate = 0.0f;
 
-  /// Probability that one launch/descriptor runs slow by a cycle-cost
-  /// multiplier drawn uniformly from [StragglerSlowdownMin,
+  /// Probability that one popped mailbox descriptor runs slow by a
+  /// cycle-cost multiplier drawn uniformly from [StragglerSlowdownMin,
   /// StragglerSlowdownMax] (thermal throttling, contended links — the
   /// tail-latency straggler, not a fail-stop fault).
   float StragglerRate = 0.0f;
@@ -85,9 +86,10 @@ struct FaultInjectionConfig {
   uint64_t KillWastedCyclesMax = 2000;
 };
 
-/// What the runtime does when the watchdog flags a launch/descriptor
-/// past its deadline. All policies keep results bit-identical: a body
-/// is never executed twice, so recovery only re-times completed work.
+/// What the resident runtime does when the watchdog flags a mailbox
+/// descriptor past its chunk deadline. All policies keep results
+/// bit-identical: a body is never executed twice, so recovery only
+/// re-times completed work.
 enum class DeadlinePolicy : uint8_t {
   /// Detect and count only; the straggler runs to its slowed finish.
   None,
@@ -198,14 +200,10 @@ struct MachineConfig {
   /// Descriptor capacity of one resident worker's mailbox.
   unsigned MailboxDepth = 8;
 
-  /// Period of the watchdog's deadline sweep: an overdue launch or
-  /// descriptor is detected at the next absolute multiple of this, not
-  /// at the deadline itself (the watchdog is a polling device).
+  /// Period of the watchdog's deadline sweep: an overdue descriptor is
+  /// detected at the next absolute multiple of this, not at the
+  /// deadline itself (the watchdog is a polling device).
   uint64_t WatchdogCheckCycles = 200;
-
-  /// Deadline, in cycles from launch start, for one offload block.
-  /// 0 disarms launch deadlines (hangs there become fatal).
-  uint64_t LaunchDeadlineCycles = 0;
 
   /// Deadline, in cycles from descriptor pop, for one mailbox work
   /// descriptor. 0 disarms chunk deadlines.

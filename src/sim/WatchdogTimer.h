@@ -6,16 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime watchdog of Offload.h's fail-stop model, generalised to
-/// timing faults: a polling device that sweeps outstanding launches and
-/// mailbox descriptors every WatchdogCheckCycles and flags any past its
-/// deadline. The sweep quantization matters for determinism — a miss is
-/// detected at the next absolute multiple of the check period, never at
-/// the deadline itself, so detection cycles are exact functions of the
-/// config rather than of who happened to poll first.
+/// The resident runtime's watchdog for timing faults: a polling device
+/// that sweeps outstanding mailbox descriptors every WatchdogCheckCycles
+/// and flags any past its chunk deadline. Launches need no deadline —
+/// they are fail-stop (Offload.h) and never hang or straggle. The sweep
+/// quantization matters for determinism — a miss is detected at the
+/// next absolute multiple of the check period, never at the deadline
+/// itself, so detection cycles are exact functions of the config rather
+/// than of who happened to poll first.
 ///
 /// The watchdog cannot tell an injected straggler from genuinely slow
-/// work: when armed, the deadline applies to every launch/descriptor.
+/// work: when armed, the deadline applies to every descriptor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,16 +36,11 @@ class WatchdogTimer {
 public:
   explicit WatchdogTimer(const MachineConfig &Config)
       : CheckCycles(Config.WatchdogCheckCycles),
-        LaunchDeadline(Config.LaunchDeadlineCycles),
         ChunkDeadline(Config.ChunkDeadlineCycles) {}
-
-  /// \returns true if offload launches carry a deadline.
-  bool armsLaunches() const { return CheckCycles != 0 && LaunchDeadline != 0; }
 
   /// \returns true if mailbox descriptors carry a deadline.
   bool armsChunks() const { return CheckCycles != 0 && ChunkDeadline != 0; }
 
-  uint64_t launchDeadline() const { return LaunchDeadline; }
   uint64_t chunkDeadline() const { return ChunkDeadline; }
   uint64_t checkCycles() const { return CheckCycles; }
 
@@ -53,9 +49,6 @@ public:
   /// serving its slice; the check grid itself never moves, so detection
   /// cycles stay absolute functions of the config.
   void setChunkDeadline(uint64_t Cycles) { ChunkDeadline = Cycles; }
-
-  /// Re-arms (or disarms, with 0) the per-launch deadline.
-  void setLaunchDeadline(uint64_t Cycles) { LaunchDeadline = Cycles; }
 
   /// \returns the cycle at which the watchdog's sweep first observes a
   /// deadline expiring at \p Cycle: the next absolute multiple of the
@@ -69,7 +62,6 @@ public:
 
 private:
   uint64_t CheckCycles;
-  uint64_t LaunchDeadline;
   uint64_t ChunkDeadline;
 };
 

@@ -42,14 +42,6 @@ uint64_t TraceRecorder::busyCycles(unsigned AccelId) const {
   return Total;
 }
 
-uint64_t TraceRecorder::descriptorCycles(unsigned AccelId) const {
-  uint64_t Total = 0;
-  for (const DescriptorSpan &D : Descriptors)
-    if (D.AccelId == AccelId)
-      Total += D.cycles();
-  return Total;
-}
-
 uint64_t TraceRecorder::totalDmaBytes() const {
   uint64_t Total = 0;
   for (const DmaTransfer &T : Transfers)

@@ -114,9 +114,6 @@ public:
     return MailboxEvents;
   }
 
-  /// Sum of descriptor body cycles recorded for \p AccelId.
-  uint64_t descriptorCycles(unsigned AccelId) const;
-
   /// Host-side direct main-memory touches seen while recording.
   uint64_t hostAccesses() const { return HostAccesses; }
 

@@ -168,7 +168,6 @@ MachineConfig timingFaultConfig(uint64_t Seed, DeadlinePolicy Policy) {
   SplitMix64 Rng(Seed ^ 0xDEAD11E5);
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.ChunkDeadlineCycles = 20000;
-  Cfg.LaunchDeadlineCycles = 20000;
   Cfg.CancelPollCycles = 32;
   Cfg.DeadlineRecovery = Policy;
   Cfg.Faults.Enabled = true;

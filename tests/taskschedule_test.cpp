@@ -7,6 +7,8 @@
 
 #include "offload/TaskSchedule.h"
 
+#include "sim/FaultInjector.h"
+
 #include <gtest/gtest.h>
 
 using namespace omm;
@@ -53,9 +55,35 @@ TEST(TaskSchedule, IndependentAccelTasksOverlap) {
     Schedule.addAccelTask("work" + std::to_string(I),
                           [](OffloadContext &Ctx) { Ctx.compute(50000); });
   auto Report = Schedule.run(M);
-  // Four tasks on (at least) four accelerators: makespan far below 4x.
-  EXPECT_LT(Report.MakespanCycles, 2 * 50000u);
+  // Four tasks on four accelerators: each launch costs the host 200
+  // cycles and the core 1000 more, so the starts step by 200 and the
+  // makespan is the last start plus one body.
+  const uint64_t ExpectStart[] = {1200, 1400, 1600, 1800};
+  for (unsigned I = 0; I != 4; ++I)
+    EXPECT_EQ(Report.Timings[I].StartCycle, ExpectStart[I]) << "task " << I;
+  EXPECT_EQ(Report.MakespanCycles, 51800u);
   EXPECT_EQ(Report.AccelBusyCycles, 4 * 50000u);
+}
+
+TEST(TaskSchedule, LaunchDeathRetriesOnTheNextLiveAccelerator) {
+  MachineConfig Cfg;
+  Cfg.Faults.Enabled = true;
+  Machine M(Cfg);
+  M.faults()->scheduleKill(0, 0);
+  TaskSchedule Schedule;
+  int Runs = 0;
+  Schedule.addAccelTask("w", [&](OffloadContext &Ctx) {
+    Ctx.compute(1000);
+    ++Runs;
+  });
+  auto Report = Schedule.run(M);
+  // The body never ran on the doomed core: the second launch, 200 host
+  // cycles later, took accelerator 1.
+  EXPECT_EQ(Runs, 1);
+  EXPECT_EQ(Report.Timings[0].AccelId, 1u);
+  EXPECT_EQ(Report.Timings[0].StartCycle, 1400u);
+  EXPECT_EQ(M.hostCounters().LaunchFaults, 1u);
+  EXPECT_FALSE(M.accel(0).Alive);
 }
 
 TEST(TaskSchedule, Figure2ShapeOverlapsAiWithCollision) {
@@ -167,6 +195,15 @@ TEST(TaskScheduleDeath, CycleIsFatal) {
   Schedule.addDependency(A, B);
   Schedule.addDependency(B, A);
   EXPECT_DEATH(Schedule.run(M), "dependency cycle");
+}
+
+TEST(TaskScheduleDeath, NoLiveAcceleratorIsFatal) {
+  MachineConfig Cfg;
+  Cfg.NumAccelerators = 0;
+  Machine M(Cfg);
+  TaskSchedule Schedule;
+  Schedule.addAccelTask("w", [](OffloadContext &) {});
+  EXPECT_DEATH(Schedule.run(M), "no live accelerator for task 'w'");
 }
 
 TEST(TaskSchedule, ManyTasksSpreadAcrossAccelerators) {

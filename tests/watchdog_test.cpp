@@ -23,10 +23,9 @@ using namespace omm::sim;
 
 namespace {
 
-MachineConfig configWith(uint64_t Check, uint64_t Launch, uint64_t Chunk) {
+MachineConfig configWith(uint64_t Check, uint64_t Chunk) {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.WatchdogCheckCycles = Check;
-  Cfg.LaunchDeadlineCycles = Launch;
   Cfg.ChunkDeadlineCycles = Chunk;
   return Cfg;
 }
@@ -36,29 +35,25 @@ MachineConfig configWith(uint64_t Check, uint64_t Launch, uint64_t Chunk) {
 TEST(WatchdogTimerTest, ArmingNeedsBothGridAndDeadline) {
   // A deadline with no check grid never fires, and a grid with no
   // deadline has nothing to check: both must be non-zero to arm.
-  EXPECT_FALSE(WatchdogTimer(configWith(0, 500, 500)).armsLaunches());
-  EXPECT_FALSE(WatchdogTimer(configWith(0, 500, 500)).armsChunks());
-  EXPECT_FALSE(WatchdogTimer(configWith(200, 0, 0)).armsLaunches());
-  EXPECT_FALSE(WatchdogTimer(configWith(200, 0, 0)).armsChunks());
-  WatchdogTimer Armed(configWith(200, 500, 700));
-  EXPECT_TRUE(Armed.armsLaunches());
+  EXPECT_FALSE(WatchdogTimer(configWith(0, 500)).armsChunks());
+  EXPECT_FALSE(WatchdogTimer(configWith(200, 0)).armsChunks());
+  WatchdogTimer Armed(configWith(200, 700));
   EXPECT_TRUE(Armed.armsChunks());
   EXPECT_EQ(Armed.checkCycles(), 200u);
-  EXPECT_EQ(Armed.launchDeadline(), 500u);
   EXPECT_EQ(Armed.chunkDeadline(), 700u);
 }
 
 TEST(WatchdogTimerTest, DeadlineExactlyOnAGridTickDetectsAtThatTick) {
   // The sweep at cycle k*Check observes a deadline expiring at exactly
   // k*Check — detection adds zero latency on the boundary.
-  WatchdogTimer WD(configWith(200, 500, 500));
+  WatchdogTimer WD(configWith(200, 500));
   EXPECT_EQ(WD.detectionCycle(0), 0u);
   EXPECT_EQ(WD.detectionCycle(200), 200u);
   EXPECT_EQ(WD.detectionCycle(4000), 4000u);
 }
 
 TEST(WatchdogTimerTest, DeadlineBetweenTicksRoundsUpToTheNextSweep) {
-  WatchdogTimer WD(configWith(200, 500, 500));
+  WatchdogTimer WD(configWith(200, 500));
   EXPECT_EQ(WD.detectionCycle(1), 200u);
   EXPECT_EQ(WD.detectionCycle(199), 200u);
   EXPECT_EQ(WD.detectionCycle(201), 400u);
@@ -75,24 +70,24 @@ TEST(WatchdogTimerTest, DeadlineBetweenTicksRoundsUpToTheNextSweep) {
 TEST(WatchdogTimerTest, ZeroCheckPeriodDetectsImmediately) {
   // No grid: detectionCycle degenerates to the identity, and nothing
   // arms — the fail-stop model's "no watchdog" configuration.
-  WatchdogTimer WD(configWith(0, 0, 0));
+  WatchdogTimer WD(configWith(0, 0));
   EXPECT_EQ(WD.detectionCycle(0), 0u);
   EXPECT_EQ(WD.detectionCycle(12345), 12345u);
 }
 
 TEST(WatchdogTimerTest, ZeroCycleChunkDeadlineIsDisarmedNotInstant) {
   // A zero-cycle deadline means "no deadline", never "already missed":
-  // armsChunks is false while the launch deadline stays armed.
-  WatchdogTimer WD(configWith(200, 500, 0));
-  EXPECT_TRUE(WD.armsLaunches());
+  // armsChunks is false while the check grid stays in place.
+  WatchdogTimer WD(configWith(200, 0));
   EXPECT_FALSE(WD.armsChunks());
+  EXPECT_EQ(WD.detectionCycle(201), 400u);
 }
 
 TEST(WatchdogTimerTest, ReArmAfterRecoveryChangesDeadlineNotGrid) {
   // The tenant server re-arms the chunk deadline around every tenant
   // slice. The deadline moves; the absolute check grid must not — a
   // re-arm that shifted detection cycles would break replay.
-  WatchdogTimer WD(configWith(200, 0, 20000));
+  WatchdogTimer WD(configWith(200, 20000));
   EXPECT_TRUE(WD.armsChunks());
   uint64_t DetectBefore = WD.detectionCycle(1234567);
 
@@ -104,13 +99,4 @@ TEST(WatchdogTimerTest, ReArmAfterRecoveryChangesDeadlineNotGrid) {
   EXPECT_TRUE(WD.armsChunks());
   EXPECT_EQ(WD.chunkDeadline(), 5000u);
   EXPECT_EQ(WD.detectionCycle(1234567), DetectBefore);
-}
-
-TEST(WatchdogTimerTest, LaunchDeadlineReArmsIndependently) {
-  WatchdogTimer WD(configWith(200, 0, 0));
-  EXPECT_FALSE(WD.armsLaunches());
-  WD.setLaunchDeadline(800);
-  EXPECT_TRUE(WD.armsLaunches());
-  EXPECT_FALSE(WD.armsChunks());
-  EXPECT_EQ(WD.launchDeadline(), 800u);
 }

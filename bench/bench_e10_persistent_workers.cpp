@@ -37,6 +37,7 @@
 #include "offload/Offload.h"
 #include "offload/Ptr.h"
 #include "sim/FaultInjector.h"
+#include "support/Random.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -45,31 +46,24 @@
 using namespace omm::bench;
 using namespace omm::offload;
 using namespace omm::sim;
+using omm::splitMix64;
 
 namespace {
 
 constexpr uint32_t Count = 2048;
 
-/// SplitMix64 finalizer as a pure per-item hash.
-uint64_t mix(uint64_t X) {
-  X += 0x9E3779B97F4A7C15ull;
-  X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ull;
-  X = (X ^ (X >> 27)) * 0x94D049BB133111EBull;
-  return X ^ (X >> 31);
-}
-
-uint64_t itemValue(uint32_t I) { return mix(0xE10 ^ I); }
+uint64_t itemValue(uint32_t I) { return splitMix64(0xE10 ^ I); }
 
 /// Irregular work: every 8th item (hash-selected, not striped) costs
 /// ~17x the baseline, so chunk granularity decides load balance.
 uint64_t itemCost(uint32_t I) {
-  return (mix(I) & 7) == 0 ? 2000 : 120;
+  return (splitMix64(I) & 7) == 0 ? 2000 : 120;
 }
 
 uint64_t expectedChecksum() {
   uint64_t Sum = 0;
   for (uint32_t I = 0; I != Count; ++I)
-    Sum = mix(Sum ^ itemValue(I));
+    Sum = splitMix64(Sum ^ itemValue(I));
   return Sum;
 }
 
@@ -82,7 +76,8 @@ struct RunOut {
 uint64_t readChecksum(Machine &M, OuterPtr<uint64_t> Data) {
   uint64_t Sum = 0;
   for (uint32_t I = 0; I != Count; ++I)
-    Sum = mix(Sum ^ M.mainMemory().readValue<uint64_t>((Data + I).addr()));
+    Sum = splitMix64(Sum ^
+                     M.mainMemory().readValue<uint64_t>((Data + I).addr()));
   return Sum;
 }
 

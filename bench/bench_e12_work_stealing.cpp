@@ -44,6 +44,7 @@
 #include "offload/ParallelFor.h"
 #include "offload/Ptr.h"
 #include "sim/FaultInjector.h"
+#include "support/Random.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -53,6 +54,7 @@
 using namespace omm::bench;
 using namespace omm::offload;
 using namespace omm::sim;
+using omm::splitMix64;
 
 namespace {
 
@@ -61,21 +63,14 @@ constexpr uint32_t FramesPerRow = 24;
 constexpr uint64_t BaseCost = 100;
 constexpr uint32_t HotWindow = Count / 8;
 
-/// SplitMix64 finalizer as a pure per-item hash.
-uint64_t mix(uint64_t X) {
-  X += 0x9E3779B97F4A7C15ull;
-  X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ull;
-  X = (X ^ (X >> 27)) * 0x94D049BB133111EBull;
-  return X ^ (X >> 31);
-}
-
-uint64_t itemValue(uint32_t I) { return mix(0xE12 ^ I); }
+uint64_t itemValue(uint32_t I) { return splitMix64(0xE12 ^ I); }
 
 /// The hot window starts at a hash-picked position each frame and
 /// wraps, so over a row it lands in every worker's static slice and
 /// the p99 captures the unluckiest placements.
 uint64_t itemCost(uint32_t I, uint32_t Frame, uint64_t HotMult) {
-  uint32_t HotBegin = static_cast<uint32_t>(mix(0xF00D ^ Frame) % Count);
+  uint32_t HotBegin =
+      static_cast<uint32_t>(splitMix64(0xF00D ^ Frame) % Count);
   uint32_t Offset = (I + Count - HotBegin) % Count;
   return Offset < HotWindow ? BaseCost * HotMult : BaseCost;
 }
@@ -83,7 +78,7 @@ uint64_t itemCost(uint32_t I, uint32_t Frame, uint64_t HotMult) {
 uint64_t expectedChecksum() {
   uint64_t Sum = 0;
   for (uint32_t I = 0; I != Count; ++I)
-    Sum = mix(Sum ^ itemValue(I));
+    Sum = splitMix64(Sum ^ itemValue(I));
   return Sum;
 }
 
@@ -126,7 +121,8 @@ MachineConfig stealConfig(StealPolicy Policy, float StragglerRate = 0.0f,
 uint64_t readChecksum(Machine &M, OuterPtr<uint64_t> Data) {
   uint64_t Sum = 0;
   for (uint32_t I = 0; I != Count; ++I)
-    Sum = mix(Sum ^ M.mainMemory().readValue<uint64_t>((Data + I).addr()));
+    Sum = splitMix64(Sum ^
+                     M.mainMemory().readValue<uint64_t>((Data + I).addr()));
   return Sum;
 }
 

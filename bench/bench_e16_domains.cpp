@@ -49,6 +49,7 @@
 #include "offload/ParallelFor.h"
 #include "offload/Ptr.h"
 #include "sim/FaultInjector.h"
+#include "support/Random.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -58,6 +59,7 @@
 using namespace omm::bench;
 using namespace omm::offload;
 using namespace omm::sim;
+using omm::splitMix64;
 
 namespace {
 
@@ -70,15 +72,7 @@ constexpr uint32_t HotWindow = Count / 4; // Two slices wide: each
 constexpr unsigned NumAccels = 8;
 constexpr unsigned AccelsPerDomain = 4; // Two domains of four.
 
-/// SplitMix64 finalizer as a pure per-item hash.
-uint64_t mix(uint64_t X) {
-  X += 0x9E3779B97F4A7C15ull;
-  X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ull;
-  X = (X ^ (X >> 27)) * 0x94D049BB133111EBull;
-  return X ^ (X >> 31);
-}
-
-uint64_t itemValue(uint32_t I) { return mix(0xE16 ^ I); }
+uint64_t itemValue(uint32_t I) { return splitMix64(0xE16 ^ I); }
 
 /// Two hot windows per frame, one straddling each domain boundary (the
 /// Count/2 split and the wrap at 0), sharing one jitter so each domain
@@ -88,7 +82,8 @@ uint64_t itemValue(uint32_t I) { return mix(0xE16 ^ I); }
 /// boundary thief's range-closest victim is frequently remote — the
 /// placement that separates DomainAware from LocalityAware.
 uint64_t itemCost(uint32_t I, uint32_t Frame, uint64_t HotMult) {
-  uint32_t Jitter = static_cast<uint32_t>(mix(0xB0A7 ^ Frame) % (Count / 8));
+  uint32_t Jitter =
+      static_cast<uint32_t>(splitMix64(0xB0A7 ^ Frame) % (Count / 8));
   uint32_t Begin0 = (Count / 2 - HotWindow / 2 + Jitter) % Count;
   uint32_t Begin1 = (Count - HotWindow / 2 + Jitter) % Count;
   uint32_t Off0 = (I + Count - Begin0) % Count;
@@ -99,7 +94,7 @@ uint64_t itemCost(uint32_t I, uint32_t Frame, uint64_t HotMult) {
 uint64_t expectedChecksum() {
   uint64_t Sum = 0;
   for (uint32_t I = 0; I != Count; ++I)
-    Sum = mix(Sum ^ itemValue(I));
+    Sum = splitMix64(Sum ^ itemValue(I));
   return Sum;
 }
 
@@ -157,7 +152,8 @@ MachineConfig domainConfig(StealPolicy Policy, uint64_t Penalty,
 uint64_t readChecksum(Machine &M, OuterPtr<uint64_t> Data) {
   uint64_t Sum = 0;
   for (uint32_t I = 0; I != Count; ++I)
-    Sum = mix(Sum ^ M.mainMemory().readValue<uint64_t>((Data + I).addr()));
+    Sum = splitMix64(Sum ^
+                     M.mainMemory().readValue<uint64_t>((Data + I).addr()));
   return Sum;
 }
 

@@ -11,8 +11,9 @@
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the sweep-runner
 #                    byte-identity and bench-toolchain tests, and runs
-#                    all 9 examples as `example_*` integration smokes
-#                    that pass on exit 0)
+#                    all 9 examples as `example_*` integration tests
+#                    that pass on exit 0 with stdout and stderr equal
+#                    byte for byte to examples/expected/<name>.txt)
 #   2. baselines   — every committed BENCH_baseline/ snapshot is
 #                    regenerated through tools/refresh_baselines (full
 #                    sweeps via tools/sweeprun) into build/bench/baselines/
@@ -49,7 +50,7 @@ cd "$(dirname "$0")"
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== tier-1: configure + build + ctest (tests and example smokes) ==="
+echo "=== tier-1: configure + build + ctest (tests and golden example output) ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build -LE soak --output-on-failure -j "$JOBS"

@@ -106,14 +106,6 @@ public:
   void addVirtualCall(FunctionId Caller, VirtualSlotId Slot,
                       std::vector<ArgBinding> Args);
 
-  unsigned numFunctions() const {
-    return static_cast<unsigned>(Functions.size());
-  }
-  unsigned numUnits() const { return static_cast<unsigned>(Units.size()); }
-  unsigned numVirtualSlots() const {
-    return static_cast<unsigned>(Slots.size());
-  }
-
   const std::string &functionName(FunctionId Fn) const;
   const std::string &unitName(UnitId Unit) const;
   const std::string &slotName(VirtualSlotId Slot) const;

@@ -130,7 +130,6 @@ public:
     MemoEnabled = Enabled;
     Memo.clear();
   }
-  bool vtableMemoEnabled() const { return MemoEnabled; }
 
   /// Drops memoised resolutions (e.g. at block end; call it whenever
   /// the memo's local-store lifetime would have expired).

@@ -82,7 +82,6 @@ public:
   /// Writes every vtable into \p M's main memory. Call once, before any
   /// object creation or dispatch.
   void materialize(sim::Machine &M);
-  bool isMaterialized() const { return Materialized; }
 
   /// \returns the main-memory address of \p Class's vtable.
   sim::GlobalAddr vtableAddr(ClassId Class) const;
@@ -98,10 +97,6 @@ public:
   /// Byte offset of the payload within an object.
   static constexpr uint64_t payloadOffset() { return sizeof(ObjectHeader); }
 
-  unsigned numClasses() const { return static_cast<unsigned>(Classes.size()); }
-  unsigned numMethods() const {
-    return static_cast<unsigned>(MethodNames.size()) - 1;
-  }
   const std::string &className(ClassId Class) const;
   const std::string &methodName(MethodId Method) const;
   unsigned numSlots(ClassId Class) const;
@@ -139,7 +134,6 @@ public:
   /// Number of host-side virtual dispatches performed so far (the
   /// "virtual calls per frame" measurement of Section 4.1).
   uint64_t hostDispatchCount() const { return HostDispatches; }
-  void resetHostDispatchCount() { HostDispatches = 0; }
 
 private:
   struct ClassInfo {
@@ -147,9 +141,6 @@ private:
     std::vector<MethodId> Slots;
     sim::GlobalAddr Vtable;
   };
-
-  MethodId slotFromVtable(sim::Machine &M, uint64_t VtableAddr,
-                          unsigned Slot) const;
 
   std::vector<ClassInfo> Classes;
   std::vector<std::string> MethodNames{"<no-method>"}; // MethodId 0 = none.

@@ -99,18 +99,10 @@ public:
 
   sim::Machine &machine() { return M; }
   domains::ClassRegistry &registry() { return Registry; }
-  uint32_t componentsPerKind() const { return PerKind; }
   uint32_t totalComponents() const { return PerKind * NumKinds; }
 
   /// Main-memory address of component \p Index of \p Kind.
   sim::GlobalAddr componentAddr(unsigned Kind, uint32_t Index) const;
-
-  /// The abstract system's GameObject* array: every component's address
-  /// in a deterministic shuffled order (Section 4.2's objects[]).
-  sim::GlobalAddr mixedArrayAddr() const { return MixedArray; }
-
-  /// The shared GameServices singleton object.
-  sim::GlobalAddr servicesAddr() const { return Services; }
 
   //===--------------------------------------------------------------===//
   // Frame schedules. All three produce bit-identical state.
@@ -183,7 +175,10 @@ private:
   std::array<domains::MethodId, NumServiceMethods> ServiceMethods{};
 
   std::array<sim::GlobalAddr, NumKinds> KindArrays{};
+  /// The abstract system's GameObject* array: every component's address
+  /// in a deterministic shuffled order (Section 4.2's objects[]).
   sim::GlobalAddr MixedArray;
+  /// The shared GameServices singleton object.
   sim::GlobalAddr Services;
 
   std::unique_ptr<domains::OffloadDomain> MonolithicDomain;

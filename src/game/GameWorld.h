@@ -35,6 +35,7 @@
 #include "game/EntityStore.h"
 #include "game/Physics.h"
 #include "sim/Mailbox.h"
+#include "support/Random.h"
 
 #include <cstdint>
 
@@ -88,12 +89,9 @@ struct GameWorldParams {
   uint64_t aiCostMult(uint32_t EntityIndex) const {
     if (PathologicalAiEntities == 0 || NumEntities == 0)
       return 1;
-    uint64_t H = EntityIndex + 0x9E3779B97F4A7C15ull;
-    H = (H ^ (H >> 30)) * 0xBF58476D1CE4E5B9ull;
-    H = (H ^ (H >> 27)) * 0x94D049BB133111EBull;
-    H ^= H >> 31;
-    return H % NumEntities < PathologicalAiEntities ? PathologicalAiCostMult
-                                                    : 1;
+    return splitMix64(EntityIndex) % NumEntities < PathologicalAiEntities
+               ? PathologicalAiCostMult
+               : 1;
   }
 };
 

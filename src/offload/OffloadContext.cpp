@@ -27,29 +27,12 @@ using namespace omm::sim;
 static constexpr uint32_t BounceBufferBytes = 4096;
 
 OffloadContext::OffloadContext(sim::Machine &M, unsigned AccelId)
-    : M(M), Accel(M.accel(AccelId)), Faults(M.faults()),
-      BounceSize(BounceBufferBytes), BounceTag(M.config().NumDmaTags - 1) {
+    : M(M), Accel(M.accel(AccelId)), BounceSize(BounceBufferBytes),
+      BounceTag(M.config().NumDmaTags - 1) {
   BounceBuffer = Accel.Store.alloc(BounceSize);
 }
 
 OffloadContext::~OffloadContext() = default;
-
-void OffloadContext::retryRejectedCommands() {
-  const MachineConfig &Cfg = M.config();
-  uint64_t Backoff = Cfg.Faults.DmaRetryBackoffCycles;
-  while (Faults->dmaCommandFails(accelId())) {
-    // A rejected command costs its issue cycles plus a software backoff
-    // before the re-issue; the backoff doubles per consecutive
-    // rejection, like a queue-full retry loop on real MFC firmware.
-    Accel.Clock.advance(Cfg.DmaIssueCycles + Backoff);
-    ++Accel.Counters.DmaRetries;
-    Accel.Counters.DmaRetryStallCycles += Backoff;
-    if (DmaObserver *Obs = M.observer())
-      Obs->onFault({FaultKind::DmaCommandRejected, accelId(), /*BlockId=*/0,
-                    Accel.Clock.now(), Backoff});
-    Backoff *= 2;
-  }
-}
 
 void OffloadContext::noteLocalAccess(LocalAddr Addr, uint32_t Size,
                                      bool IsWrite) {

@@ -89,37 +89,33 @@ public:
   }
 
   //===--------------------------------------------------------------===//
-  // Explicit DMA (the Figure 1 programming model).
+  // Explicit DMA (the Figure 1 programming model). Plain forwards: the
+  // DMA engine charges each MFC command, including the retry of a
+  // transiently rejected one.
   //===--------------------------------------------------------------===//
 
   void dmaGet(sim::LocalAddr Dst, sim::GlobalAddr Src, uint32_t Size,
               unsigned Tag) {
-    dmaGate();
     Accel.Dma.get(Dst, Src, Size, Tag);
   }
   void dmaPut(sim::GlobalAddr Dst, sim::LocalAddr Src, uint32_t Size,
               unsigned Tag) {
-    dmaGate();
     Accel.Dma.put(Dst, Src, Size, Tag);
   }
   void dmaGetLarge(sim::LocalAddr Dst, sim::GlobalAddr Src, uint64_t Size,
                    unsigned Tag) {
-    dmaGate();
     Accel.Dma.getLarge(Dst, Src, Size, Tag);
   }
   void dmaPutLarge(sim::GlobalAddr Dst, sim::LocalAddr Src, uint64_t Size,
                    unsigned Tag) {
-    dmaGate();
     Accel.Dma.putLarge(Dst, Src, Size, Tag);
   }
   void dmaGetList(const sim::DmaEngine::ListElement *Elements,
                   unsigned Count, unsigned Tag) {
-    dmaGate();
     Accel.Dma.getList(Elements, Count, Tag);
   }
   void dmaPutList(const sim::DmaEngine::ListElement *Elements,
                   unsigned Count, unsigned Tag) {
-    dmaGate();
     Accel.Dma.putList(Elements, Count, Tag);
   }
   void dmaWait(unsigned Tag) { Accel.Dma.waitTag(Tag); }
@@ -189,19 +185,6 @@ private:
 
   void noteLocalAccess(sim::LocalAddr Addr, uint32_t Size, bool IsWrite);
 
-  /// Fault-injection gate taken once per DMA command issued through this
-  /// context. Null injector (the normal case) costs one pointer test.
-  void dmaGate() {
-    if (Faults)
-      retryRejectedCommands();
-  }
-
-  /// Spins on the injector's transient command-rejection verdicts,
-  /// paying re-issue plus exponential backoff in simulated cycles per
-  /// rejection. The injector bounds consecutive rejections, so this
-  /// terminates even at a 100% configured failure rate.
-  void retryRejectedCommands();
-
   /// Synchronous, uncached transfer of the 16-byte-aligned region
   /// enclosing [Addr, Addr+Size) through the bounce buffer.
   void directOuterRead(void *Dst, sim::GlobalAddr Src, uint32_t Size);
@@ -210,7 +193,6 @@ private:
   sim::Machine &M;
   sim::Accelerator &Accel;
   SoftwareCacheBase *BoundCache = nullptr;
-  sim::FaultInjector *Faults;       ///< Null unless injection is enabled.
   sim::LocalAddr BounceBuffer;      ///< Staging area for direct accesses.
   uint32_t BounceSize;
   unsigned BounceTag;               ///< Reserved tag for direct accesses.

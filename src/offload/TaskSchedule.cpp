@@ -49,11 +49,6 @@ const std::string &TaskSchedule::taskName(TaskId Task) const {
   return Tasks[Task].Name;
 }
 
-TaskSchedule::Target TaskSchedule::taskTarget(TaskId Task) const {
-  assert(Task < Tasks.size() && "unknown task");
-  return Tasks[Task].Where;
-}
-
 TaskSchedule::RunReport TaskSchedule::run(Machine &M) {
   RunReport Report;
   Report.Timings.assign(Tasks.size(), TaskTiming());

@@ -54,7 +54,6 @@ public:
 
   unsigned numTasks() const { return static_cast<unsigned>(Tasks.size()); }
   const std::string &taskName(TaskId Task) const;
-  Target taskTarget(TaskId Task) const;
 
   /// Per-task timing of one run.
   struct TaskTiming {

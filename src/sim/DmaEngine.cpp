@@ -60,35 +60,54 @@ uint64_t DmaEngine::injectTransferDelay(uint64_t IssuedAt) {
   return Extra;
 }
 
-void DmaEngine::issue(DmaDir Dir, LocalAddr Local, GlobalAddr Global,
-                      uint32_t Size, unsigned Tag, Ordering Order) {
-  validate(Local, Global, Size, Tag);
+void DmaEngine::issue(DmaDir Dir, const ListElement *Elements,
+                      unsigned Count, unsigned Tag, Ordering Order) {
+  if (Count == 0)
+    return;
+
+  // Transient rejection: the MFC refuses the command and the core
+  // re-issues it, paying the issue cycles plus a software backoff that
+  // doubles per consecutive refusal. The injector caps consecutive
+  // refusals at MaxDmaRetries, so this ends even at a 100% rate.
+  uint64_t Backoff = Config.Faults.DmaRetryBackoffCycles;
+  while (Injector && Injector->dmaCommandFails(AccelId)) {
+    Clock.advance(Config.DmaIssueCycles + Backoff);
+    ++Counters.DmaRetries;
+    Counters.DmaRetryStallCycles += Backoff;
+    if (Observer)
+      Observer->onFault({FaultKind::DmaCommandRejected, AccelId,
+                         /*BlockId=*/0, Clock.now(), Backoff});
+    Backoff *= 2;
+  }
+
+  uint64_t TotalBytes = 0;
+  for (unsigned I = 0; I != Count; ++I) {
+    validate(Elements[I].Local, Elements[I].Global, Elements[I].Size, Tag);
+    TotalBytes += Elements[I].Size;
+  }
 
   // The issuing core pays the per-command enqueue cost up front.
   Clock.advance(Config.DmaIssueCycles);
   uint64_t Now = Clock.now();
 
   // Queue-depth stall: the MFC accepts at most DmaQueueDepth in-flight
-  // requests; issuing into a full queue blocks the core until the oldest
-  // in-flight transfer drains.
-  auto inFlightCount = [&](uint64_t At) {
-    unsigned Count = 0;
-    for (const DmaTransfer &T : Pending)
-      if (T.CompleteCycle > At)
-        ++Count;
-    return Count;
-  };
-  if (inFlightCount(Now) >= Config.DmaQueueDepth) {
-    // Advance to the completion of the earliest still-in-flight transfer.
-    uint64_t Earliest = UINT64_MAX;
-    for (const DmaTransfer &T : Pending)
-      if (T.CompleteCycle > Now)
-        Earliest = std::min(Earliest, T.CompleteCycle);
+  // commands; issuing into a full queue blocks the core until the
+  // earliest in-flight transfer drains.
+  unsigned InFlight = 0;
+  uint64_t Earliest = UINT64_MAX;
+  for (const DmaTransfer &T : Pending)
+    if (T.CompleteCycle > Now) {
+      ++InFlight;
+      Earliest = std::min(Earliest, T.CompleteCycle);
+    }
+  if (InFlight >= Config.DmaQueueDepth) {
     assert(Earliest != UINT64_MAX && "full queue with nothing in flight");
     Counters.DmaQueueFullStallCycles += Clock.advanceTo(Earliest);
     Now = Clock.now();
   }
 
+  // One startup latency covers the whole command; the data phases of
+  // its elements serialise on the engine channel.
   uint64_t Start = std::max(Now, ChannelFreeAt);
   if (Order == Ordering::Fence)
     Start = std::max(Start, lastCompletionForTag(Tag));
@@ -96,72 +115,112 @@ void DmaEngine::issue(DmaDir Dir, LocalAddr Local, GlobalAddr Global,
     Start = std::max(Start, maxCompletionAll());
   uint64_t DataCycles = Config.DmaBytesPerCycle == 0
                             ? 0
-                            : divideCeil(Size, Config.DmaBytesPerCycle);
+                            : divideCeil(TotalBytes, Config.DmaBytesPerCycle);
   // Main memory lives in domain 0, so an engine on a remote-domain core
-  // pays the inter-domain hop on every transfer (zero on flat machines).
+  // pays the inter-domain hop once per command (zero on flat machines).
   uint64_t Complete = Start + Config.DmaLatencyCycles +
                       Config.interDomainDmaPremium(AccelId) + DataCycles;
   ChannelFreeAt = Start + DataCycles;
   if (Injector)
-    Complete += injectTransferDelay(Now);
+    Complete += injectTransferDelay(Now); // One command, one draw.
 
-  DmaTransfer Transfer;
-  Transfer.Id = NextId++;
-  Transfer.Dir = Dir;
-  Transfer.AccelId = AccelId;
-  Transfer.Local = Local;
-  Transfer.Global = Global;
-  Transfer.Size = Size;
-  Transfer.Tag = Tag;
-  Transfer.Fenced = Order == Ordering::Fence;
-  Transfer.Barriered = Order == Ordering::Barrier;
-  Transfer.IssueCycle = Now;
-  Transfer.CompleteCycle = Complete;
-
-  // Functional copy happens now (see file comment in DmaEngine.h).
-  if (Dir == DmaDir::Get) {
-    std::memcpy(Store.rawPtr(Local, Size), Main.rawPtr(Global, Size), Size);
+  if (Dir == DmaDir::Get)
     ++Counters.DmaGetsIssued;
-    Counters.DmaBytesRead += Size;
-  } else {
-    std::memcpy(Main.rawPtr(Global, Size), Store.rawPtr(Local, Size), Size);
+  else
     ++Counters.DmaPutsIssued;
-    Counters.DmaBytesWritten += Size;
-  }
+  for (unsigned I = 0; I != Count; ++I) {
+    const ListElement &E = Elements[I];
+    // Functional copy happens now (see file comment in DmaEngine.h).
+    if (Dir == DmaDir::Get) {
+      std::memcpy(Store.rawPtr(E.Local, E.Size),
+                  Main.rawPtr(E.Global, E.Size), E.Size);
+      Counters.DmaBytesRead += E.Size;
+    } else {
+      std::memcpy(Main.rawPtr(E.Global, E.Size),
+                  Store.rawPtr(E.Local, E.Size), E.Size);
+      Counters.DmaBytesWritten += E.Size;
+    }
 
-  Pending.push_back(Transfer);
-  if (Observer)
-    Observer->onIssue(Transfer);
+    // The race checker and tag bookkeeping see one record per element
+    // (overlap analysis needs the element ranges), all sharing the
+    // command's timing. The record is filled in place: a stack copy
+    // pushed right after its field stores stalls store forwarding.
+    DmaTransfer &Transfer = Pending.emplace_back();
+    Transfer.Id = NextId++;
+    Transfer.Dir = Dir;
+    Transfer.AccelId = AccelId;
+    Transfer.Local = E.Local;
+    Transfer.Global = E.Global;
+    Transfer.Size = E.Size;
+    Transfer.Tag = Tag;
+    Transfer.Fenced = Order == Ordering::Fence;
+    Transfer.Barriered = Order == Ordering::Barrier;
+    Transfer.IssueCycle = Now;
+    Transfer.CompleteCycle = Complete;
+    if (Observer)
+      Observer->onIssue(Transfer);
+  }
+}
+
+void DmaEngine::issueLarge(DmaDir Dir, LocalAddr Local, GlobalAddr Global,
+                           uint64_t Size, unsigned Tag) {
+  while (Size != 0) {
+    uint32_t Chunk = static_cast<uint32_t>(
+        std::min<uint64_t>(Size, Config.MaxDmaTransferSize));
+    // Keep the tail a legal size: round down to alignment unless this is
+    // the final sub-16-byte piece.
+    if (Chunk >= Config.DmaAlignment)
+      Chunk = static_cast<uint32_t>(alignDown(Chunk, Config.DmaAlignment));
+    ListElement E{Local, Global, Chunk};
+    issue(Dir, &E, 1, Tag, Ordering::None);
+    Local += Chunk;
+    Global += Chunk;
+    Size -= Chunk;
+  }
 }
 
 void DmaEngine::get(LocalAddr Dst, GlobalAddr Src, uint32_t Size,
                     unsigned Tag) {
-  issue(DmaDir::Get, Dst, Src, Size, Tag, Ordering::None);
+  ListElement E{Dst, Src, Size};
+  issue(DmaDir::Get, &E, 1, Tag, Ordering::None);
 }
 
 void DmaEngine::put(GlobalAddr Dst, LocalAddr Src, uint32_t Size,
                     unsigned Tag) {
-  issue(DmaDir::Put, Src, Dst, Size, Tag, Ordering::None);
+  ListElement E{Src, Dst, Size};
+  issue(DmaDir::Put, &E, 1, Tag, Ordering::None);
 }
 
 void DmaEngine::getFenced(LocalAddr Dst, GlobalAddr Src, uint32_t Size,
                           unsigned Tag) {
-  issue(DmaDir::Get, Dst, Src, Size, Tag, Ordering::Fence);
-}
-
-void DmaEngine::putFenced(GlobalAddr Dst, LocalAddr Src, uint32_t Size,
-                          unsigned Tag) {
-  issue(DmaDir::Put, Src, Dst, Size, Tag, Ordering::Fence);
+  ListElement E{Dst, Src, Size};
+  issue(DmaDir::Get, &E, 1, Tag, Ordering::Fence);
 }
 
 void DmaEngine::getBarrier(LocalAddr Dst, GlobalAddr Src, uint32_t Size,
                            unsigned Tag) {
-  issue(DmaDir::Get, Dst, Src, Size, Tag, Ordering::Barrier);
+  ListElement E{Dst, Src, Size};
+  issue(DmaDir::Get, &E, 1, Tag, Ordering::Barrier);
 }
 
-void DmaEngine::putBarrier(GlobalAddr Dst, LocalAddr Src, uint32_t Size,
-                           unsigned Tag) {
-  issue(DmaDir::Put, Src, Dst, Size, Tag, Ordering::Barrier);
+void DmaEngine::getList(const ListElement *Elements, unsigned Count,
+                        unsigned Tag) {
+  issue(DmaDir::Get, Elements, Count, Tag, Ordering::None);
+}
+
+void DmaEngine::putList(const ListElement *Elements, unsigned Count,
+                        unsigned Tag) {
+  issue(DmaDir::Put, Elements, Count, Tag, Ordering::None);
+}
+
+void DmaEngine::getLarge(LocalAddr Dst, GlobalAddr Src, uint64_t Size,
+                         unsigned Tag) {
+  issueLarge(DmaDir::Get, Dst, Src, Size, Tag);
+}
+
+void DmaEngine::putLarge(GlobalAddr Dst, LocalAddr Src, uint64_t Size,
+                         unsigned Tag) {
+  issueLarge(DmaDir::Put, Src, Dst, Size, Tag);
 }
 
 uint64_t DmaEngine::lastCompletionForTag(unsigned Tag) const {
@@ -202,123 +261,3 @@ void DmaEngine::waitTag(unsigned Tag) {
 }
 
 void DmaEngine::waitAll() { waitTagMask(~0u); }
-
-void DmaEngine::issueList(DmaDir Dir, const ListElement *Elements,
-                          unsigned Count, unsigned Tag) {
-  if (Count == 0)
-    return;
-  uint64_t TotalBytes = 0;
-  for (unsigned I = 0; I != Count; ++I) {
-    validate(Elements[I].Local, Elements[I].Global, Elements[I].Size, Tag);
-    TotalBytes += Elements[I].Size;
-  }
-
-  // One enqueue cost for the whole list command.
-  Clock.advance(Config.DmaIssueCycles);
-  uint64_t Now = Clock.now();
-  // One queue slot for the whole command.
-  auto inFlightCount = [&](uint64_t At) {
-    unsigned InFlight = 0;
-    for (const DmaTransfer &T : Pending)
-      if (T.CompleteCycle > At)
-        ++InFlight;
-    return InFlight;
-  };
-  if (inFlightCount(Now) >= Config.DmaQueueDepth) {
-    uint64_t Earliest = UINT64_MAX;
-    for (const DmaTransfer &T : Pending)
-      if (T.CompleteCycle > Now)
-        Earliest = std::min(Earliest, T.CompleteCycle);
-    assert(Earliest != UINT64_MAX && "full queue with nothing in flight");
-    Counters.DmaQueueFullStallCycles += Clock.advanceTo(Earliest);
-    Now = Clock.now();
-  }
-
-  // One startup latency covers the whole list; the data phases of the
-  // elements serialise on the engine channel.
-  uint64_t Start = std::max(Now, ChannelFreeAt);
-  uint64_t DataCycles = Config.DmaBytesPerCycle == 0
-                            ? 0
-                            : divideCeil(TotalBytes, Config.DmaBytesPerCycle);
-  // As in issue(): one inter-domain hop covers the whole list, just
-  // like the single startup latency.
-  uint64_t Complete = Start + Config.DmaLatencyCycles +
-                      Config.interDomainDmaPremium(AccelId) + DataCycles;
-  ChannelFreeAt = Start + DataCycles;
-  if (Injector)
-    Complete += injectTransferDelay(Now); // One command, one draw.
-
-  for (unsigned I = 0; I != Count; ++I) {
-    const ListElement &E = Elements[I];
-    if (Dir == DmaDir::Get) {
-      std::memcpy(Store.rawPtr(E.Local, E.Size),
-                  Main.rawPtr(E.Global, E.Size), E.Size);
-      Counters.DmaBytesRead += E.Size;
-    } else {
-      std::memcpy(Main.rawPtr(E.Global, E.Size),
-                  Store.rawPtr(E.Local, E.Size), E.Size);
-      Counters.DmaBytesWritten += E.Size;
-    }
-
-    // The race checker and tag bookkeeping see one record per element
-    // (overlap analysis needs the element ranges), all sharing the list
-    // command's timing.
-    DmaTransfer Transfer;
-    Transfer.Id = NextId++;
-    Transfer.Dir = Dir;
-    Transfer.AccelId = AccelId;
-    Transfer.Local = E.Local;
-    Transfer.Global = E.Global;
-    Transfer.Size = E.Size;
-    Transfer.Tag = Tag;
-    Transfer.IssueCycle = Now;
-    Transfer.CompleteCycle = Complete;
-    Pending.push_back(Transfer);
-    if (Observer)
-      Observer->onIssue(Transfer);
-  }
-  if (Dir == DmaDir::Get)
-    ++Counters.DmaGetsIssued;
-  else
-    ++Counters.DmaPutsIssued;
-}
-
-void DmaEngine::getList(const ListElement *Elements, unsigned Count,
-                        unsigned Tag) {
-  issueList(DmaDir::Get, Elements, Count, Tag);
-}
-
-void DmaEngine::putList(const ListElement *Elements, unsigned Count,
-                        unsigned Tag) {
-  issueList(DmaDir::Put, Elements, Count, Tag);
-}
-
-void DmaEngine::getLarge(LocalAddr Dst, GlobalAddr Src, uint64_t Size,
-                         unsigned Tag) {
-  while (Size != 0) {
-    uint32_t Chunk = static_cast<uint32_t>(
-        std::min<uint64_t>(Size, Config.MaxDmaTransferSize));
-    // Keep the tail a legal size: round down to alignment unless this is
-    // the final sub-16-byte piece.
-    if (Chunk >= Config.DmaAlignment)
-      Chunk = static_cast<uint32_t>(alignDown(Chunk, Config.DmaAlignment));
-    get(Dst, Src, Chunk, Tag);
-    Dst += Chunk;
-    Src += Chunk;
-    Size -= Chunk;
-  }
-}
-
-void DmaEngine::putLarge(GlobalAddr Dst, LocalAddr Src, uint64_t Size,
-                         unsigned Tag) {
-  while (Size != 0) {
-    uint32_t Chunk = static_cast<uint32_t>(
-        std::min<uint64_t>(Size, Config.MaxDmaTransferSize));
-    if (Chunk >= Config.DmaAlignment)
-      Chunk = static_cast<uint32_t>(alignDown(Chunk, Config.DmaAlignment));
-    put(Dst, Src, Chunk, Tag);
-    Dst += Chunk;
-    Src += Chunk;
-    Size -= Chunk;
-  }
-}

@@ -23,6 +23,12 @@
 /// programs are reported by the dmacheck observer instead of yielding
 /// nondeterministically corrupted data.
 ///
+/// Command model: single, fenced, barriered, list and large transfers all
+/// issue through one private routine, one MFC command at a time. Each
+/// command is charged there once: the rejection retry (with doubling
+/// backoff), the issue cost, the queue-full stall, the channel schedule,
+/// the inter-domain premium and the delayed-completion draw.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMM_SIM_DMAENGINE_H
@@ -57,16 +63,13 @@ public:
   /// Enqueues a local-store -> main-memory transfer on \p Tag.
   void put(GlobalAddr Dst, LocalAddr Src, uint32_t Size, unsigned Tag);
 
-  /// As get/put, but ordered after all earlier transfers with the same
-  /// tag (an MFC fence: mfc_getf/mfc_putf).
+  /// As get, but ordered after all earlier transfers with the same tag
+  /// (an MFC fence: mfc_getf).
   void getFenced(LocalAddr Dst, GlobalAddr Src, uint32_t Size, unsigned Tag);
-  void putFenced(GlobalAddr Dst, LocalAddr Src, uint32_t Size, unsigned Tag);
 
-  /// As get/put, but ordered after *every* earlier transfer on this
-  /// engine regardless of tag (an MFC barrier: mfc_getb/mfc_putb).
+  /// As get, but ordered after *every* earlier transfer on this engine
+  /// regardless of tag (an MFC barrier: mfc_getb).
   void getBarrier(LocalAddr Dst, GlobalAddr Src, uint32_t Size,
-                  unsigned Tag);
-  void putBarrier(GlobalAddr Dst, LocalAddr Src, uint32_t Size,
                   unsigned Tag);
 
   /// Blocks the accelerator until all transfers with tag \p Tag complete.
@@ -116,17 +119,20 @@ public:
 
   void setObserver(DmaObserver *Obs) { Observer = Obs; }
 
-  /// Attaches the machine's fault injector, which may push individual
-  /// transfer completions out (delayed-completion faults). Null (the
-  /// default) costs one test per issued command.
+  /// Attaches the machine's fault injector, which may transiently reject
+  /// commands (retried here with backoff) and push individual transfer
+  /// completions out. Null (the default) costs one test per command.
   void setFaultInjector(FaultInjector *FI) { Injector = FI; }
 
 private:
   enum class Ordering { None, Fence, Barrier };
-  void issue(DmaDir Dir, LocalAddr Local, GlobalAddr Global, uint32_t Size,
+  /// The one MFC command path: every public get/put form issues through
+  /// here as a list of \p Count elements (one for a plain transfer).
+  void issue(DmaDir Dir, const ListElement *Elements, unsigned Count,
              unsigned Tag, Ordering Order);
-  void issueList(DmaDir Dir, const ListElement *Elements, unsigned Count,
-                 unsigned Tag);
+  /// Splits a large transfer into legal single-element commands.
+  void issueLarge(DmaDir Dir, LocalAddr Local, GlobalAddr Global,
+                  uint64_t Size, unsigned Tag);
   void validate(LocalAddr Local, GlobalAddr Global, uint32_t Size,
                 unsigned Tag) const;
   uint64_t maxCompletionAll() const;

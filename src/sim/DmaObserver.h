@@ -65,7 +65,7 @@ enum class FaultKind : uint8_t {
   AcceleratorDeath,       ///< A core died and is lost for good.
   LaunchOnDeadAccelerator,///< A launch targeted an already-dead core.
   NoAcceleratorAvailable, ///< Auto-pick found no live core.
-  DmaCommandRejected,     ///< Transient MFC rejection (runtime retries).
+  DmaCommandRejected,     ///< Transient MFC rejection (engine retries).
   DmaCompletionDelayed,   ///< A transfer's completion was pushed out.
   ChunkRequeued,          ///< A dead worker's chunk moved to a survivor.
   HostFallback,           ///< Work ran on the host; no core could.

@@ -26,8 +26,8 @@
 ///     are bit-identical to a machine without one (asserted by
 ///     tests/fault_injector_test.cpp, the observer-layer standard).
 ///   - The injector only *decides*; clocks, counters and liveness are
-///     mutated by the machine and the offload runtime at the decision
-///     sites, keeping this class free of simulation state.
+///     mutated by the machine, the DMA engine and the offload runtime at
+///     the decision sites, keeping this class free of simulation state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,8 +74,10 @@ public:
   bool chunkFails(unsigned AccelId);
 
   /// \returns true if the MFC transiently rejects the next DMA command
-  /// on \p AccelId. Consecutive rejections are capped at MaxDmaRetries,
-  /// so a retry loop gated on this is bounded by construction.
+  /// on \p AccelId. The only caller is DmaEngine's command path, which
+  /// draws once per command and retries until this says no.
+  /// Consecutive rejections are capped at MaxDmaRetries, so that retry
+  /// loop is bounded by construction.
   bool dmaCommandFails(unsigned AccelId);
 
   /// \returns the extra completion latency injected into the next

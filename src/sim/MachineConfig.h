@@ -41,8 +41,10 @@ struct FaultInjectionConfig {
   /// rest of the simulation).
   float AccelDeathRate = 0.0f;
 
-  /// Probability that the MFC transiently rejects a DMA command; the
-  /// offload runtime retries with bounded backoff (never fatal).
+  /// Probability that the MFC transiently rejects a DMA command. Drawn
+  /// once per command (a list is one command, a large transfer one per
+  /// MFC-sized piece); the DMA engine retries with bounded backoff
+  /// (never fatal).
   float DmaFailRate = 0.0f;
 
   /// Probability that one transfer's completion is pushed out by
@@ -70,7 +72,7 @@ struct FaultInjectionConfig {
   uint64_t DmaDelayCycles = 400;
 
   /// Consecutive rejections of one accelerator's DMA commands are
-  /// capped here, bounding the runtime's retry loop by construction.
+  /// capped here, bounding the DMA engine's retry loop by construction.
   unsigned MaxDmaRetries = 6;
 
   /// Initial retry backoff after a rejected DMA command; doubles per

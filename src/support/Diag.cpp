@@ -12,23 +12,7 @@
 
 using namespace omm;
 
-static const char *kindLabel(DiagKind Kind) {
-  switch (Kind) {
-  case DiagKind::Note:
-    return "note";
-  case DiagKind::Warning:
-    return "warning";
-  case DiagKind::Error:
-    return "error";
-  }
-  return "unknown";
-}
-
 void DiagSink::add(DiagKind Kind, std::string Message) {
-  if (EchoToStderr) {
-    errs() << kindLabel(Kind) << ": " << Message << '\n';
-    errs().flush();
-  }
   Diags.push_back(Diag{Kind, std::move(Message)});
 }
 

@@ -38,8 +38,7 @@ struct Diag {
 ///
 /// Components that can produce user-actionable reports (DMA race checker,
 /// domain dispatch, word-pointer legality checks) write here rather than to
-/// stderr so unit tests can assert on message content. A sink may be given
-/// an echo stream for interactive tools.
+/// stderr so unit tests can assert on message content.
 class DiagSink {
 public:
   void note(std::string Message) { add(DiagKind::Note, std::move(Message)); }
@@ -62,14 +61,10 @@ public:
   /// Forgets all collected diagnostics.
   void clear() { Diags.clear(); }
 
-  /// When true, diagnostics are also printed to stderr as they arrive.
-  void setEchoToStderr(bool Echo) { EchoToStderr = Echo; }
-
 private:
   void add(DiagKind Kind, std::string Message);
 
   std::vector<Diag> Diags;
-  bool EchoToStderr = false;
 };
 
 /// Prints "fatal error: <message>" to stderr and aborts.

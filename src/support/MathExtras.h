@@ -61,12 +61,6 @@ constexpr unsigned log2Floor(uint64_t Value) {
   return Result;
 }
 
-/// \returns [0, 2^Bits) mask. \p Bits must be < 64.
-constexpr uint64_t maskTrailingOnes(unsigned Bits) {
-  assert(Bits < 64 && "mask width out of range");
-  return (uint64_t(1) << Bits) - 1;
-}
-
 } // namespace omm
 
 #endif // OMM_SUPPORT_MATHEXTRAS_H

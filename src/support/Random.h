@@ -21,6 +21,15 @@
 
 namespace omm {
 
+/// The SplitMix64 step as a pure hash: the value SplitMix64(X).next()
+/// returns. Benches and workload generators use it as a per-item hash.
+constexpr uint64_t splitMix64(uint64_t X) {
+  uint64_t Z = X + 0x9E3779B97F4A7C15ull;
+  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
+  return Z ^ (Z >> 31);
+}
+
 /// SplitMix64: fast, high-quality 64-bit generator with trivial seeding.
 class SplitMix64 {
 public:
@@ -28,10 +37,9 @@ public:
 
   /// \returns the next 64-bit value.
   uint64_t next() {
-    uint64_t Z = (State += 0x9E3779B97F4A7C15ull);
-    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
-    return Z ^ (Z >> 31);
+    uint64_t Z = splitMix64(State);
+    State += 0x9E3779B97F4A7C15ull;
+    return Z;
   }
 
   /// \returns a value uniform in [0, Bound). \p Bound must be non-zero.

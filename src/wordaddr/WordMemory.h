@@ -64,7 +64,6 @@ public:
   explicit WordMemory(uint32_t NumWords, uint32_t WordSize = 4);
 
   uint32_t wordSize() const { return WordSize; }
-  uint32_t numWords() const { return NumWords; }
 
   /// Loads the word at index \p Word (counted).
   uint64_t loadWord(uint32_t Word);

@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace omm;
 using namespace omm::game;
 using namespace omm::offload;
@@ -201,12 +203,89 @@ TEST(FaultInjector, DmaRetriesAreBoundedCountedAndHarmless) {
   EXPECT_EQ(offloadJoin(M, H), OffloadStatus::Ok);
 
   const PerfCounters &C = M.accel(0).Counters;
-  // Every gated command spins the full retry cap before succeeding.
+  // Every command spins the full retry cap before succeeding.
   EXPECT_EQ(C.DmaRetries, 2u * Cfg.Faults.MaxDmaRetries);
   EXPECT_GT(C.DmaRetryStallCycles, 0u);
   for (uint32_t I = 0; I != Count; ++I)
     ASSERT_EQ(M.hostRead<uint64_t>((Data + I).addr()),
               (uint64_t(I) * 3 + 1) * 2);
+}
+
+TEST(FaultInjector, DmaRejectionIsDrawnPerCommand) {
+  // The DMA engine draws the rejection verdict once per MFC command, so
+  // a large transfer split into three commands retries three times over,
+  // and a command issued straight on the engine retries too.
+  MachineConfig Cfg = MachineConfig::cellLike();
+  Cfg.Faults.Enabled = true;
+  Cfg.Faults.DmaFailRate = 1.0f;
+  Cfg.Faults.MaxDmaRetries = 3;
+  Machine M(Cfg);
+
+  constexpr uint32_t LargeBytes = 40 * 1024; // Three 16 KB-capped commands.
+  constexpr uint32_t Words = LargeBytes / sizeof(uint64_t);
+  OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Words);
+  for (uint32_t I = 0; I != Words; ++I)
+    M.hostWrite((Data + I).addr(), uint64_t(I) * 7 + 5);
+
+  std::vector<uint64_t> Seen(Words + 2);
+  OffloadHandle H = offloadBlock(M, 0, [&](OffloadContext &Ctx) {
+    LocalAddr Buf = Ctx.localAllocArray<uint64_t>(Words);
+    LocalAddr Two = Ctx.localAllocArray<uint64_t>(2);
+    Ctx.dmaGetLarge(Buf, Data.addr(), LargeBytes, /*Tag=*/1);
+    Ctx.accel().Dma.get(Two, Data.addr(), 2 * sizeof(uint64_t), /*Tag=*/2);
+    Ctx.dmaWaitMask((1u << 1) | (1u << 2));
+    Ctx.localReadBytes(Seen.data(), Buf, LargeBytes);
+    Ctx.localReadBytes(Seen.data() + Words, Two, 2 * sizeof(uint64_t));
+  });
+  ASSERT_TRUE(H.ok());
+  EXPECT_EQ(offloadJoin(M, H), OffloadStatus::Ok);
+
+  const PerfCounters &C = M.accel(0).Counters;
+  EXPECT_EQ(C.DmaGetsIssued, 4u);
+  EXPECT_EQ(C.DmaRetries, 4u * Cfg.Faults.MaxDmaRetries);
+  for (uint32_t I = 0; I != Words; ++I)
+    ASSERT_EQ(Seen[I], uint64_t(I) * 7 + 5);
+  EXPECT_EQ(Seen[Words], 5u);
+  EXPECT_EQ(Seen[Words + 1], 12u);
+}
+
+TEST(FaultInjector, EmptyDmaListChargesAndDrawsNothing) {
+  // An empty list is no MFC command: no rejection draw, no retry cycles.
+  // Against a run without it, the later commands see the same verdicts.
+  struct Outcome {
+    uint64_t Clock;
+    PerfCounters Counters;
+  };
+  auto Run = [](float FailRate, bool WithEmptyList) {
+    MachineConfig Cfg = MachineConfig::cellLike();
+    Cfg.Faults.Enabled = true;
+    Cfg.Faults.DmaFailRate = FailRate;
+    Cfg.Faults.MaxDmaRetries = 3;
+    Machine M(Cfg);
+    OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, 16);
+    OffloadHandle H = offloadBlock(M, 0, [&](OffloadContext &Ctx) {
+      LocalAddr Buf = Ctx.localAllocArray<uint64_t>(16);
+      if (WithEmptyList) {
+        uint64_t Before = Ctx.clock().now();
+        Ctx.dmaGetList(nullptr, 0, /*Tag=*/1);
+        EXPECT_EQ(Ctx.clock().now(), Before);
+        EXPECT_EQ(Ctx.accel().Counters.DmaRetries, 0u);
+      }
+      for (uint32_t I = 0; I != 8; ++I) {
+        Ctx.dmaGet(Buf, Data.addr(), 16 * sizeof(uint64_t), /*Tag=*/1);
+        Ctx.dmaWait(1);
+      }
+    });
+    EXPECT_EQ(offloadJoin(M, H), OffloadStatus::Ok);
+    return Outcome{M.accel(0).Clock.now(), M.accel(0).Counters};
+  };
+  for (float FailRate : {1.0f, 0.5f}) {
+    Outcome With = Run(FailRate, /*WithEmptyList=*/true);
+    Outcome Without = Run(FailRate, /*WithEmptyList=*/false);
+    EXPECT_EQ(With.Clock, Without.Clock) << "rate " << FailRate;
+    expectCountersEqual(With.Counters, Without.Counters);
+    EXPECT_GT(With.Counters.DmaRetries, 0u);
+  }
 }
 
 TEST(FaultInjector, DelayedCompletionsStallTheWait) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 using namespace omm::sim;
@@ -279,6 +280,56 @@ TEST_F(DmaTest, EmptyListIsNoop) {
   A.Dma.getList(nullptr, 0, 0);
   EXPECT_EQ(A.Dma.pendingTransfers(), 0u);
   EXPECT_EQ(A.Clock.now(), 0u);
+}
+
+TEST_F(DmaTest, OneElementListIsAPlainGet) {
+  // Every get/put form issues through one command routine, a plain get
+  // as a one-element list. Both spellings must charge the same cycles
+  // and counters and report the same transfer.
+  struct LastIssue : DmaObserver {
+    DmaTransfer Last;
+    unsigned Issues = 0;
+    void onIssue(const DmaTransfer &T) override {
+      Last = T;
+      ++Issues;
+    }
+  };
+  auto Run = [](bool AsList, LastIssue &Obs) {
+    Machine Fresh(MachineConfig::cellLike());
+    Fresh.addObserver(&Obs);
+    Accelerator &A = Fresh.accel(0);
+    GlobalAddr G = Fresh.allocGlobal(256);
+    LocalAddr L = A.Store.alloc(256);
+    A.Dma.get(L, G, 64, 1); // Something in flight on the channel.
+    if (AsList) {
+      DmaEngine::ListElement E{L + 64, G + 64, 128};
+      A.Dma.getList(&E, 1, 2);
+    } else {
+      A.Dma.get(L + 64, G + 64, 128, 2);
+    }
+    A.Dma.waitAll();
+    Fresh.removeObserver(&Obs);
+    return std::make_pair(A.Clock.now(), A.Counters);
+  };
+  LastIssue ListObs, GetObs;
+  auto [ListClock, ListCounters] = Run(/*AsList=*/true, ListObs);
+  auto [GetClock, GetCounters] = Run(/*AsList=*/false, GetObs);
+  EXPECT_EQ(ListClock, GetClock);
+  EXPECT_TRUE(ListCounters == GetCounters);
+  EXPECT_EQ(ListCounters.DmaGetsIssued, 2u);
+  ASSERT_EQ(ListObs.Issues, 2u);
+  ASSERT_EQ(GetObs.Issues, 2u);
+  const DmaTransfer &LT = ListObs.Last, &GT = GetObs.Last;
+  EXPECT_EQ(LT.Dir, GT.Dir);
+  EXPECT_EQ(LT.AccelId, GT.AccelId);
+  EXPECT_EQ(LT.Local, GT.Local);
+  EXPECT_EQ(LT.Global, GT.Global);
+  EXPECT_EQ(LT.Size, GT.Size);
+  EXPECT_EQ(LT.Tag, GT.Tag);
+  EXPECT_EQ(LT.Fenced, GT.Fenced);
+  EXPECT_EQ(LT.Barriered, GT.Barriered);
+  EXPECT_EQ(LT.IssueCycle, GT.IssueCycle);
+  EXPECT_EQ(LT.CompleteCycle, GT.CompleteCycle);
 }
 
 TEST_F(DmaTest, CountersTrackTraffic) {

@@ -43,6 +43,9 @@
 #                    under the sanitizer build where their randomly
 #                    killed workers are most likely to expose leaks
 #
+# Each stage prints its wall seconds when it ends, so a host-time
+# regression in any of them shows in the log.
+#
 #===----------------------------------------------------------------------===#
 
 set -euo pipefail
@@ -50,10 +53,17 @@ cd "$(dirname "$0")"
 
 JOBS="${1:-$(nproc)}"
 
+STAGE_START=$SECONDS
+stage_done() {
+  echo "--- $1: $((SECONDS - STAGE_START)) s wall"
+  STAGE_START=$SECONDS
+}
+
 echo "=== tier-1: configure + build + ctest (tests and golden example output) ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build -LE soak --output-on-failure -j "$JOBS"
+stage_done tier-1
 
 # The experiment list is the set of committed snapshots. The benches
 # abort on any checksum divergence, and sweeprun's merge is
@@ -71,6 +81,7 @@ python3 tools/refresh_baselines --jobs "$JOBS" --baseline-dir "$BASELINES" \
 for Experiment in "${EXPERIMENTS[@]}"; do
   diff -u "BENCH_baseline/$Experiment.json" "$BASELINES/$Experiment.json"
 done
+stage_done baselines
 
 echo "=== bench gates: headline claims on the regenerated rows ==="
 python3 tools/bench_summary.py "$BASELINES/e10_persistent_workers.json" \
@@ -121,19 +132,23 @@ python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
 python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
     --filter 'DomainSkew/hot_mult:16/policy:3' \
     --require domain_win_vs_oblivious '>=' 1.1
+stage_done "bench gates"
 
 echo "=== benchmark: every workload, quick, correctness and schema ==="
 python3 benchmark/run.py --quick
 # The traced run is the only one that checks the DMA observer stream
 # against the counters and self-checks the per-layer metric schema.
 python3 benchmark/run.py --quick --trace 1
+stage_done benchmark
 
 echo "=== asan+ubsan: configure + build + ctest ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_SANITIZE=ON
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan -LE soak --output-on-failure -j "$JOBS"
+stage_done asan+ubsan
 
 echo "=== soak: fault-injection endurance under asan+ubsan ==="
 ctest --test-dir build-asan -L soak --output-on-failure -j "$JOBS"
+stage_done soak
 
 echo "=== all green ==="

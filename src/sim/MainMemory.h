@@ -25,7 +25,9 @@
 #include "sim/Address.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -43,7 +45,7 @@ public:
 
   explicit MainMemory(uint64_t SizeBytes);
 
-  uint64_t size() const { return Storage.size(); }
+  uint64_t size() const { return StorageSize; }
 
   /// Allocates \p Size bytes aligned to max(\p Align, 16).
   ///
@@ -84,7 +86,7 @@ public:
 
   /// \returns true if [Addr, Addr+Size) lies within the memory.
   bool contains(GlobalAddr Addr, uint64_t Size) const {
-    return !Addr.isNull() && Addr.Value + Size <= Storage.size() &&
+    return !Addr.isNull() && Addr.Value + Size <= StorageSize &&
            Addr.Value + Size >= Addr.Value;
   }
 
@@ -94,7 +96,16 @@ private:
     uint64_t Size;
   };
 
-  std::vector<uint8_t> Storage;
+  struct FreeDeleter {
+    void operator()(uint8_t *Ptr) const { std::free(Ptr); }
+  };
+
+  // calloc'd: a large calloc gets fresh, already-zero pages from the OS,
+  // so simulated memory a run never touches is never committed on the
+  // host. A value-initialised container would write every byte.
+  std::unique_ptr<uint8_t[], FreeDeleter> Storage;
+  uint64_t StorageSize;
+
   // Sorted by offset; adjacent blocks are coalesced on deallocate.
   std::vector<FreeBlock> FreeList;
   // Size of each live allocation, keyed by offset, for deallocate.

@@ -37,13 +37,11 @@ using namespace omm::sim;
 
 namespace {
 
-/// A machine tuned for thousands of constructions: small main memory
-/// (the default 64 MB would dominate runtime in zero-fill), a random
-/// accelerator count (including none), and a seed-derived fault blend.
+/// A machine tuned for thousands of constructions: a random accelerator
+/// count (including none) and a seed-derived fault blend.
 MachineConfig soakConfig(uint64_t Seed, bool AllowZeroAccels) {
   SplitMix64 Rng(Seed * 0x9E3779B97F4A7C15ull + 1);
   MachineConfig Cfg = MachineConfig::cellLike();
-  Cfg.MainMemorySize = 4ull << 20;
   Cfg.NumAccelerators =
       static_cast<unsigned>(Rng.nextBelow(AllowZeroAccels ? 7 : 6) +
                             (AllowZeroAccels ? 0 : 1));

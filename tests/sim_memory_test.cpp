@@ -6,7 +6,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/LocalStore.h"
+#include "sim/Machine.h"
 #include "sim/MainMemory.h"
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +123,37 @@ TEST(MainMemory, AllocationStressWithFragmentation) {
   // After everything is freed, the arena is one block again.
   GlobalAddr Big = Mem.allocate((1 << 16) - MainMemory::GuardBytes);
   EXPECT_FALSE(Big.isNull());
+}
+
+TEST(MainMemory, FreshMemoryReadsZero) {
+  const uint64_t Size = MachineConfig::cellLike().MainMemorySize;
+  const GlobalAddr Probes[] = {GlobalAddr(MainMemory::GuardBytes),
+                               GlobalAddr(Size / 2), GlobalAddr(Size - 16)};
+  auto ExpectZero = [&](const MainMemory &Mem) {
+    for (GlobalAddr A : Probes) {
+      uint8_t Bytes[16];
+      Mem.read(Bytes, A, sizeof(Bytes));
+      for (uint8_t B : Bytes)
+        EXPECT_EQ(B, 0u) << "at address " << A.Value;
+    }
+  };
+
+  MainMemory Mem(Size);
+  ExpectZero(Mem);
+
+  // A machine built after another one dirtied the same addresses and
+  // was destroyed still starts from zeroed memory.
+  {
+    Machine First;
+    ASSERT_EQ(First.mainMemory().size(), Size);
+    ExpectZero(First.mainMemory());
+    uint8_t Dirty[16];
+    std::memset(Dirty, 0xA5, sizeof(Dirty));
+    for (GlobalAddr A : Probes)
+      First.mainMemory().write(A, Dirty, sizeof(Dirty));
+  }
+  Machine Second;
+  ExpectZero(Second.mainMemory());
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,10 +21,10 @@
 ///     launch-per-chunk baseline, or process-local lazily computed
 ///     references like E11's clean-run calibration are fine — they
 ///     reproduce identically in any process). No row may observe
-///     whether, or in what order, other rows ran. This is the
-///     contract that lets tools/sweeprun farm rows across host
-///     processes and merge the per-row JSON byte-identically to a
-///     serial run, and it is enforced by the sweep_determinism ctest.
+///     whether, or in what order, other rows ran, so a --filter subset
+///     run prints each row exactly as the full sweep does. The
+///     bench_cli_test ctest enforces this on E11, whose rows share
+///     that lazy calibration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,9 +81,9 @@ inline void reportCyclePercentiles(benchmark::State &State,
 /// Reports a row's 64-bit world/run checksum as a `checksum` counter,
 /// folded to the 32 bits a JSON double carries exactly. The benches
 /// already abort on any internal checksum divergence; exporting the
-/// value additionally lets tools/sweeprun's determinism harness
-/// cross-check serial and sharded runs row-by-row at the semantic
-/// level, on top of the byte-level JSON comparison.
+/// value also puts the row's world state into its committed baseline,
+/// so a snapshot diff names a behaviour change even where the cycle
+/// counts happen to agree.
 inline void reportChecksum(benchmark::State &State, uint64_t Checksum) {
   State.counters["checksum"] = static_cast<double>(
       static_cast<uint32_t>(Checksum ^ (Checksum >> 32)));

@@ -9,17 +9,18 @@
 # Six stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
-#                    except the `soak` label (includes the sweep-runner
-#                    byte-identity and bench-toolchain tests, and runs
-#                    all 9 examples as `example_*` integration tests
-#                    that pass on exit 0 with stdout and stderr equal
-#                    byte for byte to examples/expected/<name>.txt)
+#                    except the `soak` label (includes the bench-toolchain
+#                    tests, among them the bench row-independence check,
+#                    and runs all 9 examples as `example_*` integration
+#                    tests that pass on exit 0 with stdout and stderr
+#                    equal byte for byte to examples/expected/<name>.txt)
 #   2. baselines   — every committed BENCH_baseline/ snapshot is
-#                    regenerated through tools/refresh_baselines (full
-#                    sweeps via tools/sweeprun) into build/bench/baselines/
-#                    and must match the committed file byte for byte: a
-#                    behaviour change refreshes its snapshot in the same
-#                    change, or this stage names the stale file
+#                    regenerated through tools/refresh_baselines (each
+#                    bench binary's full sweep, run once, serially) into
+#                    build/bench/baselines/ and must match the committed
+#                    file byte for byte: a behaviour change refreshes its
+#                    snapshot in the same change, or this stage names the
+#                    stale file
 #   3. bench gates — tools/bench_summary.py asserts each headline claim
 #                    on the regenerated rows: the finest-chunk speedup
 #                    floor (E10), the work-stealing p99 win floor (E12),
@@ -38,10 +39,10 @@
 #                    disagreement or end-to-end or per-layer
 #                    metric-schema drift
 #   5. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
-#   6. soak        — the long randomised fault-injection endurance runs
-#                    (including the full-grid sweep determinism soak),
-#                    under the sanitizer build where their randomly
-#                    killed workers are most likely to expose leaks
+#   6. soak        — the long randomised fault-injection and tenant
+#                    endurance runs, under the sanitizer build where
+#                    their randomly killed workers are most likely to
+#                    expose leaks
 #
 # Each stage prints its wall seconds when it ends, so a host-time
 # regression in any of them shows in the log.
@@ -66,9 +67,8 @@ ctest --test-dir build -LE soak --output-on-failure -j "$JOBS"
 stage_done tier-1
 
 # The experiment list is the set of committed snapshots. The benches
-# abort on any checksum divergence, and sweeprun's merge is
-# byte-identical to a serial run (the sweep_determinism ctest in stage 1
-# enforces that), so a diff here is a real behaviour change.
+# abort on any checksum divergence and every row is deterministic, so a
+# diff here is a real behaviour change.
 echo "=== baselines: committed snapshots are byte-identical ==="
 BASELINES=build/bench/baselines
 rm -rf "$BASELINES"
@@ -76,8 +76,7 @@ EXPERIMENTS=()
 for Snapshot in BENCH_baseline/*.json; do
   EXPERIMENTS+=("$(basename "$Snapshot" .json)")
 done
-python3 tools/refresh_baselines --jobs "$JOBS" --baseline-dir "$BASELINES" \
-    "${EXPERIMENTS[@]}"
+python3 tools/refresh_baselines --baseline-dir "$BASELINES" "${EXPERIMENTS[@]}"
 for Experiment in "${EXPERIMENTS[@]}"; do
   diff -u "BENCH_baseline/$Experiment.json" "$BASELINES/$Experiment.json"
 done

@@ -292,12 +292,7 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
 
 FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
                                                unsigned FirstAccelerator) {
-  FrameStats Stats;
-  uint64_t FrameStart = M.hostClock().now();
-  uint32_t AiCount = degradedAiEnd();
-  Stats.AiEntitiesShed = Entities.size() - AiCount;
-
-  buildTargetSnapshot();
+  uint32_t AiCount = beginServedFrame();
 
   // The AI pass as a dynamic queue over the resident workers: chunks
   // start at a few descriptors per worker and shrink toward
@@ -310,25 +305,16 @@ FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
   Opts.MaxWorkers = MaxAccelerators;
   Opts.FirstAccelerator = FirstAccelerator;
   Opts.Adaptive = true;
-  addRecovery(Stats, offload::distributeJobs(
+  addRecovery(ServedStats, offload::distributeJobs(
       M, AiCount, Opts,
       [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         if constexpr (std::is_same_v<std::decay_t<decltype(Ctx)>,
                                      offload::OffloadContext>)
-          aiPassOffload(Ctx, Begin, End);
+          servedAiChunk(Ctx, Begin, End);
         else
-          aiPassHost(Begin, End);
+          servedAiChunkHost(Begin, End);
       }));
-  Stats.AiCycles = M.hostClock().now() - FrameStart;
-
-  uint64_t Start = M.hostClock().now();
-  collisionPassHost(Stats);
-  Stats.CollisionCycles = M.hostClock().now() - Start;
-
-  updateAndRender(Stats);
-
-  finishFrame(Stats, FrameStart);
-  return Stats;
+  return finishServedFrame();
 }
 
 uint32_t GameWorld::beginServedFrame() {

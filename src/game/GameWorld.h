@@ -193,9 +193,10 @@ public:
   ///   FrameStats S = W.finishServedFrame();   // collision + update +
   ///                                           // render + budget ladder
   ///
-  /// World state is bit-identical to doFrameOffloadAiResident for the
-  /// same chunk bodies; frame *cycles* depend on the caller's dispatch
-  /// schedule, which is the point.
+  /// doFrameOffloadAiResident is this skeleton with one distributeJobs
+  /// region over [0, N), so world state is bit-identical to it for any
+  /// chunking; frame *cycles* depend on the caller's dispatch schedule,
+  /// which is the point.
   uint32_t beginServedFrame();
   void servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
                      uint32_t End);

@@ -218,8 +218,12 @@ std::vector<TenantParams> makeHeavyTailedTenants(
     unsigned Count, uint64_t Seed, uint32_t BaseEntities,
     uint64_t ChunkDeadlineCycles = 0);
 
-/// \returns the \p Pct-th percentile (nearest-rank) of \p Samples, or 0
-/// when empty. Takes the samples by value to sort them.
+/// \returns the \p Pct-th percentile of \p Samples, or 0 when empty:
+/// the sorted value at 1-based rank Pct/100 * size, rounded half-up and
+/// clamped to [1, size]. This is not nearest-rank, which rounds the rank
+/// up (bench/BenchUtil.h's cyclePercentile): p99 of 60 samples is the
+/// 59th value here, the 60th under nearest-rank. Takes the samples by
+/// value to sort them.
 uint64_t percentileCycles(std::vector<uint64_t> Samples, double Pct);
 
 } // namespace omm::server

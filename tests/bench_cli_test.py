@@ -4,8 +4,8 @@
 Part of offload-mm, a reproduction of "The Impact of Diverse Memory
 Architectures on Multicore Consumer Software" (Russell et al., MSPC'11).
 
-bench/BenchMain.cpp is the foundation tools/sweeprun builds on, so its
-edge cases are pinned here:
+bench/BenchMain.cpp is the one entry point of every bench binary, so
+its edge cases are pinned here:
 
   - a --filter matching zero benchmarks exits 2 and writes no JSON
     (the vacuous-sweep bug: an empty results file used to exit 0 and
@@ -14,10 +14,15 @@ edge cases are pinned here:
     registration-order row names, exits 0, and never writes JSON (an
     empty listing artifact used to clobber real BENCH_*.json files);
   - a valid subset --filter writes a well-formed omm-bench-v1 file
-    whose rows appear in enumeration order.
+    whose rows appear in enumeration order;
+  - rows are independent (the bench/BenchUtil.h contract): a row run
+    alone through --filter writes exactly the JSON line the full sweep
+    writes for it. The --row-bench binary should share lazily computed
+    state across rows, the place where one row could leak into the next.
 
 Usage:
-    python3 tests/bench_cli_test.py --bench BIN   (a fast bench binary)
+    python3 tests/bench_cli_test.py --bench BIN --row-bench BIN
+    (a fast bench binary, and bench_e11_deadlines)
 """
 
 import argparse
@@ -40,14 +45,54 @@ def run(binary, *argv, cwd):
                           text=True, cwd=cwd)
 
 
+# A late E11 row: the full sweep reaches it with cleanReference() long
+# computed, while the single-row run computes it first.
+ISOLATED_ROW = "BM_FrameBudget/budget_pct:105/"
+
+
+def row_lines(path):
+    """Each row's JSON line, keyed by row name, without the separating
+    comma that every row but the last carries."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [l.strip().rstrip(",") for l in f
+                 if l.lstrip().startswith('{"name": ')]
+    return {json.loads(l)["name"]: l for l in lines}
+
+
+def check_row_independence(binary, tmp):
+    full = os.path.join(tmp, "full.json")
+    alone = os.path.join(tmp, "alone.json")
+    for argv in ([f"--json={full}"],
+                 [f"--json={alone}", "--filter", ISOLATED_ROW]):
+        proc = run(binary, *argv, cwd=tmp)
+        if proc.returncode != 0:
+            sys.exit(f"FAIL: {' '.join(argv)} exited {proc.returncode}:\n"
+                     f"{proc.stderr}")
+    rows = row_lines(alone)
+    if len(rows) != 1:
+        sys.exit(f"FAIL: --filter {ISOLATED_ROW} ran {len(rows)} rows, "
+                 f"want 1")
+    (name, line), = rows.items()
+    if row_lines(full).get(name) != line:
+        sys.exit(f"FAIL: row {name} run alone differs from its full-sweep "
+                 f"line:\n  alone: {line}\n  full:  "
+                 f"{row_lines(full).get(name)}")
+    ok(f"{name} alone matches its full-sweep line byte for byte")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bench", required=True,
                     help="a built bench binary (pick a fast one)")
+    ap.add_argument("--row-bench", required=True,
+                    help="a built bench binary whose rows share lazy "
+                         "state (bench_e11_deadlines)")
     args = ap.parse_args()
     binary = os.path.abspath(args.bench)
-    if not os.path.exists(binary):
-        sys.exit(f"FAIL: {binary} not built")
+    row_binary = os.path.abspath(args.row_bench)
+    for path in (binary, row_binary):
+        if not os.path.exists(path):
+            sys.exit(f"FAIL: {path} not built")
 
     with tempfile.TemporaryDirectory(prefix="bench-cli-") as tmp:
         # --list prints rows, exits 0, writes nothing.
@@ -107,6 +152,8 @@ def main():
             sys.exit("FAIL: JSON rows are not in enumeration order")
         ok(f"subset --filter run writes well-formed ordered JSON "
            f"({len(names)} rows)")
+
+        check_row_independence(row_binary, tmp)
 
     print(f"PASS: {len(PASSES)} bench CLI contract checks")
     return 0

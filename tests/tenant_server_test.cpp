@@ -375,11 +375,20 @@ TEST(TenantServerTest, HeavyTailedPopulationIsDeterministicAndTailed) {
   EXPECT_GE(MaxEnt, 400u);
 }
 
-TEST(TenantServerTest, PercentileCyclesUsesNearestRank) {
+TEST(TenantServerTest, PercentileCyclesRoundsRankHalfUp) {
   std::vector<uint64_t> S{10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
   EXPECT_EQ(percentileCycles(S, 50.0), 50u);
   EXPECT_EQ(percentileCycles(S, 99.0), 100u);
   EXPECT_EQ(percentileCycles(S, 100.0), 100u);
   EXPECT_EQ(percentileCycles({}, 99.0), 0u);
   EXPECT_EQ(percentileCycles({7}, 99.0), 7u);
+  // Where half-up and nearest-rank part: p99 of 60 samples is rank 59.4,
+  // which rounds to the 59th value (nearest-rank takes the 60th), and
+  // p95 of 12 samples is rank 11.4, the 11th value (nearest-rank: 12th).
+  std::vector<uint64_t> Sixty;
+  for (uint64_t I = 1; I <= 60; ++I)
+    Sixty.push_back(I);
+  EXPECT_EQ(percentileCycles(Sixty, 99.0), 59u);
+  std::vector<uint64_t> Twelve(Sixty.begin(), Sixty.begin() + 12);
+  EXPECT_EQ(percentileCycles(Twelve, 95.0), 11u);
 }

@@ -109,13 +109,13 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t FrameBudget,
     FrameStats S = World.doFrameOffloadAiResident();
     Run.FrameCycles.push_back(S.FrameCycles);
     Run.TotalCycles += S.FrameCycles;
-    Run.HostFallback += S.HostFallbackSlices;
     Run.Failover += S.FailoverSlices;
     Run.MissedFrames += S.DeadlineMissed ? 1 : 0;
     Run.AiShed += S.AiEntitiesShed;
     Run.AnimShed += S.AnimEntitiesShed;
   }
   PerfCounters C = M.countersSince(Before);
+  Run.HostFallback = C.HostFallbackChunks;
   Run.Hangs = C.HangsDetected;
   Run.Stragglers = C.StragglersDetected;
   Run.Speculative = C.SpeculativeRedispatches;

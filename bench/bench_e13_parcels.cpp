@@ -79,7 +79,6 @@ struct FrameRun {
   uint64_t Checksum = 0;
   /// Counter delta over the whole frame loop.
   PerfCounters Counters;
-  uint64_t HostFallbacks = 0;
   uint64_t Failovers = 0;
 };
 
@@ -104,7 +103,6 @@ FrameRun runWorld(bool Dataflow, unsigned Workers, ParcelPolicy Policy,
     uint64_t Cycles = M.globalTime() - Begin;
     Run.FrameCycles.push_back(Cycles);
     Run.TotalCycles += Cycles;
-    Run.HostFallbacks += S.HostFallbackSlices;
     Run.Failovers += S.FailoverSlices;
   }
   Run.Counters = M.countersSince(Before);
@@ -186,7 +184,7 @@ void BM_KilledWorkers(benchmark::State &State) {
     reportCyclePercentiles(State, Run.FrameCycles);
     reportParcelCounters(State, Run);
     State.counters["host_fallback_chunks"] =
-        static_cast<double>(Run.HostFallbacks);
+        static_cast<double>(Run.Counters.HostFallbackChunks);
     State.counters["requeued_chunks"] = static_cast<double>(Run.Failovers);
   }
 }

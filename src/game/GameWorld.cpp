@@ -23,12 +23,9 @@ using namespace omm::sim;
 
 namespace {
 
-/// Folds one resident region's recovery work into a frame's stats.
+/// Folds one resident region's re-run descriptors into a frame's stats.
 void addRecovery(FrameStats &Stats, const offload::RegionStats &Run) {
-  Stats.FailedBlocks += Run.FailedLaunches;
   Stats.FailoverSlices += Run.RequeuedDescriptors;
-  Stats.HostFallbackSlices +=
-      static_cast<uint32_t>(Run.Counters.HostFallbackChunks);
 }
 
 } // namespace
@@ -191,24 +188,8 @@ void GameWorld::updateAndRender(FrameStats &Stats) {
 }
 
 FrameStats GameWorld::doFrameHostOnly() {
-  FrameStats Stats;
-  uint64_t FrameStart = M.hostClock().now();
-  uint32_t AiEnd = degradedAiEnd();
-  Stats.AiEntitiesShed = Entities.size() - AiEnd;
-
-  uint64_t Start = M.hostClock().now();
-  buildTargetSnapshot();
-  aiPassHost(0, AiEnd);
-  Stats.AiCycles = M.hostClock().now() - Start;
-
-  Start = M.hostClock().now();
-  collisionPassHost(Stats);
-  Stats.CollisionCycles = M.hostClock().now() - Start;
-
-  updateAndRender(Stats);
-
-  finishFrame(Stats, FrameStart);
-  return Stats;
+  servedAiChunkHost(0, beginServedFrame());
+  return finishServedFrame();
 }
 
 FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
@@ -232,7 +213,6 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
   if (Workers == 0) {
     // No accelerator budget at all: the host runs the whole pass, in
     // the host-only schedule's position (before collision detection).
-    ++Stats.HostFallbackSlices;
     ++M.hostCounters().HostFallbackChunks;
     M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
                  /*BlockId=*/0, M.hostClock().now(), /*Detail=*/0});
@@ -264,11 +244,9 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
         Launched = true;
         break;
       }
-      ++Stats.FailedBlocks;
       Retried = true;
     }
     if (!Launched) {
-      ++Stats.HostFallbackSlices;
       ++M.hostCounters().HostFallbackChunks;
       M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
                    /*BlockId=*/0, M.hostClock().now(), Begin});
@@ -290,8 +268,7 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
   return Stats;
 }
 
-FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
-                                               unsigned FirstAccelerator) {
+FrameStats GameWorld::doFrameOffloadAiResident() {
   uint32_t AiCount = beginServedFrame();
 
   // The AI pass as a dynamic queue over the resident workers: chunks
@@ -302,8 +279,6 @@ FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
   // launch amortization and balance, measured by experiment E10.
   offload::JobQueueOptions Opts;
   Opts.ChunkSize = Params.AiChunkElems;
-  Opts.MaxWorkers = MaxAccelerators;
-  Opts.FirstAccelerator = FirstAccelerator;
   Opts.Adaptive = true;
   addRecovery(ServedStats, offload::distributeJobs(
       M, AiCount, Opts,

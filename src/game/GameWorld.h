@@ -13,7 +13,8 @@
 ///
 ///   doFrameHostOnly             : calculateStrategy; detectCollisions;
 ///                                 updateEntities; renderFrame — all on
-///                                 the host.
+///                                 the host (the split-phase skeleton
+///                                 below with a host AI pass).
 ///   doFrameOffloadAiParallel(1) : the Figure 2 schedule — strategy
 ///                                 calculation in one offload block on
 ///                                 one accelerator, collision detection
@@ -96,9 +97,10 @@ struct GameWorldParams {
 };
 
 /// Timing breakdown of one frame (simulated cycles). Dispatch, steal,
-/// parcel and deadline events are machine counters: snapshot
-/// Machine::totalCounters() before the frame and read
-/// Machine::countersSince() after it to attribute them.
+/// parcel, deadline and recovery events (failed launches are
+/// LaunchFaults, host-run slices HostFallbackChunks) are machine
+/// counters: snapshot Machine::totalCounters() before the frame and
+/// read Machine::countersSince() after it to attribute them.
 struct FrameStats {
   uint64_t FrameCycles = 0;
   uint64_t AiCycles = 0;        ///< Wall time of the AI stage (either core).
@@ -107,10 +109,11 @@ struct FrameStats {
   uint64_t RenderCycles = 0;
   uint32_t PairsTested = 0;
   uint32_t Contacts = 0;
-  /// Fault-recovery work this frame (all zero on a healthy machine).
-  uint32_t FailedBlocks = 0;       ///< AI launches that faulted.
-  uint32_t FailoverSlices = 0;     ///< AI slices re-homed to another core.
-  uint32_t HostFallbackSlices = 0; ///< AI slices the host ran itself.
+  /// Slices re-run on another core (zero on a healthy machine): a
+  /// resident region adds its RegionStats::RequeuedDescriptors. The
+  /// FailoverChunks counter is not the same count, since it also counts
+  /// descriptors run away from their Home (orphaned parcels included).
+  uint32_t FailoverSlices = 0;
   /// Graceful degradation: what this frame shed to claw back budget
   /// (lowest-priority == highest-index entities hold last frame's
   /// decision/pose).
@@ -142,7 +145,8 @@ public:
   /// is the paper's Figure 2 schedule: one offload block on one
   /// accelerator. A faulted slice fails over to the next live
   /// accelerator, or to the host when none is left; world state stays
-  /// bit-identical either way (FrameStats records the recovery work).
+  /// bit-identical either way (the machine counters record the recovery
+  /// work).
   FrameStats doFrameOffloadAiParallel(unsigned MaxAccelerators = ~0u);
 
   /// The persistent-worker schedule: the AI pass runs as adaptively
@@ -150,12 +154,10 @@ public:
   /// (offload/JobQueue.h) instead of one block per accelerator — many
   /// chunks, one launch per core. World state is bit-identical to every
   /// other schedule, including under injected faults (a dying worker's
-  /// mailbox drains back to the queue); FrameStats records the dispatch
-  /// and recovery work. \p FirstAccelerator shifts the worker pool to
-  /// the contiguous accelerator range starting there (the tenant
-  /// server's domain pinning); 0 is the historical whole-machine pool.
-  FrameStats doFrameOffloadAiResident(unsigned MaxAccelerators = ~0u,
-                                      unsigned FirstAccelerator = 0);
+  /// mailbox drains back to the queue). The pool opens a worker on
+  /// every accelerator of the machine; the machine counters record the
+  /// dispatch and recovery work.
+  FrameStats doFrameOffloadAiResident();
 
   /// The host-staged shard schedule: three sequential resident passes —
   /// AI, shard-confined collision, physics — each a distributeJobs
@@ -194,9 +196,10 @@ public:
   ///                                           // render + budget ladder
   ///
   /// doFrameOffloadAiResident is this skeleton with one distributeJobs
-  /// region over [0, N), so world state is bit-identical to it for any
-  /// chunking; frame *cycles* depend on the caller's dispatch schedule,
-  /// which is the point.
+  /// region over [0, N), and doFrameHostOnly is it with one
+  /// servedAiChunkHost(0, N), so world state is bit-identical to both
+  /// for any chunking; frame *cycles* depend on the caller's dispatch
+  /// schedule, which is the point.
   uint32_t beginServedFrame();
   void servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
                      uint32_t End);

@@ -14,11 +14,11 @@
 /// array of pointers into fast local store. Subsequently, it acts like an
 /// array" (Section 4.2).
 ///
-/// ArrayAccessor<T> is that Array class: one bulk DMA in on construction
-/// (unless write-only), indexed access against fast local store, and one
-/// bulk DMA out on commit/destruction (unless read-only). On a
-/// shared-memory configuration of the simulated machine the same code
-/// compiles and runs; the transfers just become cheap — "this can be
+/// ArrayAccessor<T> is that Array class: one bulk DMA in on construction,
+/// indexed access against fast local store, and one bulk DMA out on
+/// commit/destruction (unless read-only). On a shared-memory
+/// configuration of the simulated machine the same code compiles and
+/// runs; the transfers just become cheap — "this can be
 /// factored out in the implementation of Array, permitting the use of
 /// this technique on portable code."
 ///
@@ -40,7 +40,6 @@ namespace omm::offload {
 /// which bulk transfers happen.
 enum class AccessMode {
   ReadOnly,  ///< Bulk get on construction; no write-back.
-  WriteOnly, ///< No initial get; bulk put on commit.
   ReadWrite, ///< Bulk get on construction and bulk put on commit.
 };
 
@@ -67,19 +66,8 @@ public:
         Tag(defaultTag(Ctx)) {
     assert(Count != 0 && "empty accessor");
     Local = Ctx.localAllocArray<T>(Count);
-    uint64_t Bytes = uint64_t(Count) * sizeof(T);
-    uint64_t Padded = alignTo(Bytes, 16);
-    if (Mode != AccessMode::WriteOnly) {
-      Ctx.dmaGetLarge(Local, Base.addr(), Padded, Tag);
-      Ctx.dmaWait(Tag);
-    } else if (Padded != Bytes) {
-      // Write-only accessors still fetch the final padding quadword so
-      // the padded commit writes back unchanged neighbour bytes.
-      uint64_t TailStart = alignDown(Bytes, 16);
-      Ctx.dmaGet(Local + static_cast<uint32_t>(TailStart),
-                 Base.addr() + TailStart, 16, Tag);
-      Ctx.dmaWait(Tag);
-    }
+    Ctx.dmaGetLarge(Local, Base.addr(), paddedBytes(), Tag);
+    Ctx.dmaWait(Tag);
   }
 
   ~ArrayAccessor() { commit(); }
@@ -120,23 +108,18 @@ public:
   void commit() {
     if (Mode == AccessMode::ReadOnly || Committed)
       return;
-    uint64_t Padded = alignTo(uint64_t(Count) * sizeof(T), 16);
-    Ctx.dmaPutLarge(Base.addr(), Local, Padded, Tag);
+    Ctx.dmaPutLarge(Base.addr(), Local, paddedBytes(), Tag);
     Ctx.dmaWait(Tag);
     Committed = true;
   }
 
-  /// Re-runs the initial bulk get (after the host mutated the array and
-  /// the offload re-synchronised). Clears the committed flag.
-  void refresh() {
-    assert(Mode != AccessMode::WriteOnly && "refreshing a write-only view");
-    uint64_t Padded = alignTo(uint64_t(Count) * sizeof(T), 16);
-    Ctx.dmaGetLarge(Local, Base.addr(), Padded, Tag);
-    Ctx.dmaWait(Tag);
-    Committed = false;
+private:
+  /// The copy's size rounded up to whole quadwords, the DMA granule;
+  /// the padding carries the neighbouring bytes in and back unchanged.
+  uint64_t paddedBytes() const {
+    return alignTo(uint64_t(Count) * sizeof(T), 16);
   }
 
-private:
   OffloadContext &Ctx;
   OuterPtr<T> Base;
   uint32_t Count;
@@ -144,23 +127,6 @@ private:
   unsigned Tag;
   sim::LocalAddr Local;
   bool Committed = false;
-};
-
-/// Convenience single-value accessor: fetch one outer T, work on it
-/// locally, write it back on commit/destruction.
-template <typename T> class ValueAccessor {
-public:
-  ValueAccessor(OffloadContext &Ctx, OuterPtr<T> Target,
-                AccessMode Mode = AccessMode::ReadWrite)
-      : Inner(Ctx, Target, 1, Mode) {}
-
-  T get() const { return Inner.get(0); }
-  void set(const T &Value) { Inner.set(0, Value); }
-  template <typename Fn> void update(Fn &&Fn_) { Inner.update(0, Fn_); }
-  void commit() { Inner.commit(); }
-
-private:
-  ArrayAccessor<T> Inner;
 };
 
 } // namespace omm::offload

@@ -10,8 +10,9 @@
 /// job-queue style production Cell engines used when per-item costs are
 /// skewed and a static split (ParallelFor.h) leaves cores idle. The
 /// queue runs on the persistent-worker runtime (ResidentWorker.h): one
-/// resident worker is launched per usable accelerator for the duration
-/// of the run, and every chunk after that is a work descriptor pushed
+/// resident worker is launched on each of the first MaxWorkers
+/// accelerators (every one by default) for the duration of the run,
+/// and every chunk after that is a work descriptor pushed
 /// through the worker's mailbox — a doorbell write on the host and a
 /// descriptor fetch on the core, two orders of magnitude cheaper than a
 /// fresh launch. Each descriptor goes to the worker whose simulated
@@ -53,14 +54,8 @@ struct JobQueueOptions {
   /// policy; the fixed size otherwise). 0 is promoted to 1.
   uint32_t ChunkSize = 16;
   /// Accelerator budget; the pool opens min(numAccelerators, MaxWorkers)
-  /// resident workers.
+  /// resident workers on accelerators [0, that count).
   unsigned MaxWorkers = ~0u;
-  /// First accelerator the pool may use; workers open on the contiguous
-  /// range [FirstAccelerator, FirstAccelerator + MaxWorkers). The
-  /// domain-pinning knob: FirstAccelerator = D * AcceleratorsPerDomain
-  /// with MaxWorkers <= AcceleratorsPerDomain confines the whole run to
-  /// domain D. 0 (the default) is the historical whole-machine pool.
-  unsigned FirstAccelerator = 0;
   /// Guided self-scheduling: start with coarse chunks while the queue is
   /// long (cutting mailbox traffic) and shrink toward ChunkSize as it
   /// drains (keeping the tail balanced).
@@ -85,7 +80,7 @@ RegionStats distributeJobs(sim::Machine &M, uint32_t Count,
   // descriptors per live worker.
   constexpr uint32_t TargetChunksPerWorker = 4;
 
-  ResidentWorkerPool Pool(M, Opts.MaxWorkers, Opts.FirstAccelerator);
+  ResidentWorkerPool Pool(M, Opts.MaxWorkers);
   // All carving goes through the shared plan (the runtime's single
   // descriptor-construction site).
   DispatchPlan Plan(Count);

@@ -112,15 +112,6 @@ OffloadStatus openBlock(sim::Machine &M, unsigned AccelId,
 /// drains, the local store unwinds to the span's mark and the core's
 /// FreeAt moves to its clock. \returns that completion cycle.
 uint64_t closeBlock(sim::Machine &M, const BlockSpan &Span);
-
-/// \returns \p Value rounded up to the next multiple of \p Quantum
-/// (any quantum, unlike alignTo; 0 quantizes nothing).
-inline uint64_t roundUpToQuantum(uint64_t Value, uint64_t Quantum) {
-  if (Quantum == 0)
-    return Value;
-  uint64_t Rem = Value % Quantum;
-  return Rem == 0 ? Value : Value + (Quantum - Rem);
-}
 } // namespace detail
 
 /// Result of launching an offload block; pass to offloadJoin.
@@ -314,10 +305,6 @@ public:
     }
     Handles.clear();
     return Worst;
-  }
-
-  unsigned pendingCount() const {
-    return static_cast<unsigned>(Handles.size());
   }
 
 private:

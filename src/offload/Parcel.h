@@ -90,7 +90,7 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
   // The pool chains the stage kernels: a spawned child running kernel K
   // continues to K+1 until the last stage ends the chain. Seeds carry
   // the 1 -> 2 link themselves.
-  ResidentWorkerPool Pool(M, Opts.MaxWorkers, /*FirstAccel=*/0, NumStages);
+  ResidentWorkerPool Pool(M, Opts.MaxWorkers, NumStages);
 
   // Stage-1 descriptors the host seeded, host-run ones included.
   uint32_t Seeds = 0;

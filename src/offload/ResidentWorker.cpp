@@ -8,6 +8,7 @@
 #include "offload/ResidentWorker.h"
 
 #include "support/Diag.h"
+#include "support/MathExtras.h"
 
 #include <algorithm>
 
@@ -25,18 +26,15 @@ static uint64_t stragglerStall(uint64_t Cost, float Slowdown) {
 }
 
 ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
-                                       unsigned FirstAccel, uint16_t NumStages)
+                                       uint16_t NumStages)
     : M(M), Faults(M.faults()), AtOpen(M.totalCounters()),
       Steal(M.config().WorkStealing),
       StealRng(M.config().StealSeed), NumStages(NumStages),
       DeadlinesArmed(M.watchdog().armsChunks()) {
-  unsigned NumAccels = M.numAccelerators();
-  unsigned Avail = FirstAccel < NumAccels ? NumAccels - FirstAccel : 0;
-  unsigned Budget = std::min(Avail, MaxWorkers);
+  unsigned Budget = std::min(M.numAccelerators(), MaxWorkers);
   FrameStart = M.hostClock().now();
   FrameEnd = FrameStart;
-  for (unsigned W = 0; W != Budget; ++W) {
-    unsigned A = FirstAccel + W;
+  for (unsigned A = 0; A != Budget; ++A) {
     Worker Wk;
     if (detail::openBlock(M, A, /*NotBefore=*/0, Wk.Span) !=
         OffloadStatus::Ok) {
@@ -254,12 +252,7 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
     Wk.StealParked = true;
     return 0;
   }
-  unsigned Stolen =
-      Live[V].Box->stealTailInto(*Wk.Box, Cfg.StealMinBacklog);
-  if (Stolen == 0) {
-    Wk.StealParked = true;
-    return 0;
-  }
+  unsigned Stolen = Live[V].Box->stealTailInto(*Wk.Box);
   unparkAll();
   return Stolen;
 }
@@ -358,8 +351,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   // before UnslowedEnd, and the observation is quantized to the
   // worker's cancel-poll boundary.
   auto CancelVictimAt = [&](uint64_t RaisedAt) {
-    uint64_t SeenAt =
-        detail::roundUpToQuantum(RaisedAt, Cfg.CancelPollCycles);
+    uint64_t SeenAt = roundUpToMultiple(RaisedAt, Cfg.CancelPollCycles);
     uint64_t VictimEnd =
         std::min(SlowEnd, std::max(UnslowedEnd, SeenAt));
     ++M.hostCounters().CancelsIssued;
@@ -444,8 +436,8 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
       // its own poll boundary and charged only the cycles it burned.
       uint64_t CopyEnd = std::min(
           CopyFinish,
-          std::max(CopyStart, detail::roundUpToQuantum(
-                                  SlowEnd, Cfg.CancelPollCycles)));
+          std::max(CopyStart,
+                   roundUpToMultiple(SlowEnd, Cfg.CancelPollCycles)));
       Accel2.Clock.advanceTo(CopyEnd);
       ++M.hostCounters().CancelsIssued;
       M.emitFault({sim::FaultKind::CancelIssued, Copy.Span.AccelId,

@@ -7,9 +7,10 @@
 ///
 /// \file
 /// The persistent-worker runtime: one ResidentWorkerPool per parallel
-/// region launches a resident worker (one offload block) per usable
-/// accelerator, and from then on work reaches the accelerators through
-/// per-core mailboxes (sim/Mailbox.h) instead of fresh launches. N
+/// region launches a resident worker (one offload block) on each of
+/// the first MaxWorkers accelerators, and from then on work reaches
+/// them through per-core mailboxes (sim/Mailbox.h) instead of fresh
+/// launches. N
 /// chunks cost one OffloadLaunchCycles launch plus N cheap mailbox
 /// transactions — the offload-overhead amortization the three region
 /// drivers are built on: distributeJobs (JobQueue.h), parallelForRange
@@ -128,22 +129,18 @@ class ResidentWorkerPool {
 public:
   static constexpr unsigned NoWorker = ~0u;
 
-  /// Opens up to min(numAccelerators - FirstAccel, MaxWorkers) resident
-  /// workers on the contiguous accelerator range starting at
-  /// \p FirstAccel (0 — the default — is the historical whole-machine
-  /// pool). A non-zero base is how a caller pins a region to one
-  /// domain's accelerators: FirstAccel = Domain * AcceleratorsPerDomain
-  /// with a budget of at most AcceleratorsPerDomain. Each worker opens
-  /// through detail::openBlock and its fail-stop gate, so a pool can
-  /// open short-handed or empty; place() and runOnHost() then fall back
-  /// to the host.
+  /// Opens up to min(numAccelerators, MaxWorkers) resident workers, on
+  /// accelerators 0, 1, ... in order. Each worker opens through
+  /// detail::openBlock and its fail-stop gate, so a pool can open
+  /// short-handed or empty; place() and runOnHost() then fall back to
+  /// the host.
   ///
   /// \p NumStages is runDataflow's stage chain: a spawned continuation
   /// parcel running stage kernel K continues on to K+1 until kernel
   /// \p NumStages ends the chain. It only shapes descriptors this pool
   /// spawns (or runs on the host); 1, the default, chains nothing.
   ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
-                     unsigned FirstAccel = 0, uint16_t NumStages = 1);
+                     uint16_t NumStages = 1);
 
   ResidentWorkerPool(const ResidentWorkerPool &) = delete;
   ResidentWorkerPool &operator=(const ResidentWorkerPool &) = delete;

@@ -19,6 +19,13 @@ using namespace omm;
 using namespace omm::server;
 using namespace omm::sim;
 
+namespace {
+
+/// Host cycles the supervisor spends restarting one recycled core.
+constexpr uint64_t SupervisorRestartCycles = 2000;
+
+} // namespace
+
 TenantServer::TenantServer(Machine &M, const TenantServerParams &Params)
     : M(M), Params(Params),
       BaseChunkDeadline(M.watchdog().chunkDeadline()) {}
@@ -103,8 +110,6 @@ void TenantServer::recordFrame(Tenant &T, const game::FrameStats &Frame,
   T.Stats.FrameCycles.push_back(Frame.FrameCycles);
   ++T.Stats.FramesServed;
   T.Stats.FaultScore += Delta.HangsDetected + Delta.StragglersDetected;
-  if (Frame.DeadlineMissed)
-    ++T.Stats.DeadlineMissedFrames;
   T.CostEstimate = std::max<uint64_t>(1, Frame.FrameCycles);
   if (Params.QuarantineAfterFaults != 0 && !T.Stats.Quarantined &&
       T.Stats.FaultScore >= Params.QuarantineAfterFaults) {
@@ -122,7 +127,7 @@ unsigned TenantServer::recycleDeadCores() {
     // Supervisor restart: host pays the restart work, then the core
     // resumes at (at least) the new host time. The burial path already
     // reset its local store, so the revived core is clean.
-    M.hostCompute(Params.CoreRestartCycles);
+    M.hostCompute(SupervisorRestartCycles);
     M.reviveAccelerator(A);
     ++Recycled;
   }
@@ -138,20 +143,7 @@ void TenantServer::serveRoundRobin(const std::vector<unsigned> &Admitted,
     if (Armed)
       M.watchdog().setChunkDeadline(T.Params.ChunkDeadlineCycles);
     PerfCounters Before = M.totalCounters();
-    // Domain pinning: a tenant with a valid HomeDomain runs its frame
-    // on that domain's accelerator range only, so its traffic stays off
-    // the interconnect. Unpinned tenants (and flat machines) keep the
-    // historical whole-machine pool.
-    unsigned Budget = Params.MaxAccelerators;
-    unsigned FirstAccel = 0;
-    const sim::MachineConfig &Cfg = M.config();
-    if (T.Params.HomeDomain != ~0u && Cfg.AcceleratorsPerDomain != 0 &&
-        T.Params.HomeDomain < M.numDomains()) {
-      FirstAccel = T.Params.HomeDomain * Cfg.AcceleratorsPerDomain;
-      Budget = std::min(Budget, Cfg.AcceleratorsPerDomain);
-    }
-    game::FrameStats Frame =
-        T.World->doFrameOffloadAiResident(Budget, FirstAccel);
+    game::FrameStats Frame = T.World->doFrameOffloadAiResident();
     if (Armed)
       M.watchdog().setChunkDeadline(BaseChunkDeadline);
     recordFrame(T, Frame, Before);
@@ -159,8 +151,7 @@ void TenantServer::serveRoundRobin(const std::vector<unsigned> &Admitted,
     // inside the slice that wedged the core: the next tenant sees the
     // full pool again. Fault-free slices kill nothing, so this is a
     // no-op on the bit-identity path.
-    if (Params.RecycleCores)
-      TS.CoresRecycled += recycleDeadCores();
+    TS.CoresRecycled += recycleDeadCores();
   }
 }
 
@@ -194,7 +185,6 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
     // depend on chunking, so state identity with RoundRobin holds.
     offload::JobQueueOptions Opts;
     Opts.ChunkSize = std::max(1u, Params.BatchChunkElems);
-    Opts.MaxWorkers = Params.MaxAccelerators;
     Opts.Adaptive = true;
     offload::distributeJobs(
         M, Total, Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
@@ -225,8 +215,7 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
     game::FrameStats Frame = T.World->finishServedFrame();
     recordFrame(T, Frame, Before);
   }
-  if (Params.RecycleCores)
-    TS.CoresRecycled += recycleDeadCores();
+  TS.CoresRecycled += recycleDeadCores();
 }
 
 void TenantServer::serveQuarantined(const std::vector<unsigned> &HostOnly,

@@ -8,7 +8,9 @@
 /// \file
 /// Production scale means thousands of concurrent sessions, not one big
 /// frame: the TenantServer multiplexes N independent GameWorld instances
-/// over one simulated machine and its resident-worker pool. Robustness
+/// over one simulated machine and its resident-worker pool. Every
+/// accelerated frame dispatches over the whole machine; the server's
+/// knobs are admission, quarantine and the serving mode. Robustness
 /// comes in three layers (DESIGN.md §13):
 ///
 ///   admission control — a per-tick cycle-budget ledger admits, defers
@@ -17,9 +19,9 @@
 ///
 ///   fault isolation — per-tenant chunk-deadline arming on top of the
 ///   machine watchdog, per-tenant PerfCounters attribution by snapshot
-///   deltas, supervisor-style recycling of cores wedged during a slice,
-///   and a quarantine policy that demotes repeat offenders to host-only
-///   serving;
+///   deltas, supervisor-style recycling of every core wedged during a
+///   slice (at a fixed host restart cost), and a quarantine policy
+///   that demotes repeat offenders to host-only serving;
 ///
 ///   cross-tenant batching — same-stage AI work from every admitted
 ///   tenant coalesced into one shared dispatch over the concatenated
@@ -54,15 +56,6 @@ struct TenantParams {
   /// requires MachineConfig::WatchdogCheckCycles != 0 — the check grid
   /// is machine-wide and never moves per tenant.
   uint64_t ChunkDeadlineCycles = 0;
-  /// Pins this tenant's frames to one accelerator domain: its
-  /// RoundRobin dispatch opens workers only on that domain's
-  /// accelerators (budget capped at AcceleratorsPerDomain), so its DMA
-  /// and doorbell traffic never crosses the interconnect. ~0u (the
-  /// default) leaves the tenant unpinned; so does a flat machine
-  /// (AcceleratorsPerDomain == 0) or an out-of-range domain. Batched
-  /// mode ignores the pin — the shared dispatch is collective by
-  /// design.
-  unsigned HomeDomain = ~0u;
 };
 
 /// How serveTick schedules admitted tenants onto the machine.
@@ -81,8 +74,6 @@ enum class ServeMode : uint8_t {
 /// Server-wide policy knobs.
 struct TenantServerParams {
   ServeMode Mode = ServeMode::RoundRobin;
-  /// Worker budget handed to each frame's dispatch.
-  unsigned MaxAccelerators = ~0u;
   /// Admission ledger: estimated tenant frame cycles admitted per tick.
   /// 0 means unlimited (every non-quarantined tenant is admitted every
   /// tick — the determinism-contract configuration).
@@ -98,12 +89,6 @@ struct TenantServerParams {
   /// to the accelerator pool (its fault score resets); 0 means the
   /// demotion is permanent.
   uint32_t ProbationTicks = 0;
-  /// Recycle (revive) accelerators found dead after a slice: models the
-  /// supervisor restarting a wedged worker process so one tenant's hang
-  /// costs the pool a slice, not a core for the rest of the run.
-  bool RecycleCores = true;
-  /// Host cycles charged per recycled core (supervisor restart work).
-  uint64_t CoreRestartCycles = 2000;
   /// Chunk width of the shared Batched dispatch.
   uint32_t BatchChunkElems = 32;
 };
@@ -115,13 +100,13 @@ struct TenantStats {
   uint64_t FramesDeferred = 0; ///< Ticks skipped by admission control.
   uint64_t HostOnlyFrames = 0; ///< Frames served while quarantined.
   uint64_t FaultScore = 0;     ///< Cumulative hangs + stragglers.
-  uint64_t DeadlineMissedFrames = 0; ///< Frames over the world budget.
   uint64_t Quarantines = 0;    ///< Times the tenant was demoted.
   bool Quarantined = false;    ///< Currently serving host-only.
   std::vector<uint64_t> FrameCycles;
-  /// Machine counter deltas attributed to this tenant's slices. In
-  /// Batched mode the shared AI dispatch is collective and only each
-  /// tenant's finish phase is attributed.
+  /// Machine counter deltas attributed to this tenant's slices
+  /// (Counters.DeadlineMissedFrames counts its frames over the world
+  /// budget). In Batched mode the shared AI dispatch is collective and
+  /// only each tenant's finish phase is attributed.
   sim::PerfCounters Counters;
 };
 
@@ -199,6 +184,10 @@ private:
   void serveBatched(const std::vector<unsigned> &Admitted, TickStats &TS);
   void serveQuarantined(const std::vector<unsigned> &HostOnly,
                         TickStats &TS);
+  /// Revives every accelerator found dead after a slice (the supervisor
+  /// restarting a wedged worker process), so one tenant's hang costs
+  /// the pool a slice, not a core for the rest of the run. \returns how
+  /// many it revived.
   unsigned recycleDeadCores();
 
   sim::Machine &M;

@@ -57,7 +57,7 @@ void Machine::killAccelerator(unsigned Id, uint64_t BlockId) {
              /*Detail=*/0});
 }
 
-void Machine::reviveAccelerator(unsigned Id, uint64_t RestartCycles) {
+void Machine::reviveAccelerator(unsigned Id) {
   Accelerator &Accel = accel(Id);
   if (Accel.Alive)
     return;
@@ -66,8 +66,7 @@ void Machine::reviveAccelerator(unsigned Id, uint64_t RestartCycles) {
   // already drained the DMA engine and reset the local-store mark; all
   // that is left is to move the core's notion of time forward so the
   // restart cannot execute in the simulated past.
-  uint64_t ResumeAt = std::max(Accel.Clock.now(), HostClock.now()) +
-                      RestartCycles;
+  uint64_t ResumeAt = std::max(Accel.Clock.now(), HostClock.now());
   Accel.Clock.mergeTo(ResumeAt);
   Accel.FreeAt = std::max(Accel.FreeAt, ResumeAt);
   ++Accel.Counters.AcceleratorsRecycled;

@@ -101,12 +101,12 @@ public:
 
   /// Restarts a dead core: models a supervisor (the tenant server)
   /// recycling a worker process between serving slices. The core's clock
-  /// and FreeAt advance to at least the host clock plus \p RestartCycles
-  /// — a revived core never resumes in the past — and its local-store
-  /// state was already reset by the burial path. Reviving a live core is
-  /// a no-op. Idempotent per death; bumps AcceleratorsRecycled and
-  /// reports FaultKind::AcceleratorRecycled.
-  void reviveAccelerator(unsigned Id, uint64_t RestartCycles = 0);
+  /// and FreeAt advance to at least the host clock — a revived core
+  /// never resumes in the past — and its local-store state was already
+  /// reset by the burial path. Reviving a live core is a no-op.
+  /// Idempotent per death; bumps AcceleratorsRecycled and reports
+  /// FaultKind::AcceleratorRecycled.
+  void reviveAccelerator(unsigned Id);
 
   /// \returns the fault injector, or nullptr when fault injection is
   /// disabled (the common case: event sites pay one null test, the same

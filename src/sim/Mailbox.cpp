@@ -89,9 +89,10 @@ void Mailbox::pushParcel(const WorkDescriptor &Desc, unsigned SpawnerAccelId,
   }
 }
 
-unsigned Mailbox::stealTailInto(Mailbox &Thief, unsigned MinBacklog) {
-  if (Slots.size() < std::max(2u, MinBacklog))
-    return 0;
+unsigned Mailbox::stealTailInto(Mailbox &Thief) {
+  if (Slots.size() < 2)
+    reportFatalError("mailbox: stealing from a backlog of fewer than two "
+                     "descriptors");
   const MachineConfig &Cfg = M.config();
   Accelerator &ThiefAccel = M.accel(Thief.AccelId);
   unsigned Take = static_cast<unsigned>(Slots.size() / 2);
@@ -141,8 +142,8 @@ WorkDescriptor Mailbox::pop() {
   // poll at or after ReadyAt (never exactly on it unless aligned).
   uint64_t Now = Accel.Clock.now();
   if (Now < S.ReadyAt) {
-    uint64_t Quantum = std::max<uint64_t>(1, Cfg.MailboxIdlePollCycles);
-    uint64_t Spin = divideCeil(S.ReadyAt - Now, Quantum) * Quantum;
+    uint64_t Spin =
+        roundUpToMultiple(S.ReadyAt - Now, Cfg.MailboxIdlePollCycles);
     Accel.Clock.advance(Spin);
     Accel.Counters.IdlePollCycles += Spin;
     if (DmaObserver *Obs = M.observer())

@@ -137,10 +137,11 @@ public:
   /// one MailboxDescriptorCycles (the list fetch covers every stolen
   /// element — the list form's advantage); the victim is undisturbed.
   /// Stolen descriptors are already local, so the thief's later pops
-  /// of them skip the descriptor-fetch DMA. \returns how many
-  /// descriptors moved (0 when fewer than \p MinBacklog are pending —
-  /// nothing is charged then; the caller pays the probe).
-  unsigned stealTailInto(Mailbox &Thief, unsigned MinBacklog);
+  /// of them skip the descriptor-fetch DMA. The caller picks a victim
+  /// with at least two pending descriptors (the backlog threshold is
+  /// the victim choice's business); fewer is fatal. \returns how many
+  /// descriptors moved.
+  unsigned stealTailInto(Mailbox &Thief);
 
   /// Begin index of the newest pending descriptor (the locality key a
   /// thief scores victims by). Mailbox must not be empty.

@@ -24,6 +24,7 @@
 #define OMM_SIM_WATCHDOGTIMER_H
 
 #include "sim/MachineConfig.h"
+#include "support/MathExtras.h"
 
 #include <cstdint>
 
@@ -54,10 +55,7 @@ public:
   /// deadline expiring at \p Cycle: the next absolute multiple of the
   /// check period at or after it.
   uint64_t detectionCycle(uint64_t Cycle) const {
-    if (CheckCycles == 0)
-      return Cycle;
-    uint64_t Rem = Cycle % CheckCycles;
-    return Rem == 0 ? Cycle : Cycle + (CheckCycles - Rem);
+    return roundUpToMultiple(Cycle, CheckCycles);
   }
 
 private:

@@ -9,7 +9,7 @@
 /// Integer helpers used throughout the simulator: alignment arithmetic
 /// (memory architectures in the paper's domain increase alignment
 /// restrictions, so nearly every component rounds sizes and checks
-/// addresses) and ceiling division for cost models.
+/// addresses) and ceiling division and rounding for cost models.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +50,16 @@ constexpr bool isAligned(uint64_t Value, uint64_t Align) {
 constexpr uint64_t divideCeil(uint64_t Numerator, uint64_t Denominator) {
   assert(Denominator != 0 && "division by zero");
   return (Numerator + Denominator - 1) / Denominator;
+}
+
+/// \returns \p Value rounded up to the next multiple of \p Quantum, for
+/// any quantum (alignTo needs a power of two); a \p Quantum of 0
+/// returns \p Value unchanged.
+constexpr uint64_t roundUpToMultiple(uint64_t Value, uint64_t Quantum) {
+  if (Quantum == 0)
+    return Value;
+  uint64_t Rem = Value % Quantum;
+  return Rem == 0 ? Value : Value + (Quantum - Rem);
 }
 
 /// \returns floor(log2(Value)) for a non-zero value.

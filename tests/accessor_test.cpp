@@ -85,58 +85,6 @@ TEST(ArrayAccessor, ReadOnlyNeverWritesBack) {
   EXPECT_EQ(M.mainMemory().readValue<uint32_t>(Array.addr()), 7u);
 }
 
-TEST(ArrayAccessor, WriteOnlySkipsInitialFetch) {
-  Machine M;
-  OuterPtr<uint64_t> Array = allocOuterArray<uint64_t>(M, 128);
-  offloadSync(M, [&](OffloadContext &Ctx) {
-    uint64_t Gets = Ctx.accel().Counters.DmaGetsIssued;
-    ArrayAccessor<uint64_t> Local(Ctx, Array, 128, AccessMode::WriteOnly);
-    // 128 * 8 = 1024 bytes, a 16-byte multiple: no tail fetch needed.
-    EXPECT_EQ(Ctx.accel().Counters.DmaGetsIssued, Gets);
-    for (uint32_t I = 0; I != 128; ++I)
-      Local.set(I, I + 1000);
-  });
-  for (uint32_t I = 0; I != 128; ++I)
-    EXPECT_EQ(M.mainMemory().readValue<uint64_t>(Array.addr() + I * 8),
-              I + 1000);
-}
-
-TEST(ArrayAccessor, WriteOnlyWithRaggedTailPreservesNeighbours) {
-  Machine M;
-  // 3 x 4 bytes = 12 bytes: the commit pads to 16; the neighbouring
-  // 4 bytes must survive.
-  GlobalAddr Block = M.allocGlobal(32);
-  M.mainMemory().writeValue<uint32_t>(Block + 12, 0xAABBCCDDu);
-  OuterPtr<uint32_t> Array(Block);
-
-  offloadSync(M, [&](OffloadContext &Ctx) {
-    ArrayAccessor<uint32_t> Local(Ctx, Array, 3, AccessMode::WriteOnly);
-    Local.set(0, 1);
-    Local.set(1, 2);
-    Local.set(2, 3);
-  });
-
-  EXPECT_EQ(M.mainMemory().readValue<uint32_t>(Block), 1u);
-  EXPECT_EQ(M.mainMemory().readValue<uint32_t>(Block + 4), 2u);
-  EXPECT_EQ(M.mainMemory().readValue<uint32_t>(Block + 8), 3u);
-  EXPECT_EQ(M.mainMemory().readValue<uint32_t>(Block + 12), 0xAABBCCDDu);
-}
-
-TEST(ArrayAccessor, RefreshPicksUpHostChanges) {
-  Machine M;
-  OuterPtr<uint32_t> Array = allocOuterArray<uint32_t>(M, 16);
-  M.mainMemory().writeValue<uint32_t>(Array.addr(), 1);
-  offloadSync(M, [&](OffloadContext &Ctx) {
-    ArrayAccessor<uint32_t> Local(Ctx, Array, 16, AccessMode::ReadOnly);
-    EXPECT_EQ(Local.get(0), 1u);
-    // (Simulates a host-side update between offload phases.)
-    M.mainMemory().writeValue<uint32_t>(Array.addr(), 2);
-    EXPECT_EQ(Local.get(0), 1u); // Stale local copy.
-    Local.refresh();
-    EXPECT_EQ(Local.get(0), 2u);
-  });
-}
-
 TEST(ArrayAccessor, ElementAccessIsLocalCost) {
   Machine M;
   OuterPtr<uint32_t> Array = allocOuterArray<uint32_t>(M, 256);
@@ -149,18 +97,6 @@ TEST(ArrayAccessor, ElementAccessIsLocalCost) {
     EXPECT_EQ(Ctx.clock().now() - Start,
               256 * M.config().LocalAccessCycles);
   });
-}
-
-TEST(ValueAccessor, RoundTrip) {
-  Machine M;
-  OuterPtr<uint64_t> Value = allocOuter<uint64_t>(M);
-  Value.hostWrite(M, 41);
-  offloadSync(M, [&](OffloadContext &Ctx) {
-    ValueAccessor<uint64_t> Local(Ctx, Value);
-    EXPECT_EQ(Local.get(), 41u);
-    Local.update([](uint64_t &V) { ++V; });
-  });
-  EXPECT_EQ(Value.hostRead(M), 42u);
 }
 
 TEST(ArrayAccessor, LargeArraySpansMultipleDmaChunks) {

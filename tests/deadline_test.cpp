@@ -55,14 +55,6 @@ TEST(WatchdogTimer, DetectionSnapsToTheCheckGrid) {
   EXPECT_EQ(Unarmed.detectionCycle(123), 123u);
 }
 
-TEST(WatchdogTimer, RoundUpToQuantumHandlesAnyQuantum) {
-  EXPECT_EQ(detail::roundUpToQuantum(0, 48), 0u);
-  EXPECT_EQ(detail::roundUpToQuantum(1, 48), 48u);
-  EXPECT_EQ(detail::roundUpToQuantum(48, 48), 48u);
-  EXPECT_EQ(detail::roundUpToQuantum(49, 48), 96u);
-  EXPECT_EQ(detail::roundUpToQuantum(77, 0), 77u); // 0 = no quantization.
-}
-
 namespace {
 
 /// Machine with chunk deadlines armed and fault injection enabled but

@@ -498,22 +498,26 @@ TEST(FaultInjector, KilledAcceleratorsMidFrameKeepFramesBitIdentical) {
   trace::TraceRecorder Rec(B);
 
   CleanWorld.doFrameOffloadAiParallel();
-  FrameStats Clean1 = CleanWorld.doFrameOffloadAiParallel();
+  PerfCounters CleanBefore = A.totalCounters();
+  CleanWorld.doFrameOffloadAiParallel();
+  PerfCounters Clean1 = A.countersSince(CleanBefore);
 
   FaultWorld.doFrameOffloadAiParallel();
   B.faults()->scheduleKill(/*AccelId=*/1, /*LaunchIndex=*/0);
   B.faults()->scheduleKill(/*AccelId=*/3, /*LaunchIndex=*/0);
+  PerfCounters FaultBefore = B.totalCounters();
   FrameStats Fault1 = FaultWorld.doFrameOffloadAiParallel();
+  PerfCounters Fault1Counters = B.countersSince(FaultBefore);
 
   // Same game state, frame for frame.
   EXPECT_EQ(CleanWorld.checksum(), FaultWorld.checksum());
   EXPECT_EQ(B.numAliveAccelerators(), B.numAccelerators() - 2);
 
-  // The recovery is visible in the stats...
-  EXPECT_EQ(Clean1.FailedBlocks, 0u);
-  EXPECT_EQ(Fault1.FailedBlocks, 2u);
+  // The recovery is visible in the counters and the stats...
+  EXPECT_EQ(Clean1.LaunchFaults, 0u);
+  EXPECT_EQ(Fault1Counters.LaunchFaults, 2u);
   EXPECT_EQ(Fault1.FailoverSlices, 2u);
-  EXPECT_EQ(Fault1.HostFallbackSlices, 0u);
+  EXPECT_EQ(Fault1Counters.HostFallbackChunks, 0u);
   uint64_t Lost = 0;
   for (unsigned I = 0; I != B.numAccelerators(); ++I)
     Lost += B.accel(I).Counters.AcceleratorsLost;
@@ -540,10 +544,11 @@ TEST(FaultInjector, SingleOffloadFrameFailsOverToAnotherCore) {
   GameWorld CleanWorld(A, smallWorld());
   GameWorld FaultWorld(B, smallWorld());
   CleanWorld.doFrameOffloadAiParallel(1);
+  PerfCounters Before = B.totalCounters();
   FrameStats Stats = FaultWorld.doFrameOffloadAiParallel(1);
   EXPECT_EQ(CleanWorld.checksum(), FaultWorld.checksum());
   // The known-dead core is skipped, not launched into: no launch fails.
-  EXPECT_EQ(Stats.FailedBlocks, 0u);
+  EXPECT_EQ(B.countersSince(Before).LaunchFaults, 0u);
   EXPECT_EQ(Stats.FailoverSlices, 1u);
 }
 
@@ -554,10 +559,12 @@ TEST(FaultInjector, SingleOffloadFrameFallsBackToHostWhenAllDead) {
   GameWorld CleanWorld(A, smallWorld());
   GameWorld FaultWorld(B, smallWorld());
   CleanWorld.doFrameHostOnly();
-  FrameStats Stats = FaultWorld.doFrameOffloadAiParallel(1);
+  PerfCounters Before = B.totalCounters();
+  FaultWorld.doFrameOffloadAiParallel(1);
+  PerfCounters Delta = B.countersSince(Before);
   EXPECT_EQ(CleanWorld.checksum(), FaultWorld.checksum());
-  EXPECT_EQ(Stats.HostFallbackSlices, 1u);
-  EXPECT_EQ(Stats.FailedBlocks, 0u); // Every core was known dead.
+  EXPECT_EQ(Delta.HostFallbackChunks, 1u);
+  EXPECT_EQ(Delta.LaunchFaults, 0u); // Every core was known dead.
 }
 
 //===----------------------------------------------------------------------===//

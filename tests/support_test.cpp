@@ -44,6 +44,19 @@ TEST(MathExtras, DivideCeil) {
   EXPECT_EQ(divideCeil(9, 8), 2u);
 }
 
+TEST(MathExtras, RoundUpToMultiple) {
+  // Any quantum, not only powers of two.
+  EXPECT_EQ(roundUpToMultiple(0, 48), 0u);
+  EXPECT_EQ(roundUpToMultiple(48, 48), 48u);
+  EXPECT_EQ(roundUpToMultiple(96, 48), 96u);
+  EXPECT_EQ(roundUpToMultiple(1, 48), 48u);
+  EXPECT_EQ(roundUpToMultiple(49, 48), 96u);
+  EXPECT_EQ(roundUpToMultiple(7, 3), 9u);
+  // A quantum of 0 quantizes nothing.
+  EXPECT_EQ(roundUpToMultiple(0, 0), 0u);
+  EXPECT_EQ(roundUpToMultiple(77, 0), 77u);
+}
+
 TEST(MathExtras, Log2Floor) {
   EXPECT_EQ(log2Floor(1), 0u);
   EXPECT_EQ(log2Floor(2), 1u);

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -324,38 +326,57 @@ TEST(TenantServerTest, QuarantineDemotesToHostOnlyAndProbationRestores) {
   EXPECT_EQ(Server.stats(0).FramesServed, 4u);
 }
 
-TEST(TenantServerTest, HomeDomainPinningConfinesWorkAndKeepsResults) {
-  // A tenant pinned to a home domain dispatches only to that domain's
-  // accelerators, with the budget clamped to the domain width — and the
-  // pin moves cycles, never results.
-  auto Serve = [](unsigned HomeDomain) {
-    MachineConfig Cfg = MachineConfig::cellLike();
-    Cfg.NumAccelerators = 8;
-    Cfg.AcceleratorsPerDomain = 4;
-    Machine M(Cfg);
-    TenantServer Server(M, TenantServerParams());
-    TenantParams P = testTenants()[0];
-    P.HomeDomain = HomeDomain;
-    Server.addTenant(P);
+TEST(TenantServerTest, DeadlineMissesAreAttributedToTheTenantThatMissed) {
+  // Every tenant gets one frame budget, halfway between the cheapest and
+  // the dearest frame of an unbudgeted tick, so some frames miss it and
+  // some do not. Each tenant's DeadlineMissedFrames counter must count
+  // exactly its own frames over budget, whichever way the mode
+  // schedules the tick.
+  for (ServeMode Mode : {ServeMode::RoundRobin, ServeMode::Batched}) {
+    const char *Name = Mode == ServeMode::RoundRobin ? "round-robin"
+                                                     : "batched";
+    TenantServerParams SP;
+    SP.Mode = Mode;
+    std::vector<TenantParams> Population = testTenants();
+
+    uint64_t Budget = [&] {
+      Machine M(MachineConfig::cellLike());
+      TenantServer Server(M, SP);
+      for (const TenantParams &P : Population)
+        Server.addTenant(P);
+      Server.serveTick();
+      uint64_t Min = UINT64_MAX, Max = 0;
+      for (unsigned T = 0; T != NumTenants; ++T) {
+        Min = std::min(Min, Server.stats(T).FrameCycles[0]);
+        Max = std::max(Max, Server.stats(T).FrameCycles[0]);
+      }
+      return Min + (Max - Min) / 2;
+    }();
+
+    Machine M(MachineConfig::cellLike());
+    TenantServer Server(M, SP);
+    for (TenantParams P : Population) {
+      P.World.FrameBudgetCycles = Budget;
+      Server.addTenant(P);
+    }
     for (int T = 0; T != NumTicks; ++T)
       Server.serveTick();
-    std::vector<uint64_t> Dispatched;
-    for (unsigned A = 0; A != M.numAccelerators(); ++A)
-      Dispatched.push_back(M.accel(A).Counters.DescriptorsDispatched);
-    return std::pair(Server.checksum(0), Dispatched);
-  };
 
-  auto [UnpinnedSum, UnpinnedDispatch] = Serve(~0u);
-  auto [PinnedSum, PinnedDispatch] = Serve(1);
-  EXPECT_EQ(PinnedSum, UnpinnedSum);
-  uint64_t AwayDispatch = 0, HomeDispatch = 0;
-  for (unsigned A = 0; A != 4; ++A) {
-    EXPECT_EQ(PinnedDispatch[A], 0u) << "accel " << A;
-    AwayDispatch += UnpinnedDispatch[A];
-    HomeDispatch += PinnedDispatch[A + 4];
+    uint64_t Missed = 0, Frames = 0;
+    for (unsigned T = 0; T != NumTenants; ++T) {
+      const TenantStats &S = Server.stats(T);
+      uint64_t OverBudget = static_cast<uint64_t>(
+          std::count_if(S.FrameCycles.begin(), S.FrameCycles.end(),
+                        [&](uint64_t Cycles) { return Cycles > Budget; }));
+      EXPECT_EQ(S.Counters.DeadlineMissedFrames, OverBudget)
+          << Name << " tenant " << T;
+      Missed += OverBudget;
+      Frames += S.FrameCycles.size();
+    }
+    EXPECT_EQ(M.totalCounters().DeadlineMissedFrames, Missed) << Name;
+    EXPECT_GT(Missed, 0u) << Name;
+    EXPECT_LT(Missed, Frames) << Name;
   }
-  EXPECT_GT(AwayDispatch, 0u); // Unpinned serving did use domain 0.
-  EXPECT_GT(HomeDispatch, 0u);
 }
 
 TEST(TenantServerTest, HeavyTailedPopulationIsDeterministicAndTailed) {

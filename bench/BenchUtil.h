@@ -31,10 +31,16 @@
 #ifndef OMM_BENCH_BENCHUTIL_H
 #define OMM_BENCH_BENCHUTIL_H
 
+#include "offload/Ptr.h"
+#include "sim/Machine.h"
+#include "support/Random.h"
+
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -87,6 +93,59 @@ inline void reportCyclePercentiles(benchmark::State &State,
 inline void reportChecksum(benchmark::State &State, uint64_t Checksum) {
   State.counters["checksum"] = static_cast<double>(
       static_cast<uint32_t>(Checksum ^ (Checksum >> 32)));
+}
+
+/// Reports p99 of \p NoneFrames over p99 of \p RunFrames as the
+/// `p99_win_vs_none` counter: how much a policy cuts the frame-time tail
+/// of the same workload run without it (above 1.0 is a win).
+inline void reportP99Win(benchmark::State &State,
+                         const std::vector<uint64_t> &NoneFrames,
+                         const std::vector<uint64_t> &RunFrames) {
+  State.counters["p99_win_vs_none"] =
+      static_cast<double>(cyclePercentile(NoneFrames, 99.0)) /
+      static_cast<double>(cyclePercentile(RunFrames, 99.0));
+}
+
+/// Aborts the benchmark when row (\p Sweep, \p Arg)'s checksum \p Got
+/// differs from \p Want, the checksum of \p What. Every recovery and
+/// scheduling path may move work, never results, so any divergence is a
+/// bug, not a measurement.
+inline void requireChecksum(uint64_t Got, uint64_t Want, const char *Sweep,
+                            int64_t Arg, const char *What) {
+  if (Got == Want)
+    return;
+  std::fprintf(stderr,
+               "FATAL: %s arg %lld: checksum diverged from %s "
+               "(%llx != %llx)\n",
+               Sweep, static_cast<long long>(Arg), What,
+               static_cast<unsigned long long>(Got),
+               static_cast<unsigned long long>(Want));
+  std::abort();
+}
+
+/// The item-checksum benches (E10, E12, E16) write itemValue(Seed, I)
+/// to item I of a Count-item output array; the seed tells them apart.
+constexpr uint64_t itemValue(uint64_t Seed, uint32_t I) {
+  return splitMix64(Seed ^ I);
+}
+
+/// The checksum such a bench must read back: every item's value folded
+/// in index order.
+constexpr uint64_t expectedChecksum(uint64_t Seed, uint32_t Count) {
+  uint64_t Sum = 0;
+  for (uint32_t I = 0; I != Count; ++I)
+    Sum = splitMix64(Sum ^ itemValue(Seed, I));
+  return Sum;
+}
+
+/// The same fold over the \p Count values at \p Data in main memory.
+inline uint64_t readChecksum(sim::Machine &M, offload::OuterPtr<uint64_t> Data,
+                             uint32_t Count) {
+  uint64_t Sum = 0;
+  for (uint32_t I = 0; I != Count; ++I)
+    Sum = splitMix64(Sum ^
+                     M.mainMemory().readValue<uint64_t>((Data + I).addr()));
+  return Sum;
 }
 
 /// Standard registration: one iteration (the simulator is

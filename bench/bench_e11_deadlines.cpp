@@ -152,18 +152,6 @@ uint64_t calibratedChunkDeadline() {
   return Deadline;
 }
 
-void requireBitIdentical(const RunOut &Run, const char *Sweep, int64_t Arg) {
-  if (Run.Checksum == cleanReference().Checksum)
-    return;
-  std::fprintf(stderr,
-               "FATAL: %s arg %lld: world state diverged from the "
-               "fault-free run (%llx != %llx)\n",
-               Sweep, static_cast<long long>(Arg),
-               static_cast<unsigned long long>(Run.Checksum),
-               static_cast<unsigned long long>(cleanReference().Checksum));
-  std::abort();
-}
-
 void reportRecoveryCounters(benchmark::State &State, const RunOut &Run) {
   State.counters["stragglers"] = static_cast<double>(Run.Stragglers);
   State.counters["cancels"] = static_cast<double>(Run.Cancels);
@@ -190,7 +178,8 @@ void BM_StragglerPolicy(benchmark::State &State) {
   for (auto _ : State) {
     RunOut Run = runFrames(
         deadlineConfig(Deadline, Policy, Rate, Slowdown, Rate > 0.0f), 0);
-    requireBitIdentical(Run, "straggler_policy", State.range(0));
+    requireChecksum(Run.Checksum, cleanReference().Checksum, "straggler_policy",
+                    State.range(0), "the fault-free run");
     reportSimCycles(State, Run.TotalCycles);
     reportCyclePercentiles(State, Run.FrameCycles);
     reportRecoveryCounters(State, Run);
@@ -206,8 +195,11 @@ void BM_StragglerPolicy(benchmark::State &State) {
           deadlineConfig(Deadline, DeadlinePolicy::CancelRestart, Rate,
                          Slowdown, true),
           0);
-      requireBitIdentical(DetectOnly, "straggler_none", State.range(0));
-      requireBitIdentical(Restart, "straggler_restart", State.range(0));
+      requireChecksum(DetectOnly.Checksum, cleanReference().Checksum,
+                      "straggler_none", State.range(0), "the fault-free run");
+      requireChecksum(Restart.Checksum, cleanReference().Checksum,
+                      "straggler_restart", State.range(0),
+                      "the fault-free run");
       State.counters["p99_win_vs_none"] =
           static_cast<double>(cyclePercentile(DetectOnly.FrameCycles, 99.0)) /
           static_cast<double>(cyclePercentile(Run.FrameCycles, 99.0));
@@ -225,7 +217,8 @@ void BM_HungWorkers(benchmark::State &State) {
     RunOut Run = runFrames(deadlineConfig(Deadline, DeadlinePolicy::None,
                                           0.0f, 1.0f, Hung != 0),
                            0, Hung);
-    requireBitIdentical(Run, "hung_workers", Hung);
+    requireChecksum(Run.Checksum, cleanReference().Checksum, "hung_workers",
+                    Hung, "the fault-free run");
     reportSimCycles(State, Run.TotalCycles);
     reportCyclePercentiles(State, Run.FrameCycles);
     State.counters["hangs"] = static_cast<double>(Run.Hangs);
@@ -245,7 +238,8 @@ void BM_FrameBudget(benchmark::State &State) {
   for (auto _ : State) {
     RunOut Run = runFrames(Cfg, Budget);
     if (Budget == 0) {
-      requireBitIdentical(Run, "frame_budget", State.range(0));
+      requireChecksum(Run.Checksum, cleanReference().Checksum, "frame_budget",
+                      State.range(0), "the fault-free run");
     } else {
       // Shedding changes world state by design; assert the degraded
       // run is at least deterministic.

@@ -110,19 +110,6 @@ FrameRun runWorld(bool Dataflow, unsigned Workers, ParcelPolicy Policy,
   return Run;
 }
 
-void requireBitIdentical(uint64_t Got, uint64_t Want, const char *Sweep,
-                         int64_t Arg) {
-  if (Got == Want)
-    return;
-  std::fprintf(stderr,
-               "FATAL: %s arg %lld: dataflow world diverged from the "
-               "staged world (%llx != %llx)\n",
-               Sweep, static_cast<long long>(Arg),
-               static_cast<unsigned long long>(Got),
-               static_cast<unsigned long long>(Want));
-  std::abort();
-}
-
 void reportParcelCounters(benchmark::State &State, const FrameRun &Run) {
   State.counters["parcels_spawned"] =
       static_cast<double>(Run.Counters.ParcelsSpawned);
@@ -146,8 +133,8 @@ void BM_FrameSchedule(benchmark::State &State) {
     FrameRun Staged = runWorld(false, Workers, ParcelPolicy::Ring);
     FrameRun Run = Dataflow ? runWorld(true, Workers, ParcelPolicy::Ring)
                             : Staged;
-    requireBitIdentical(Run.Checksum, Staged.Checksum, "frame_schedule",
-                        State.range(0));
+    requireChecksum(Run.Checksum, Staged.Checksum, "frame_schedule",
+                    State.range(0), "the staged world");
     reportSimCycles(State, Run.TotalCycles);
     reportChecksum(State, Run.Checksum);
     reportCyclePercentiles(State, Run.FrameCycles);
@@ -162,8 +149,8 @@ void BM_Policy(benchmark::State &State) {
   for (auto _ : State) {
     FrameRun Staged = runWorld(false, ~0u, Policy);
     FrameRun Run = runWorld(true, ~0u, Policy);
-    requireBitIdentical(Run.Checksum, Staged.Checksum, "policy",
-                        State.range(0));
+    requireChecksum(Run.Checksum, Staged.Checksum, "policy", State.range(0),
+                    "the staged world");
     reportSimCycles(State, Run.TotalCycles);
     reportChecksum(State, Run.Checksum);
     reportCyclePercentiles(State, Run.FrameCycles);
@@ -177,8 +164,8 @@ void BM_KilledWorkers(benchmark::State &State) {
   for (auto _ : State) {
     FrameRun Staged = runWorld(false, ~0u, ParcelPolicy::Ring);
     FrameRun Run = runWorld(true, ~0u, ParcelPolicy::Ring, Killed);
-    requireBitIdentical(Run.Checksum, Staged.Checksum, "killed_workers",
-                        State.range(0));
+    requireChecksum(Run.Checksum, Staged.Checksum, "killed_workers",
+                    State.range(0), "the staged world");
     reportSimCycles(State, Run.TotalCycles);
     reportChecksum(State, Run.Checksum);
     reportCyclePercentiles(State, Run.FrameCycles);

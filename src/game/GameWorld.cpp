@@ -99,7 +99,7 @@ void GameWorld::buildTargetSnapshot() {
   }
 }
 
-void GameWorld::aiPassHost(uint32_t Begin, uint32_t End) {
+void GameWorld::servedAiChunkHost(uint32_t Begin, uint32_t End) {
   uint32_t Count = Entities.size();
   for (uint32_t I = Begin; I != End; ++I) {
     GameEntity Self = Entities.read(I);
@@ -114,7 +114,7 @@ void GameWorld::aiPassHost(uint32_t Begin, uint32_t End) {
   }
 }
 
-void GameWorld::aiPassOffload(offload::OffloadContext &Ctx, uint32_t Begin,
+void GameWorld::servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
                               uint32_t End) {
   uint32_t Count = Entities.size();
   auto Base = Entities.base() + Begin;
@@ -216,7 +216,7 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
     ++M.hostCounters().HostFallbackChunks;
     M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
                  /*BlockId=*/0, M.hostClock().now(), /*Detail=*/0});
-    aiPassHost(0, AiCount);
+    servedAiChunkHost(0, AiCount);
     HostAiEnd = M.hostClock().now();
   }
   uint32_t PerWorker = Workers != 0 ? AiCount / Workers : 0;
@@ -233,13 +233,11 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
       }
       offload::OffloadStatus St = Group.launchOn(
           M, A, [&, Begin, End](offload::OffloadContext &Ctx) {
-            aiPassOffload(Ctx, Begin, End);
+            servedAiChunk(Ctx, Begin, End);
           });
       if (St == offload::OffloadStatus::Ok) {
-        if (Retried) {
-          ++Stats.FailoverSlices;
+        if (Retried)
           ++M.hostCounters().FailoverChunks;
-        }
         LastFinish = std::max(LastFinish, M.accel(A).FreeAt);
         Launched = true;
         break;
@@ -250,7 +248,7 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
       ++M.hostCounters().HostFallbackChunks;
       M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
                    /*BlockId=*/0, M.hostClock().now(), Begin});
-      aiPassHost(Begin, End);
+      servedAiChunkHost(Begin, End);
       HostAiEnd = M.hostClock().now();
     }
     Begin = End;
@@ -299,15 +297,6 @@ uint32_t GameWorld::beginServedFrame() {
   ServedStats.AiEntitiesShed = Entities.size() - AiCount;
   buildTargetSnapshot();
   return AiCount;
-}
-
-void GameWorld::servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
-                              uint32_t End) {
-  aiPassOffload(Ctx, Begin, End);
-}
-
-void GameWorld::servedAiChunkHost(uint32_t Begin, uint32_t End) {
-  aiPassHost(Begin, End);
 }
 
 FrameStats GameWorld::finishServedFrame() {

@@ -109,10 +109,12 @@ struct FrameStats {
   uint64_t RenderCycles = 0;
   uint32_t PairsTested = 0;
   uint32_t Contacts = 0;
-  /// Slices re-run on another core (zero on a healthy machine): a
-  /// resident region adds its RegionStats::RequeuedDescriptors. The
-  /// FailoverChunks counter is not the same count, since it also counts
-  /// descriptors run away from their Home (orphaned parcels included).
+  /// Descriptors a resident region re-ran on another core (zero on a
+  /// healthy machine and in doFrameOffloadAiParallel): the sum of the
+  /// frame's RegionStats::RequeuedDescriptors. The FailoverChunks
+  /// counter is not the same count, since it also counts descriptors
+  /// run away from their Home (orphaned parcels included) and slices
+  /// doFrameOffloadAiParallel launched on a core other than their own.
   uint32_t FailoverSlices = 0;
   /// Graceful degradation: what this frame shed to claw back budget
   /// (lowest-priority == highest-index entities hold last frame's
@@ -201,9 +203,18 @@ public:
   /// for any chunking; frame *cycles* depend on the caller's dispatch
   /// schedule, which is the point.
   uint32_t beginServedFrame();
+
+  /// Accelerator-side AI pass over [Begin, End): streams entities
+  /// double-buffered, reads target snapshots through a software cache
+  /// (random access).
   void servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
                      uint32_t End);
+
+  /// Host-side AI pass over [Begin, End) (reads targets with ordinary
+  /// loads). Also the fallback when an offloaded slice has no live
+  /// accelerator to run on.
   void servedAiChunkHost(uint32_t Begin, uint32_t End);
+
   FrameStats finishServedFrame();
 
   /// Bit-exact world state checksum (entities + poses).
@@ -239,17 +250,6 @@ private:
   /// Builds the per-frame TargetInfo snapshot on the host (both
   /// schedules run this as the first step of the AI stage).
   void buildTargetSnapshot();
-
-  /// Host-side AI pass over [Begin, End) (reads targets with ordinary
-  /// loads). Also the fallback when an offloaded slice has no live
-  /// accelerator to run on.
-  void aiPassHost(uint32_t Begin, uint32_t End);
-
-  /// Accelerator-side AI pass over [Begin, End): streams entities
-  /// double-buffered, reads target snapshots through a software cache
-  /// (random access).
-  void aiPassOffload(offload::OffloadContext &Ctx, uint32_t Begin,
-                     uint32_t End);
 
   /// detectCollisions: broadphase + narrowphase on the host.
   void collisionPassHost(FrameStats &Stats);

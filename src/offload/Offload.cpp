@@ -58,7 +58,7 @@ offload::OffloadStatus offload::detail::openBlock(Machine &M,
   uint64_t Start =
       std::max({Accel.FreeAt, NotBefore, Now}) + Cfg.OffloadLaunchCycles;
   FaultInjector *FI = M.faults();
-  if (FI && FI->classifyLaunch(AccelId) == LaunchFault::AcceleratorDeath) {
+  if (FI && FI->launchFails(AccelId)) {
     // The core accepts the launch, burns some cycles, and dies before
     // the body's first instruction — mid-block from the machine's view,
     // but before any side effect, so recovery can simply re-run the

@@ -42,8 +42,9 @@ namespace omm::offload {
 /// over to the next live core; if none will take a slice it runs on
 /// the host (requires a host-invocable body — take the context as
 /// auto&). The slice boundaries never change, so results match the
-/// fault-free run bit for bit. In the returned stats zero FailedLaunches
-/// and all-zero recovery mean the static split ran as planned.
+/// fault-free run bit for bit. In the returned stats zero
+/// Counters.LaunchFaults and all-zero recovery mean the static split ran
+/// as planned.
 template <typename BodyFn>
 RegionStats parallelForRange(sim::Machine &M, uint32_t Count, BodyFn &&Body,
                              unsigned MaxAccelerators = ~0u) {

@@ -92,8 +92,6 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
   // the 1 -> 2 link themselves.
   ResidentWorkerPool Pool(M, Opts.MaxWorkers, NumStages);
 
-  // Stage-1 descriptors the host seeded, host-run ones included.
-  uint32_t Seeds = 0;
   DispatchPlan Plan(Count);
   Plan.stage(/*Kernel=*/1, NumStages > 1 ? 2 : 0, Policy);
   if (NumStages == 1) {
@@ -103,7 +101,6 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
     Pool.runEager(Body, [&]() -> std::optional<sim::WorkDescriptor> {
       if (Plan.done())
         return std::nullopt;
-      ++Seeds;
       return Plan.chunk(ChunkSize);
     });
   } else {
@@ -118,7 +115,6 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
     unsigned Next = 0;
     while (!Plan.done()) {
       if (Pool.liveCount() == 0) {
-        ++Seeds;
         Pool.runOnHost(Body, Plan.chunk(ChunkSize));
         continue;
       }
@@ -130,7 +126,6 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
         Pool.executeNext(Next, Body);
         continue;
       }
-      ++Seeds;
       Pool.dispatch(Next, Plan.chunk(ChunkSize));
       ++Next;
     }
@@ -142,9 +137,7 @@ RegionStats runDataflow(sim::Machine &M, uint32_t Count,
   Pool.drain(Body, /*MaySteal=*/false);
 
   Pool.close();
-  RegionStats Stats = Pool.stats();
-  Stats.Seeds = Seeds;
-  return Stats;
+  return Pool.stats();
 }
 
 } // namespace omm::offload

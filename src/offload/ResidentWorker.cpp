@@ -41,7 +41,6 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
       // openBlock already billed the fault; the pool just opens one
       // worker short. A core killed during launch still burned cycles
       // that bound the makespan.
-      ++RS.FailedLaunches;
       FrameEnd = std::max(FrameEnd, M.accel(A).FreeAt);
       continue;
     }

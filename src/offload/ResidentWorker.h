@@ -74,11 +74,10 @@ struct RegionStats {
   std::vector<uint64_t> WorkerBusyCycles;
   /// Descriptors executed per opened worker, same indexing.
   std::vector<uint32_t> WorkerChunks;
-  /// Resident-worker launches that succeeded.
+  /// Resident-worker launches that succeeded. Launches that failed
+  /// outright (dead core, injected launch fault) are
+  /// Counters.LaunchFaults; the pool opened without them.
   uint32_t Launches = 0;
-  /// Resident-worker launches that failed outright (dead core, injected
-  /// launch fault); the pool opened without them.
-  uint32_t FailedLaunches = 0;
   /// Workers that died mid-region, at a descriptor boundary (hung
   /// workers included).
   uint32_t DeadWorkers = 0;
@@ -86,14 +85,12 @@ struct RegionStats {
   /// dying workers handed back (the popped descriptor plus the mailbox
   /// backlog), and one recovery copy per straggler that
   /// DeadlinePolicy::CancelRestart restarted or a Speculate backup won.
+  /// Counters.FailoverChunks counts these plus the descriptors executed
+  /// on a different accelerator than their static split intended
+  /// (WorkDescriptor::Home).
   uint32_t RequeuedDescriptors = 0;
-  /// Descriptors executed on a different accelerator than their static
-  /// split intended (WorkDescriptor::Home).
-  uint32_t FailoverDescriptors = 0;
   /// Chunks the driver ran on the host because no worker was left.
   uint32_t HostChunks = 0;
-  /// Stage-1 descriptors the host seeded (runDataflow only).
-  uint32_t Seeds = 0;
 
   /// Descriptors minus launches: how many per-chunk launches the
   /// resident runtime amortized away (0 when nothing was dispatched,
@@ -302,10 +299,8 @@ public:
       return false;
     }
     if (Desc.Home != sim::WorkDescriptor::NoHome &&
-        Desc.Home != Wk.Span.AccelId) {
-      ++RS.FailoverDescriptors;
+        Desc.Home != Wk.Span.AccelId)
       ++M.hostCounters().FailoverChunks;
-    }
     uint64_t Start = Accel.Clock.now();
     {
       // Per-descriptor allocations (staging buffers, caches the body

@@ -33,17 +33,16 @@ FaultInjector::AccelStream &FaultInjector::stream(unsigned AccelId) {
   return Streams[AccelId];
 }
 
-LaunchFault FaultInjector::classifyLaunch(unsigned AccelId) {
+bool FaultInjector::launchFails(unsigned AccelId) {
   AccelStream &S = stream(AccelId);
   uint64_t Index = S.LaunchIndex++;
   if (S.KillAtLaunch != NoKill && Index >= S.KillAtLaunch) {
     S.KillAtLaunch = NoKill;
-    return LaunchFault::AcceleratorDeath;
+    return true;
   }
   // Zero rates draw nothing, keeping an idle injector bit-invisible.
-  if (Config.AccelDeathRate > 0.0f && S.Rng.nextBool(Config.AccelDeathRate))
-    return LaunchFault::AcceleratorDeath;
-  return LaunchFault::None;
+  return Config.AccelDeathRate > 0.0f &&
+         S.Rng.nextBool(Config.AccelDeathRate);
 }
 
 bool FaultInjector::chunkFails(unsigned AccelId) {
@@ -84,8 +83,6 @@ uint64_t FaultInjector::transferDelay(unsigned AccelId) {
 }
 
 uint64_t FaultInjector::killWastedCycles(unsigned AccelId) {
-  if (Config.KillWastedCyclesMax == 0)
-    return 0;
   return stream(AccelId).Rng.nextBelow(Config.KillWastedCyclesMax + 1);
 }
 

@@ -9,7 +9,7 @@
 /// The machine's fault oracle: a seeded source of accelerator deaths,
 /// transient DMA command rejections, delayed transfer completions, kernel
 /// hangs and stragglers, configured via MachineConfig::Faults. Launches
-/// are fail-stop: classifyLaunch only ever kills a core. Hangs and
+/// are fail-stop: launchFails only ever kills a core. Hangs and
 /// stragglers (classifyTiming) are drawn only when a resident worker
 /// pops a mailbox descriptor. The
 /// paper's premise (Section 2) is that explicit DMA and private stores
@@ -42,16 +42,10 @@
 
 namespace omm::sim {
 
-/// What the injector decided about one offload launch.
-enum class LaunchFault : uint8_t {
-  None,                ///< The launch proceeds normally.
-  AcceleratorDeath,    ///< The core dies starting the block.
-};
-
 /// What the injector decided about one popped mailbox descriptor's
 /// timing: it either wedges forever or runs slow by a cycle-cost
-/// multiplier (1.0 = on time). Launches never draw one; they get only
-/// the fail-stop LaunchFault verdicts.
+/// multiplier (1.0 = on time). Launches never draw one; they are
+/// fail-stop (launchFails).
 struct TimingFault {
   bool Hangs = false;
   float Slowdown = 1.0f;
@@ -64,9 +58,9 @@ public:
 
   const FaultInjectionConfig &config() const { return Config; }
 
-  /// Classifies the next offload launch on \p AccelId. Scheduled kills
-  /// (scheduleKill) take precedence over the random rates.
-  LaunchFault classifyLaunch(unsigned AccelId);
+  /// \returns true if \p AccelId dies starting its next offload launch.
+  /// Scheduled kills (scheduleKill) take precedence over AccelDeathRate.
+  bool launchFails(unsigned AccelId);
 
   /// \returns true if \p AccelId dies popping its next job-queue chunk
   /// (mid-block death of a resident worker). Scheduled chunk kills
@@ -88,7 +82,7 @@ public:
   /// declared, uniform in [0, KillWastedCyclesMax].
   uint64_t killWastedCycles(unsigned AccelId);
 
-  /// Forces \p AccelId to die at its \p LaunchIndex-th classified launch
+  /// Forces \p AccelId to die at its \p LaunchIndex-th launch
   /// (0 = the next one). Tests and benches use this to kill K of N
   /// accelerators at a precise point mid-frame.
   void scheduleKill(unsigned AccelId, uint64_t LaunchIndex);

@@ -11,7 +11,6 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace omm;
 using namespace omm::sim;
@@ -23,7 +22,6 @@ Machine::Machine(const MachineConfig &Config)
                      "simulator runs on one host thread");
   // NumAccelerators == 0 is legal: it models a host-only machine, and
   // the offload runtime's host-fallback paths must cope (JobQueue.h).
-  assert(Config.NumDmaTags <= 32 && "tag masks are 32 bits wide");
   if (Cfg.Faults.Enabled)
     Faults = std::make_unique<FaultInjector>(Cfg.Faults,
                                              Config.NumAccelerators);

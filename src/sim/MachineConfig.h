@@ -6,13 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// All architectural knobs of the simulated machine in one aggregate, with
-/// presets for the two memory architectures the paper contrasts: a Cell
-/// BE-like machine (host + accelerators with private 256 KB local stores
-/// and MFC DMA) and a traditional shared-memory machine (the "targets with
-/// traditional memory architectures" of Section 4.1). Experiments E1-E8
-/// sweep these fields; absolute values are calibrated to the published
-/// Cell BE figures (high-latency DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
+/// The architectural parameters of the simulated machine in one aggregate,
+/// with presets for the two memory architectures the paper contrasts: a
+/// Cell BE-like machine (host + accelerators with private 256 KB local
+/// stores and MFC DMA) and a traditional shared-memory machine (the
+/// "targets with traditional memory architectures" of Section 4.1).
+/// The experiments sweep the settable fields; values no experiment
+/// varies (the Cell part's local-store size, MFC limits and calibration
+/// costs) are static constexpr members, read the same way but never
+/// assigned. Absolute values are calibrated to the published Cell BE
+/// figures (high-latency DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +31,8 @@ namespace omm::sim {
 /// fault-free machine pays nothing (the ObserverMux null-fast-path
 /// discipline). All rates are per-event probabilities in [0, 1] drawn
 /// from per-accelerator SplitMix64 streams, so a given (Seed, rates)
-/// pair replays the exact same fault schedule cycle for cycle.
+/// pair replays the exact same fault schedule cycle for cycle. The three
+/// recovery costs no experiment varies are static constexpr.
 struct FaultInjectionConfig {
   /// Master switch; when false the machine owns no injector at all.
   bool Enabled = false;
@@ -77,15 +81,15 @@ struct FaultInjectionConfig {
 
   /// Initial retry backoff after a rejected DMA command; doubles per
   /// consecutive rejection.
-  uint64_t DmaRetryBackoffCycles = 64;
+  static constexpr uint64_t DmaRetryBackoffCycles = 64;
 
   /// Host cycles between a faulted launch and the host observing the
   /// failure (the runtime watchdog's round trip).
-  uint64_t FaultDetectCycles = 400;
+  static constexpr uint64_t FaultDetectCycles = 400;
 
   /// A dying accelerator wastes a uniform [0, max] cycles of work
   /// before the fault detector declares it lost.
-  uint64_t KillWastedCyclesMax = 2000;
+  static constexpr uint64_t KillWastedCyclesMax = 2000;
 };
 
 /// What the resident runtime does when the watchdog flags a mailbox
@@ -127,13 +131,14 @@ enum class StealPolicy : uint8_t {
   DomainAware,
 };
 
-/// Architectural parameters of the simulated heterogeneous machine.
+/// Architectural parameters of the simulated heterogeneous machine. The
+/// static constexpr members are fixed properties of the Cell part.
 struct MachineConfig {
   /// Number of accelerator (SPE-like) cores. A PS3 game has 6 usable SPEs.
   unsigned NumAccelerators = 6;
 
   /// Bytes of private scratch-pad per accelerator (Cell SPE: 256 KB).
-  uint32_t LocalStoreSize = 256 * 1024;
+  static constexpr uint32_t LocalStoreSize = 256 * 1024;
 
   /// Bytes of main (outer/host) memory.
   uint64_t MainMemorySize = 64ull << 20;
@@ -141,14 +146,15 @@ struct MachineConfig {
   /// Required alignment, in bytes, for DMA transfers of AlignedSize or
   /// more. Smaller transfers must have a size in {1,2,4,8} and be
   /// naturally aligned (the Cell MFC rule).
-  uint32_t DmaAlignment = 16;
+  static constexpr uint32_t DmaAlignment = 16;
 
   /// Largest single DMA transfer (Cell MFC: 16 KB). Larger requests must
   /// be split by the caller (the offload runtime does this).
-  uint32_t MaxDmaTransferSize = 16 * 1024;
+  static constexpr uint32_t MaxDmaTransferSize = 16 * 1024;
 
   /// Number of DMA tag groups per accelerator (Cell MFC: 32).
-  unsigned NumDmaTags = 32;
+  static constexpr unsigned NumDmaTags = 32;
+  static_assert(NumDmaTags <= 32, "tag masks are 32 bits wide");
 
   /// Maximum in-flight transfers per accelerator DMA queue (Cell: 16).
   /// Issuing beyond this stalls the issuing core until a slot frees.
@@ -158,7 +164,7 @@ struct MachineConfig {
   /// SPE writes ~5 channel registers per request). Charged per command:
   /// a DMA *list* pays it once for all its elements, which is the list
   /// form's advantage over issuing elements individually.
-  uint64_t DmaIssueCycles = 16;
+  static constexpr uint64_t DmaIssueCycles = 16;
 
   /// Fixed startup latency of one DMA transfer, in cycles. Latencies of
   /// independent transfers overlap (they pipeline through the MFC).
@@ -168,18 +174,18 @@ struct MachineConfig {
   uint64_t DmaBytesPerCycle = 8;
 
   /// Cost of an accelerator load/store to its own local store.
-  uint64_t LocalAccessCycles = 1;
+  static constexpr uint64_t LocalAccessCycles = 1;
 
   /// Cost charged to the host per aligned word touched in main memory
   /// (amortised cache behaviour of the PPE-like host).
-  uint64_t HostAccessCycles = 4;
+  static constexpr uint64_t HostAccessCycles = 4;
 
   /// Granularity (bytes) at which HostAccessCycles is charged.
-  uint32_t HostAccessGranularity = 8;
+  static constexpr uint32_t HostAccessGranularity = 8;
 
   /// Cycles between the host requesting an offload block and the
   /// accelerator starting it (thread launch plus amortised code upload).
-  uint64_t OffloadLaunchCycles = 1000;
+  static constexpr uint64_t OffloadLaunchCycles = 1000;
 
   /// Host-side cycles consumed issuing an offload launch.
   uint64_t HostLaunchCycles = 200;
@@ -197,10 +203,10 @@ struct MachineConfig {
   /// Poll-loop backoff quantum: a resident worker waiting on an empty
   /// mailbox re-checks its doorbell every this many cycles, so wake-ups
   /// are quantized to it.
-  uint64_t MailboxIdlePollCycles = 16;
+  static constexpr uint64_t MailboxIdlePollCycles = 16;
 
   /// Descriptor capacity of one resident worker's mailbox.
-  unsigned MailboxDepth = 8;
+  static constexpr unsigned MailboxDepth = 8;
 
   /// Period of the watchdog's deadline sweep: an overdue descriptor is
   /// detected at the next absolute multiple of this, not at the
@@ -295,13 +301,13 @@ struct MachineConfig {
   /// probe+grant — the spawner already owns the work, so there is no
   /// claim handshake — but dearer than the host's MailboxDoorbellCycles
   /// because the store crosses the accelerator interconnect.
-  uint64_t PeerDoorbellCycles = 60;
+  static constexpr uint64_t PeerDoorbellCycles = 60;
 
   /// Spawner-side cycles to copy one continuation descriptor from the
   /// spawner's local store into the recipient's (a small
   /// store-to-store DMA; same order as MailboxDescriptorCycles, which
   /// is the equivalent main-memory round trip).
-  uint64_t PeerDescriptorDmaCycles = 200;
+  static constexpr uint64_t PeerDescriptorDmaCycles = 200;
 
   /// Must be 0: the simulator runs on one host thread, and Machine's
   /// constructor rejects any other value. The field survives only

@@ -11,15 +11,13 @@
 #include "support/Diag.h"
 #include "support/MathExtras.h"
 
-#include <algorithm>
 #include <cstddef>
 
 using namespace omm;
 using namespace omm::sim;
 
 Mailbox::Mailbox(Machine &M, unsigned AccelId, uint64_t BlockId)
-    : M(M), AccelId(AccelId), BlockId(BlockId),
-      Depth(std::max(1u, M.config().MailboxDepth)) {}
+    : M(M), AccelId(AccelId), BlockId(BlockId) {}
 
 bool Mailbox::push(const WorkDescriptor &Desc) {
   if (full())

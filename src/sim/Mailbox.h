@@ -37,6 +37,7 @@
 #define OMM_SIM_MAILBOX_H
 
 #include "sim/DmaObserver.h"
+#include "sim/MachineConfig.h"
 
 #include <cstdint>
 #include <deque>
@@ -160,9 +161,11 @@ public:
   std::vector<WorkDescriptor> drain();
 
   bool empty() const { return Slots.empty(); }
-  bool full() const { return !LocalBacklog && Slots.size() >= Depth; }
+  bool full() const {
+    return !LocalBacklog && Slots.size() >= MachineConfig::MailboxDepth;
+  }
   unsigned size() const { return static_cast<unsigned>(Slots.size()); }
-  unsigned capacity() const { return Depth; }
+  unsigned capacity() const { return MachineConfig::MailboxDepth; }
   unsigned accelId() const { return AccelId; }
   uint64_t blockId() const { return BlockId; }
 
@@ -181,7 +184,6 @@ private:
   Machine &M;
   unsigned AccelId;
   uint64_t BlockId;
-  unsigned Depth;
   /// Set by pushBulk: the backlog lives in the worker's local-store
   /// deque and is no longer bounded by MailboxDepth.
   bool LocalBacklog = false;

@@ -31,23 +31,13 @@ class OStream;
 
 namespace omm::trace {
 
-/// What to include in the exported trace; everything by default.
-struct ChromeTraceOptions {
-  bool DmaEvents = true;  ///< Async events per DMA transfer.
-  bool WaitSpans = true;  ///< dma_wait stalls as duration events.
-  bool FlowArrows = true; ///< Launch-to-block flow arrows from the host.
-  bool MailboxEvents = true; ///< Doorbell/fetch/drain instants.
-};
-
 /// Writes the recorded timeline as Chrome trace-event JSON to \p OS.
-void writeChromeTrace(OStream &OS, const TraceRecorder &Recorder,
-                      const ChromeTraceOptions &Options = {});
+void writeChromeTrace(OStream &OS, const TraceRecorder &Recorder);
 
 /// As above, into a file created at \p Path.
 /// \returns false if the file could not be opened.
 bool writeChromeTraceFile(std::string_view Path,
-                          const TraceRecorder &Recorder,
-                          const ChromeTraceOptions &Options = {});
+                          const TraceRecorder &Recorder);
 
 } // namespace omm::trace
 

@@ -25,15 +25,8 @@ class OStream;
 
 namespace omm::trace {
 
-/// Controls the textual report.
-struct TimelineReportOptions {
-  unsigned ChartColumns = 64; ///< Width of the ASCII occupancy chart.
-  unsigned MaxBlockRows = 32; ///< Block-list rows before eliding.
-};
-
 /// Prints the per-core summary, occupancy chart and block list to \p OS.
-void printTimelineReport(OStream &OS, const TraceRecorder &Recorder,
-                         const TimelineReportOptions &Options = {});
+void printTimelineReport(OStream &OS, const TraceRecorder &Recorder);
 
 } // namespace omm::trace
 

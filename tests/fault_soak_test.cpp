@@ -142,7 +142,7 @@ void runParallelForSchedule(uint64_t Seed, SoakOutcome &Out) {
   ASSERT_EQ(Before, After) << "leaked local-store marks, seed " << Seed;
 
   Out.Makespan = M.hostClock().now();
-  Out.DeadWorkers = Stats.FailedLaunches;
+  Out.DeadWorkers = static_cast<uint32_t>(Stats.Counters.LaunchFaults);
   Out.HostChunks = static_cast<uint32_t>(Stats.Counters.HostFallbackChunks);
 }
 

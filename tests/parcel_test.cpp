@@ -114,7 +114,11 @@ TEST(Parcel, EveryPolicyRunsEveryStageInOrderExactlyOnce) {
     std::vector<uint64_t> Out;
     RegionStats Stats = runPipeline(M, Policy, Out);
     EXPECT_EQ(Out, Ref) << "policy " << static_cast<int>(Policy);
-    EXPECT_EQ(Stats.Seeds, NumShards);
+    // Fault-free, every dispatched descriptor is a seed or a parcel:
+    // the host seeded each shard exactly once.
+    EXPECT_EQ(Stats.Counters.DescriptorsDispatched -
+                  Stats.Counters.ParcelsSpawned,
+              NumShards);
     // Stages 2 and 3 of every shard arrived as parcels, never through
     // the host: one deleted round trip each.
     EXPECT_EQ(Stats.Counters.ParcelsSpawned,
@@ -148,7 +152,7 @@ TEST(Parcel, SpawnCostsLandOnWorkerClocksNotTheHost) {
   EXPECT_EQ(M.hostCounters().ParcelsSpawned, 0u);
   EXPECT_EQ(M.hostCounters().PeerDoorbellCycles, 0u);
   EXPECT_EQ(M.hostCounters().DoorbellCycles,
-            uint64_t(Stats.Seeds) * Cfg.MailboxDoorbellCycles);
+            uint64_t(NumShards) * Cfg.MailboxDoorbellCycles);
 }
 
 TEST(Parcel, NonePolicyWithStagesRunsOnlyStageOne) {

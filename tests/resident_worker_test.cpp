@@ -78,8 +78,8 @@ TEST(ResidentWorker, StaticSplitIsTheDegenerateOneDescriptorCase) {
       });
   // One slice per worker: nothing to amortize, and nothing failed.
   EXPECT_EQ(Stats.launchesSaved(), 0u);
-  EXPECT_EQ(Stats.FailedLaunches, 0u);
-  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+  EXPECT_EQ(Stats.Counters.LaunchFaults, 0u);
+  EXPECT_EQ(Stats.Counters.FailoverChunks, 0u);
   EXPECT_EQ(Stats.Counters.HostFallbackChunks, 0u);
   EXPECT_EQ(Stats.Counters.DescriptorsDispatched, M.numAccelerators());
 }
@@ -194,11 +194,30 @@ TEST(ResidentWorker, MidDrainKillRequeuesTheMailboxBacklogIntact) {
   std::vector<uint64_t> Clean = runMidDrainSchedule(false, Count);
   // Both slices ended up on the host: worker 1 never opened, worker 0
   // died with slice 1 still in its mailbox.
-  EXPECT_EQ(Stats.FailedLaunches, 1u);
+  EXPECT_EQ(Stats.Counters.LaunchFaults, 1u);
   EXPECT_EQ(Stats.Counters.HostFallbackChunks, 2u);
-  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+  EXPECT_EQ(Stats.Counters.FailoverChunks, Stats.RequeuedDescriptors);
   // The drained descriptor kept its boundaries: bit-identical output.
   EXPECT_EQ(Faulted, Clean);
+}
+
+TEST(ResidentWorker, EveryRefusedLaunchIsARegionLaunchFault) {
+  // Two cores are already dead and a third dies starting its worker:
+  // the pool opens three workers short, and the region's counter delta
+  // bills each refused launch once (nothing else in a region launches).
+  MachineConfig Cfg;
+  Cfg.Faults.Enabled = true; // Rates stay 0.0; only the scheduled kill.
+  Machine M(Cfg);
+  M.killAccelerator(1);
+  M.killAccelerator(4);
+  M.faults()->scheduleKill(2, 0);
+  const unsigned Budget = M.numAccelerators();
+  ResidentWorkerPool Pool(M, Budget);
+  EXPECT_EQ(Pool.liveCount(), Budget - 3);
+  Pool.close();
+  EXPECT_EQ(Pool.stats().Counters.LaunchFaults, 3u);
+  EXPECT_EQ(Pool.stats().Launches, Budget - 3);
+  EXPECT_EQ(Pool.stats().WorkerChunks.size(), Budget - 3);
 }
 
 TEST(ResidentWorker, MidDrainKillEmitsTheDrainAndReplaysExactly) {

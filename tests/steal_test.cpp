@@ -509,7 +509,7 @@ TEST(WorkStealing, StolenSliceOrphansGoBackToTheirLiveHome) {
     EXPECT_LT(Begin, OrphanHot) << "not stolen from accelerator 0";
     EXPECT_EQ(Runner[Begin], 0u) << "begin " << Begin;
   }
-  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+  EXPECT_EQ(Stats.Counters.FailoverChunks, Stats.RequeuedDescriptors);
 }
 
 TEST(WorkStealing, ChunkOrphansGoToTheLeastLoadedSurvivor) {
@@ -533,5 +533,5 @@ TEST(WorkStealing, ChunkOrphansGoToTheLeastLoadedSurvivor) {
     EXPECT_LT(Begin, OrphanHot) << "not stolen from accelerator 0";
     EXPECT_EQ(Runner[Begin], 2u) << "begin " << Begin;
   }
-  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+  EXPECT_EQ(Stats.Counters.FailoverChunks, Stats.RequeuedDescriptors);
 }

@@ -110,11 +110,11 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t FrameBudget,
     Run.FrameCycles.push_back(S.FrameCycles);
     Run.TotalCycles += S.FrameCycles;
     Run.Failover += S.FailoverSlices;
-    Run.MissedFrames += S.DeadlineMissed ? 1 : 0;
     Run.AiShed += S.AiEntitiesShed;
     Run.AnimShed += S.AnimEntitiesShed;
   }
   PerfCounters C = M.countersSince(Before);
+  Run.MissedFrames = C.DeadlineMissedFrames;
   Run.HostFallback = C.HostFallbackChunks;
   Run.Hangs = C.HangsDetected;
   Run.Stragglers = C.StragglersDetected;

@@ -83,7 +83,9 @@ struct RunOut {
   uint64_t Checksum = 0;
   /// Every frame's region counters, merged.
   PerfCounters Counters;
-  uint64_t FailoverSlices = 0;
+  /// Descriptors that ran on a core other than their Home: steals and
+  /// orphan re-runs alike (FailoverChunks minus the re-runs).
+  uint64_t OffHomeSlices = 0;
 };
 
 StealPolicy policyFromArg(int64_t Arg) {
@@ -136,7 +138,7 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult,
     Run.FrameCycles.push_back(Cycles);
     Run.TotalCycles += Cycles;
     Run.Counters.merge(S.Counters);
-    Run.FailoverSlices += S.Counters.FailoverChunks - S.RequeuedDescriptors;
+    Run.OffHomeSlices += S.Counters.FailoverChunks - S.RequeuedDescriptors;
   }
   Run.Checksum = readChecksum(M, Data, Count);
   return Run;
@@ -227,8 +229,8 @@ void BM_KilledVictims(benchmark::State &State) {
     reportSimCycles(State, Run.TotalCycles);
     reportCyclePercentiles(State, Run.FrameCycles);
     reportStealCounters(State, Run);
-    State.counters["failover_slices"] =
-        static_cast<double>(Run.FailoverSlices);
+    State.counters["off_home_slices"] =
+        static_cast<double>(Run.OffHomeSlices);
     State.counters["host_slices"] =
         static_cast<double>(Run.Counters.HostFallbackChunks);
     State.counters["overhead_pct"] =

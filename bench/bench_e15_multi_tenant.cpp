@@ -16,8 +16,8 @@
 //     batched cycles) after asserting the two modes computed identical
 //     per-tenant state. tail_ratio (p99/p50 over every served frame)
 //     shows the heavy tail.
-//   - fault_kind x quarantine: isolation. A hang or an 8x straggler is
-//     injected into tenant 0's slices; every row asserts all tenants'
+//   - fault_kind: isolation. A hang or an 8x straggler is injected
+//     into the largest tenant's slices; every row asserts all tenants'
 //     checksums stay bit-identical to the fault-free run and reports
 //     p99_unaffected_ratio — the other tenants' pooled p99 over the
 //     fault-free run's. CI gates this at <= 1.05: one tenant's fault
@@ -80,15 +80,13 @@ struct ServeOut {
   std::vector<uint64_t> Checksums;   ///< Per-tenant final state.
   std::vector<std::vector<uint64_t>> TenantFrames;
   uint64_t Deferred = 0;
-  uint64_t HostOnly = 0;
   uint64_t Hangs = 0;
   uint64_t Stragglers = 0;
   uint64_t Recycled = 0;
-  uint64_t Quarantines = 0;
 };
 
-/// 0 = no fault, 1 = hang, 2 = 8x straggler, injected into tenant 0's
-/// slice on every fourth tick.
+/// 0 = no fault, 1 = hang, 2 = 8x straggler, injected into the largest
+/// tenant's slice on every fourth tick.
 ServeOut runServed(unsigned NumTenants, const TenantServerParams &Policy,
                    uint64_t TenantDeadline, int FaultKind,
                    bool EnableFaults) {
@@ -111,7 +109,6 @@ ServeOut runServed(unsigned NumTenants, const TenantServerParams &Policy,
     }
     TickStats TS = Server.serveTick();
     Out.Deferred += TS.Deferred;
-    Out.HostOnly += TS.HostOnly;
     Out.Recycled += TS.CoresRecycled;
   }
   Out.TotalCycles = M.hostClock().now();
@@ -123,7 +120,6 @@ ServeOut runServed(unsigned NumTenants, const TenantServerParams &Policy,
                          Stats.FrameCycles.end());
     Out.Hangs += Stats.Counters.HangsDetected;
     Out.Stragglers += Stats.Counters.StragglersDetected;
-    Out.Quarantines += Stats.Quarantines;
   }
   return Out;
 }
@@ -218,20 +214,15 @@ void BM_TenantCapacity(benchmark::State &State) {
 
 void BM_FaultIsolation(benchmark::State &State) {
   int FaultKind = static_cast<int>(State.range(0));
-  bool Quarantine = State.range(1) != 0;
   uint64_t Deadline = calibratedTenantDeadline();
   TenantServerParams Policy = roundRobinPolicy();
-  if (Quarantine) {
-    Policy.QuarantineAfterFaults = 1;
-    Policy.ProbationTicks = 3;
-  }
   for (auto _ : State) {
     ServeOut Clean =
         runServed(IsolationTenants, Policy, Deadline, 0, false);
     ServeOut Run =
         runServed(IsolationTenants, Policy, Deadline, FaultKind, true);
-    // The whole point: a hang or straggler in tenant 0 never changes
-    // ANY tenant's state — recovery and quarantine are time-only.
+    // The whole point: a hang or straggler in one tenant never changes
+    // ANY tenant's state — recovery is time-only.
     requireSameState(Run, Clean, "fault_isolation", State.range(0));
     reportSimCycles(State, Run.TotalCycles);
     reportCyclePercentiles(State, Run.AllFrames);
@@ -248,15 +239,11 @@ void BM_FaultIsolation(benchmark::State &State) {
     State.counters["hangs"] = static_cast<double>(Run.Hangs);
     State.counters["stragglers"] = static_cast<double>(Run.Stragglers);
     State.counters["cores_recycled"] = static_cast<double>(Run.Recycled);
-    State.counters["host_only_frames"] =
-        static_cast<double>(Run.HostOnly);
-    State.counters["quarantines"] =
-        static_cast<double>(Run.Quarantines);
     if (FaultKind != 0 && Ratio > 1.05) {
       // Mirrors the CI gate so a local run fails as loudly.
       std::fprintf(stderr,
                    "FATAL: fault_isolation arg %lld: unaffected tenants' "
-                   "p99 moved %.3fx (> 1.05) under a tenant-0 fault\n",
+                   "p99 moved %.3fx (> 1.05) under a one-tenant fault\n",
                    static_cast<long long>(State.range(0)), Ratio);
       std::abort();
     }
@@ -320,12 +307,8 @@ BENCHMARK(BM_TenantCapacity)
     ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });
 
 BENCHMARK(BM_FaultIsolation)
-    ->ArgNames({"fault_kind", "quarantine"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
+    ->ArgName("fault_kind")
+    ->Arg(0)->Arg(1)->Arg(2)
     ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });
 
 BENCHMARK(BM_AdmissionBudget)

@@ -112,14 +112,14 @@ python3 tools/bench_summary.py "$BASELINES/e13_parcels.json" \
 python3 tools/bench_summary.py "$BASELINES/e13_parcels.json" \
     --filter 'Policy/policy:3' \
     --require win_vs_staged '>=' 1.0
-# The isolation gate: a hang or an 8x straggler buried inside tenant
-# 0's slices may not move the OTHER tenants' pooled p99 frame cycles by
-# more than 5% over the fault-free run.
+# The isolation gate: a hang or an 8x straggler buried inside the
+# largest tenant's slices may not move the OTHER tenants' pooled p99
+# frame cycles by more than 5% over the fault-free run.
 python3 tools/bench_summary.py "$BASELINES/e15_multi_tenant.json" \
-    --filter 'FaultIsolation/fault_kind:1/quarantine:0' \
+    --filter 'FaultIsolation/fault_kind:1/' \
     --require p99_unaffected_ratio '<=' 1.05
 python3 tools/bench_summary.py "$BASELINES/e15_multi_tenant.json" \
-    --filter 'FaultIsolation/fault_kind:2/quarantine:0' \
+    --filter 'FaultIsolation/fault_kind:2/' \
     --require p99_unaffected_ratio '<=' 1.05
 # The placement gate: at a punitive interconnect premium the
 # domain-aware policy must beat the best domain-oblivious stealing

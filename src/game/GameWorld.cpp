@@ -73,7 +73,6 @@ void GameWorld::finishFrame(FrameStats &Stats, uint64_t FrameStart) {
     // Over budget: record the miss and shed more next frame. The shed
     // work is not made up later — stale decisions and held poses are
     // the degradation contract (DESIGN.md §8).
-    Stats.DeadlineMissed = true;
     ++M.hostCounters().DeadlineMissedFrames;
     M.emitFault({FaultKind::FrameDeadlineMissed, offload::NoAccelerator,
                  /*BlockId=*/0, M.hostClock().now(), Stats.FrameCycles});

@@ -121,9 +121,6 @@ struct FrameStats {
   /// decision/pose).
   uint32_t AiEntitiesShed = 0;
   uint32_t AnimEntitiesShed = 0;
-  /// True when the frame exceeded GameWorldParams::FrameBudgetCycles
-  /// (raises the degradation level for the frames after it).
-  bool DeadlineMissed = false;
 };
 
 /// The game world: entities, poses, and the fixed frame schedule.

@@ -105,18 +105,10 @@ void TenantServer::applyPendingFaults(Tenant &T) {
 
 void TenantServer::recordFrame(Tenant &T, const game::FrameStats &Frame,
                                const PerfCounters &Before) {
-  PerfCounters Delta = M.countersSince(Before);
-  T.Stats.Counters.merge(Delta);
+  T.Stats.Counters.merge(M.countersSince(Before));
   T.Stats.FrameCycles.push_back(Frame.FrameCycles);
   ++T.Stats.FramesServed;
-  T.Stats.FaultScore += Delta.HangsDetected + Delta.StragglersDetected;
   T.CostEstimate = std::max<uint64_t>(1, Frame.FrameCycles);
-  if (Params.QuarantineAfterFaults != 0 && !T.Stats.Quarantined &&
-      T.Stats.FaultScore >= Params.QuarantineAfterFaults) {
-    T.Stats.Quarantined = true;
-    ++T.Stats.Quarantines;
-    T.ProbationLeft = Params.ProbationTicks;
-  }
 }
 
 unsigned TenantServer::recycleDeadCores() {
@@ -184,7 +176,7 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
     // boundary splits inside the body — per-entity AI state does not
     // depend on chunking, so state identity with RoundRobin holds.
     offload::JobQueueOptions Opts;
-    Opts.ChunkSize = std::max(1u, Params.BatchChunkElems);
+    Opts.ChunkSize = Params.BatchChunkElems;
     Opts.Adaptive = true;
     offload::distributeJobs(
         M, Total, Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
@@ -218,43 +210,20 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
   TS.CoresRecycled += recycleDeadCores();
 }
 
-void TenantServer::serveQuarantined(const std::vector<unsigned> &HostOnly,
-                                    TickStats &TS) {
-  for (unsigned Id : HostOnly) {
-    Tenant &T = Tenants[Id];
-    PerfCounters Before = M.totalCounters();
-    game::FrameStats Frame = T.World->doFrameHostOnly();
-    recordFrame(T, Frame, Before);
-    ++T.Stats.HostOnlyFrames;
-    ++TS.HostOnly;
-    if (T.ProbationLeft != 0 && --T.ProbationLeft == 0) {
-      // Probation served: back to the pool with a clean record (the
-      // score threshold would otherwise re-quarantine instantly).
-      T.Stats.Quarantined = false;
-      T.Stats.FaultScore = 0;
-    }
-  }
-}
-
 TickStats TenantServer::serveTick() {
   TickStats TS;
   uint64_t TickStart = M.hostClock().now();
   unsigned N = numTenants();
 
   // Admission: rotate the scan start by tick so ledger pressure defers
-  // a different prefix each tick (fairness without randomness), age
-  // deferred tenants past MaxDeferTicks straight in, and route
-  // quarantined tenants to host-only serving outside the ledger.
-  std::vector<unsigned> Admitted, HostOnly;
+  // a different prefix each tick (fairness without randomness), and
+  // age deferred tenants past MaxDeferTicks straight in.
+  std::vector<unsigned> Admitted;
   uint64_t Ledger = 0;
   unsigned Start = N != 0 ? static_cast<unsigned>(Tick % N) : 0;
   for (unsigned I = 0; I != N; ++I) {
     unsigned Id = (Start + I) % N;
     Tenant &T = Tenants[Id];
-    if (T.Stats.Quarantined) {
-      HostOnly.push_back(Id);
-      continue;
-    }
     bool Fits = Params.TickBudgetCycles == 0 ||
                 Ledger + T.CostEstimate <= Params.TickBudgetCycles;
     if (Fits || T.DeferStreak >= Params.MaxDeferTicks) {
@@ -274,7 +243,6 @@ TickStats TenantServer::serveTick() {
     serveRoundRobin(Admitted, TS);
   else
     serveBatched(Admitted, TS);
-  serveQuarantined(HostOnly, TS);
 
   ++Tick;
   TS.TickCycles = M.hostClock().now() - TickStart;

@@ -8,10 +8,10 @@
 /// \file
 /// Production scale means thousands of concurrent sessions, not one big
 /// frame: the TenantServer multiplexes N independent GameWorld instances
-/// over one simulated machine and its resident-worker pool. Every
-/// accelerated frame dispatches over the whole machine; the server's
-/// knobs are admission, quarantine and the serving mode. Robustness
-/// comes in three layers (DESIGN.md §13):
+/// over one simulated machine and its resident-worker pool. Every frame
+/// dispatches over the whole machine; the server's two knobs are the
+/// serving mode and the admission budget. Robustness comes in three
+/// layers (DESIGN.md §13):
 ///
 ///   admission control — a per-tick cycle-budget ledger admits, defers
 ///   or (via each world's own FrameBudgetCycles ladder) sheds tenants
@@ -19,9 +19,8 @@
 ///
 ///   fault isolation — per-tenant chunk-deadline arming on top of the
 ///   machine watchdog, per-tenant PerfCounters attribution by snapshot
-///   deltas, supervisor-style recycling of every core wedged during a
-///   slice (at a fixed host restart cost), and a quarantine policy
-///   that demotes repeat offenders to host-only serving;
+///   deltas, and supervisor-style recycling of every core wedged during
+///   a slice (at a fixed host restart cost);
 ///
 ///   cross-tenant batching — same-stage AI work from every admitted
 ///   tenant coalesced into one shared dispatch over the concatenated
@@ -75,36 +74,26 @@ enum class ServeMode : uint8_t {
 struct TenantServerParams {
   ServeMode Mode = ServeMode::RoundRobin;
   /// Admission ledger: estimated tenant frame cycles admitted per tick.
-  /// 0 means unlimited (every non-quarantined tenant is admitted every
-  /// tick — the determinism-contract configuration).
+  /// 0 means unlimited (every tenant is admitted every tick — the
+  /// determinism-contract configuration).
   uint64_t TickBudgetCycles = 0;
   /// Deferral aging: a tenant deferred this many consecutive ticks is
   /// force-admitted even over the ledger, so admission cannot starve
   /// the expensive tail of a heavy-tailed tenant population.
-  unsigned MaxDeferTicks = 4;
-  /// Quarantine threshold on a tenant's cumulative fault score (hangs +
-  /// stragglers observed in its slices); 0 disables quarantine.
-  uint32_t QuarantineAfterFaults = 0;
-  /// Host-only frames a quarantined tenant serves before re-admission
-  /// to the accelerator pool (its fault score resets); 0 means the
-  /// demotion is permanent.
-  uint32_t ProbationTicks = 0;
+  static constexpr unsigned MaxDeferTicks = 4;
   /// Chunk width of the shared Batched dispatch.
-  uint32_t BatchChunkElems = 32;
+  static constexpr uint32_t BatchChunkElems = 32;
 };
 
 /// Per-tenant serving record. FrameCycles holds every served frame's
-/// cycle count (host-only frames included) for tail percentiles.
+/// cycle count for tail percentiles.
 struct TenantStats {
-  uint64_t FramesServed = 0;   ///< Frames run (accelerated or host-only).
+  uint64_t FramesServed = 0;   ///< Frames run.
   uint64_t FramesDeferred = 0; ///< Ticks skipped by admission control.
-  uint64_t HostOnlyFrames = 0; ///< Frames served while quarantined.
-  uint64_t FaultScore = 0;     ///< Cumulative hangs + stragglers.
-  uint64_t Quarantines = 0;    ///< Times the tenant was demoted.
-  bool Quarantined = false;    ///< Currently serving host-only.
   std::vector<uint64_t> FrameCycles;
   /// Machine counter deltas attributed to this tenant's slices
-  /// (Counters.DeadlineMissedFrames counts its frames over the world
+  /// (Counters.HangsDetected + StragglersDetected are its faults;
+  /// Counters.DeadlineMissedFrames counts its frames over the world
   /// budget). In Batched mode the shared AI dispatch is collective and
   /// only each tenant's finish phase is attributed.
   sim::PerfCounters Counters;
@@ -114,7 +103,6 @@ struct TenantStats {
 struct TickStats {
   unsigned Admitted = 0;
   unsigned Deferred = 0;
-  unsigned HostOnly = 0;       ///< Quarantined tenants served this tick.
   uint64_t LedgerCycles = 0;   ///< Estimated cost of the admitted set.
   uint64_t TickCycles = 0;     ///< Host cycles the whole tick took.
   unsigned CoresRecycled = 0;
@@ -141,8 +129,7 @@ public:
   uint64_t checksum(unsigned Tenant) const;
 
   /// Serves one tick: runs admission over all tenants, then one frame
-  /// for each admitted tenant (per the mode) and one host-only frame
-  /// for each quarantined tenant.
+  /// for each admitted tenant (per the mode).
   TickStats serveTick();
 
   /// Schedules the next classified timing event on \p AccelId to hang
@@ -171,7 +158,6 @@ private:
     /// Ledger cost estimate: last observed frame cycles (seeded from
     /// the entity count before the first frame).
     uint64_t CostEstimate = 0;
-    uint32_t ProbationLeft = 0;
     std::vector<PendingFault> Pending;
   };
 
@@ -182,8 +168,6 @@ private:
   void serveRoundRobin(const std::vector<unsigned> &Admitted,
                        TickStats &TS);
   void serveBatched(const std::vector<unsigned> &Admitted, TickStats &TS);
-  void serveQuarantined(const std::vector<unsigned> &HostOnly,
-                        TickStats &TS);
   /// Revives every accelerator found dead after a slice (the supervisor
   /// restarting a wedged worker process), so one tenant's hang costs
   /// the pool a slice, not a core for the rest of the run. \returns how

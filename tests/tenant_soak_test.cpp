@@ -9,9 +9,9 @@
 // random tenant population (heavy-tailed entity counts) served for a few
 // ticks over a machine with a seed-derived fault blend — random hangs,
 // stragglers, accelerator deaths, DMA rejections — plus explicitly
-// scheduled per-tenant hangs/stragglers, under random serve modes,
-// admission budgets and quarantine policies. Each run asserts the
-// invariants that make multi-tenancy safe:
+// scheduled per-tenant hangs/stragglers, under random serve modes and
+// admission budgets. Each run asserts the invariants that make
+// multi-tenancy safe:
 //   - every tenant's final state equals a clean single-tenant run of the
 //     same world for the same number of frames (isolation: no fault or
 //     scheduling decision ever leaks state across tenants);
@@ -68,19 +68,13 @@ MachineConfig soakConfig(uint64_t Seed) {
   return Cfg;
 }
 
-/// Seed-derived server policy: random mode, a finite admission budget
-/// half the time, quarantine on a third of the runs.
+/// Seed-derived server policy: random mode and a finite admission
+/// budget half the time.
 TenantServerParams policyFor(SplitMix64 &Rng) {
   TenantServerParams P;
   P.Mode = Rng.nextBool() ? ServeMode::Batched : ServeMode::RoundRobin;
   if (Rng.nextBool())
     P.TickBudgetCycles = 200000 + Rng.nextBelow(2000000);
-  P.MaxDeferTicks = 1 + static_cast<unsigned>(Rng.nextBelow(4));
-  if (Rng.nextBelow(3) == 0) {
-    P.QuarantineAfterFaults = 1 + static_cast<uint32_t>(Rng.nextBelow(3));
-    P.ProbationTicks = static_cast<uint32_t>(Rng.nextBelow(3));
-  }
-  P.BatchChunkElems = 8 + static_cast<uint32_t>(Rng.nextBelow(48));
   return P;
 }
 
@@ -122,7 +116,7 @@ void runTenantSchedule(uint64_t Seed, SoakOutcome &Out) {
                                        2.0f + Rng.nextFloat() * 10.0f);
     }
     TickStats TS = Server.serveTick();
-    ASSERT_EQ(TS.Admitted + TS.Deferred + TS.HostOnly, NumTenants)
+    ASSERT_EQ(TS.Admitted + TS.Deferred, NumTenants)
         << "seed " << Seed << " tick " << Tick;
     Out.Recycled += TS.CoresRecycled;
     Out.Deferred += TS.Deferred;
@@ -181,9 +175,9 @@ TEST(TenantSoak, ServingSurvivesFourHundredFaultSchedules) {
 
 TEST(TenantSoak, EveryTenantMatchesItsCleanSoloRun) {
   // The full isolation property over 400 schedules: whatever mix of
-  // hangs, stragglers, deaths, deferrals and quarantines a run saw,
-  // each tenant's state is exactly what a fault-free solo run of its
-  // world computes in the same number of frames.
+  // hangs, stragglers, deaths and deferrals a run saw, each tenant's
+  // state is exactly what a fault-free solo run of its world computes
+  // in the same number of frames.
   for (uint64_t Seed = 401; Seed <= 800; ++Seed) {
     SoakOutcome Out;
     runTenantSchedule(Seed, Out);

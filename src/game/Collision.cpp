@@ -7,9 +7,8 @@
 
 #include "game/Collision.h"
 
-#include "support/MathExtras.h"
-
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <iterator>
@@ -50,39 +49,69 @@ bool omm::game::respondToCollision(GameEntity &First, GameEntity &Second) {
 
 namespace {
 
-/// A cell's integer coordinates packed into one key: each coordinate,
-/// biased by 2^20, fills a 21-bit field with X in the high bits, so the
-/// integer order of keys is the lexicographic (X, Y, Z) order of cells.
-constexpr unsigned CellFieldBits = 21;
-constexpr int64_t CellBias = int64_t(1) << (CellFieldBits - 1);
+/// Cell coordinates a packed key can hold: |cell| < 2^20 - 1, so the
+/// occupied span of an axis is at most 2^21 - 3 cells and its field,
+/// which also holds one cell of margin on either side, fits 21 bits.
+constexpr float CellLimit = float((1 << 20) - 1);
+constexpr unsigned MaxFieldBits = 21;
 
-/// Cells stay one step inside the field, so adding a neighbour's key
-/// delta never carries into or borrows from the next field.
-constexpr float CellLimit = float(CellBias - 1);
-
-/// The biased field of the cell holding \p Coord.
-uint64_t cellField(float Coord, float InvCell) {
+/// The cell holding \p Coord.
+int32_t cellOf(float Coord, float InvCell) {
   float Cell = std::floor(Coord * InvCell);
   assert(Cell > -CellLimit && Cell < CellLimit &&
          "position outside the broadphase grid's packed-key range");
-  return static_cast<uint64_t>(static_cast<int32_t>(Cell) + CellBias);
-}
-
-/// The key distance from a cell to its neighbour at offset (X, Y, Z).
-constexpr uint64_t keyDelta(int64_t X, int64_t Y, int64_t Z) {
-  return static_cast<uint64_t>(X * (int64_t(1) << (2 * CellFieldBits)) +
-                               Y * (int64_t(1) << CellFieldBits) + Z);
+  return static_cast<int32_t>(Cell);
 }
 
 /// The 13 "forward" neighbour offsets, so each unordered cell pair is
-/// visited once. Each is lexicographically positive, so its key delta is
-/// positive and a cell's neighbour keys grow with the cell's key.
-constexpr uint64_t ForwardDelta[13] = {
-    keyDelta(1, 0, 0),  keyDelta(0, 1, 0),   keyDelta(0, 0, 1),
-    keyDelta(1, 1, 0),  keyDelta(1, -1, 0),  keyDelta(1, 0, 1),
-    keyDelta(1, 0, -1), keyDelta(0, 1, 1),   keyDelta(0, 1, -1),
-    keyDelta(1, 1, 1),  keyDelta(1, 1, -1),  keyDelta(1, -1, 1),
-    keyDelta(1, -1, -1)};
+/// visited once, in the order their pairs are tested. Each is
+/// lexicographically positive, so a cell's neighbour keys grow with the
+/// cell's key. They lie in five rows of cells that share (X, Y): the
+/// cell's own row (Z + 1 only) and the rows at (X, Y) offsets (0, 1),
+/// (1, -1), (1, 0) and (1, 1) (Z - 1, Z and Z + 1).
+constexpr unsigned NumRows = 5;
+constexpr int8_t RowOffset[NumRows][2] = {
+    {0, 0}, {0, 1}, {1, -1}, {1, 0}, {1, 1}};
+
+struct ForwardNeighbour {
+  int8_t X, Y, Z;
+  /// This neighbour's row, as an index into RowOffset.
+  constexpr unsigned row() const { return X == 0 ? Y : 3 + Y; }
+};
+constexpr ForwardNeighbour Forward[13] = {
+    {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},  {1, -1, 0},
+    {1, 0, 1},  {1, 0, -1}, {0, 1, 1},  {0, 1, -1}, {1, 1, 1},
+    {1, 1, -1}, {1, -1, 1}, {1, -1, -1}};
+static_assert([] {
+  for (const ForwardNeighbour &F : Forward)
+    if (RowOffset[F.row()][0] != F.X || RowOffset[F.row()][1] != F.Y)
+      return false;
+  return true;
+}());
+
+struct Binned {
+  uint64_t Key;
+  uint32_t Id;
+};
+
+/// Stable LSD radix sort of \p Bins by the low \p KeyBits bits of Key,
+/// 8 bits a pass. A pass whose digit is the same for every key moves
+/// nothing and is skipped.
+void radixSortByKey(std::vector<Binned> &Bins, unsigned KeyBits) {
+  std::vector<Binned> Scratch(Bins.size());
+  for (unsigned Shift = 0; Shift < KeyBits; Shift += 8) {
+    uint32_t Count[257] = {};
+    for (const Binned &B : Bins)
+      ++Count[((B.Key >> Shift) & 0xFF) + 1];
+    if (Count[((Bins.front().Key >> Shift) & 0xFF) + 1] == Bins.size())
+      continue;
+    for (unsigned D = 1; D != 257; ++D)
+      Count[D] += Count[D - 1];
+    for (const Binned &B : Bins)
+      Scratch[Count[(B.Key >> Shift) & 0xFF]++] = B;
+    Bins.swap(Scratch);
+  }
+}
 
 } // namespace
 
@@ -90,86 +119,151 @@ std::vector<CollisionPair>
 omm::game::broadphaseHost(const EntityStore &Entities,
                           const CollisionParams &Params) {
   Machine &M = Entities.machine();
+  uint32_t NumEntities = Entities.size();
+  if (NumEntities == 0)
+    return {};
 
   // Bin every entity, reading its bounds from main memory (costed).
   struct Snapshot {
     Vec3 Position;
     float Radius;
   };
-  struct Binned {
-    uint64_t Key;
-    uint32_t Id;
+  struct Cell {
+    int32_t Axis[3];
   };
   std::vector<Snapshot> Snapshots;
-  std::vector<Binned> Bins;
-  Snapshots.reserve(Entities.size());
-  Bins.reserve(Entities.size());
+  std::vector<Cell> Cells;
+  Snapshots.reserve(NumEntities);
+  Cells.reserve(NumEntities);
+  int32_t Lo[3] = {INT32_MAX, INT32_MAX, INT32_MAX};
+  int32_t Hi[3] = {INT32_MIN, INT32_MIN, INT32_MIN};
   float InvCell = 1.0f / Params.CellSize;
-  for (uint32_t I = 0, E = Entities.size(); I != E; ++I) {
+  for (uint32_t I = 0; I != NumEntities; ++I) {
     auto Ptr = Entities.entity(I);
     Vec3 Position = Ptr.field<Vec3>(offsetof(GameEntity, Position)).hostRead(M);
     float Radius = Ptr.field<float>(offsetof(GameEntity, Radius)).hostRead(M);
     Snapshots.push_back(Snapshot{Position, Radius});
-    uint64_t Key = cellField(Position.X, InvCell) << (2 * CellFieldBits) |
-                   cellField(Position.Y, InvCell) << CellFieldBits |
-                   cellField(Position.Z, InvCell);
-    Bins.push_back(Binned{Key, I});
+    Cell C{{cellOf(Position.X, InvCell), cellOf(Position.Y, InvCell),
+            cellOf(Position.Z, InvCell)}};
+    for (unsigned A = 0; A != 3; ++A) {
+      Lo[A] = std::min(Lo[A], C.Axis[A]);
+      Hi[A] = std::max(Hi[A], C.Axis[A]);
+    }
+    Cells.push_back(C);
     M.hostCompute(Params.CyclesPerHash);
   }
 
-  // Cells in key order, ids ascending within a cell.
-  std::sort(Bins.begin(), Bins.end(), [](const Binned &A, const Binned &B) {
-    return A.Key != B.Key ? A.Key < B.Key : A.Id < B.Id;
-  });
+  // Pack each cell into a key of three fields, X high, so the integer
+  // order of keys is the lexicographic (X, Y, Z) order of cells. Field
+  // A holds cell - Lo[A] + 1 and spans the occupied cells plus one on
+  // either side, so adding a neighbour's key delta never carries into
+  // or borrows from the next field.
+  unsigned Bits[3], Shift[3];
+  for (unsigned A = 0; A != 3; ++A) {
+    Bits[A] = static_cast<unsigned>(
+        std::bit_width(static_cast<uint32_t>(Hi[A] - Lo[A] + 2)));
+    assert(Bits[A] <= MaxFieldBits && "cell span outside a key field");
+  }
+  Shift[2] = 0;
+  Shift[1] = Bits[2];
+  Shift[0] = Bits[1] + Bits[2];
+  std::vector<Binned> Bins(NumEntities);
+  for (uint32_t I = 0; I != NumEntities; ++I) {
+    uint64_t Key = 0;
+    for (unsigned A = 0; A != 3; ++A)
+      Key |= uint64_t(Cells[I].Axis[A] - Lo[A] + 1) << Shift[A];
+    Bins[I] = Binned{Key, I};
+  }
+
+  // Cells in key order, ids ascending within a cell: the bins were
+  // pushed in id order and the sort is stable.
+  radixSortByKey(Bins, Shift[0] + Bits[0]);
+
+  // Snapshots in sorted order, each radius with the coarse test's margin
+  // already applied; cell C holds sorted entities [CellBegin[C],
+  // CellBegin[C + 1]).
+  struct Sorted {
+    Vec3 Position;
+    float Reach;
+    uint32_t Id;
+  };
+  std::vector<Sorted> Order(NumEntities);
   std::vector<uint64_t> CellKeys;
   std::vector<uint32_t> CellBegin;
-  for (uint32_t I = 0; I != Bins.size(); ++I)
+  for (uint32_t I = 0; I != NumEntities; ++I) {
+    const Snapshot &S = Snapshots[Bins[I].Id];
+    Order[I] = Sorted{S.Position, S.Radius * 1.2f, Bins[I].Id};
     if (CellKeys.empty() || CellKeys.back() != Bins[I].Key) {
       CellKeys.push_back(Bins[I].Key);
       CellBegin.push_back(I);
     }
-  CellBegin.push_back(static_cast<uint32_t>(Bins.size()));
+  }
+  size_t NumCells = CellKeys.size();
+  CellBegin.push_back(NumEntities);
+  // A sentinel above every key ends each forward scan.
+  CellKeys.push_back(UINT64_MAX);
 
   std::vector<CollisionPair> Pairs;
-  auto Consider = [&](uint32_t A, uint32_t B) {
-    M.hostCompute(Params.CyclesPerPairTest);
-    const Snapshot &SA = Snapshots[A];
-    const Snapshot &SB = Snapshots[B];
+  auto Consider = [&](const Sorted &SA, const Sorted &SB) {
     // Coarse test with margin; the narrowphase does the exact test.
-    if (!spheresOverlap(SA.Position, SA.Radius * 1.2f, SB.Position,
-                        SB.Radius * 1.2f))
+    if (!spheresOverlap(SA.Position, SA.Reach, SB.Position, SB.Reach))
       return;
     CollisionPair Pair;
-    uint32_t First = std::min(A, B);
-    uint32_t Second = std::max(A, B);
+    uint32_t First = std::min(SA.Id, SB.Id);
+    uint32_t Second = std::max(SA.Id, SB.Id);
     Pair.FirstAddr = Entities.entity(First).addr().Value;
     Pair.SecondAddr = Entities.entity(Second).addr().Value;
     Pair.FirstId = First;
     Pair.SecondId = Second;
     Pairs.push_back(Pair);
   };
+  // Tests the pairs of cell C with cell N, or within C when N == C.
+  uint64_t Tests = 0;
+  auto TestCells = [&](size_t C, size_t N) {
+    uint32_t Begin = CellBegin[C], End = CellBegin[C + 1];
+    if (C == N) {
+      Tests += uint64_t(End - Begin) * (End - Begin - 1) / 2;
+      for (uint32_t A = Begin; A != End; ++A)
+        for (uint32_t B = A + 1; B != End; ++B)
+          Consider(Order[A], Order[B]);
+      return;
+    }
+    Tests += uint64_t(End - Begin) * (CellBegin[N + 1] - CellBegin[N]);
+    for (uint32_t A = Begin; A != End; ++A)
+      for (uint32_t B = CellBegin[N]; B != CellBegin[N + 1]; ++B)
+        Consider(Order[A], Order[B]);
+  };
 
   // Candidate pairs: within a cell, then against each forward neighbour.
-  // Cells are visited in key order, so each offset's neighbour key only
-  // grows and one forward-only cursor per offset finds it (a merge join).
-  size_t NumCells = CellKeys.size();
-  size_t Cursor[std::size(ForwardDelta)] = {};
+  // Cells are visited in key order, so the key of each row's Z - 1 cell
+  // only grows and one forward-only cursor per row finds it (a merge
+  // join); the row's next two cells, if present, follow it directly.
+  uint64_t RowStart[NumRows];
+  for (unsigned R = 0; R != NumRows; ++R)
+    RowStart[R] = static_cast<uint64_t>(
+        int64_t(RowOffset[R][0]) * (int64_t(1) << Shift[0]) +
+        int64_t(RowOffset[R][1]) * (int64_t(1) << Shift[1]) - 1);
+  constexpr size_t NoCell = SIZE_MAX;
+  size_t Cursor[NumRows] = {};
   for (size_t C = 0; C != NumCells; ++C) {
-    for (uint32_t A = CellBegin[C]; A != CellBegin[C + 1]; ++A)
-      for (uint32_t B = A + 1; B != CellBegin[C + 1]; ++B)
-        Consider(Bins[A].Id, Bins[B].Id);
-    for (size_t K = 0; K != std::size(ForwardDelta); ++K) {
-      uint64_t Neighbour = CellKeys[C] + ForwardDelta[K];
-      size_t &N = Cursor[K];
-      while (N != NumCells && CellKeys[N] < Neighbour)
+    TestCells(C, C);
+    size_t Near[NumRows][3];
+    for (unsigned R = 0; R != NumRows; ++R) {
+      uint64_t Start = CellKeys[C] + RowStart[R];
+      size_t N = Cursor[R];
+      while (CellKeys[N] < Start)
         ++N;
-      if (N == NumCells || CellKeys[N] != Neighbour)
-        continue;
-      for (uint32_t A = CellBegin[C]; A != CellBegin[C + 1]; ++A)
-        for (uint32_t B = CellBegin[N]; B != CellBegin[N + 1]; ++B)
-          Consider(Bins[A].Id, Bins[B].Id);
+      Cursor[R] = N;
+      for (unsigned Z = 0; Z != 3; ++Z)
+        Near[R][Z] = CellKeys[N] == Start + Z ? N++ : NoCell;
     }
+    for (const ForwardNeighbour &F : Forward)
+      if (size_t N = Near[F.row()][F.Z + 1]; N != NoCell)
+        TestCells(C, N);
   }
+  // The join makes no host access, so one charge for every pair test
+  // reaches the same clock as one charge per test would.
+  M.hostCompute(Tests * Params.CyclesPerPairTest);
   return Pairs;
 }
 

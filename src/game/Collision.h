@@ -43,15 +43,20 @@ bool respondToCollision(GameEntity &First, GameEntity &Second);
 
 /// Host-side uniform-grid broadphase over all entities; \returns the
 /// candidate pairs (each entity pair at most once, FirstId < SecondId).
-/// Charges hash and pair-test costs to the host clock.
+/// Charges the host clock CyclesPerHash per entity, each after that
+/// entity's two costed bound reads (in entity order), then one charge of
+/// count × CyclesPerPairTest for every candidate pair tested. Nothing
+/// in between touches the host, so the total is what a charge per test
+/// would bill.
 ///
 /// Pair order is part of the contract, because narrowphaseHost applies
 /// responses in sequence: cells are visited in lexicographic (X, Y, Z)
 /// order; within a cell, ids ascend and pairs are tested in that order;
 /// then each of the 13 forward neighbour cells is tested, in a fixed
-/// offset order. Cells are packed into 64-bit keys of three 21-bit
-/// fields, so every cell coordinate must satisfy |cell| < 2^20 - 1:
-/// |position| < ~8.4M world units at the default 8-unit cell (asserted).
+/// offset order. Cells are packed into 64-bit keys of three fields, one
+/// per axis, each as wide as that axis's occupied span plus two cells,
+/// so every cell coordinate must satisfy |cell| < 2^20 - 1: |position|
+/// < ~8.4M world units at the default 8-unit cell (asserted).
 std::vector<CollisionPair> broadphaseHost(const EntityStore &Entities,
                                           const CollisionParams &Params);
 

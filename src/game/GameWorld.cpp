@@ -12,7 +12,6 @@
 #include "offload/JobQueue.h"
 #include "offload/Offload.h"
 #include "offload/Parcel.h"
-#include "offload/SetAssociativeCache.h"
 
 #include <type_traits>
 #include <vector>
@@ -127,7 +126,8 @@ void GameWorld::servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
   // must decide, based on profiling, which cache is most suitable for a
   // given offload" (Section 4.2).
   offload::SetAssociativeCache TargetCache(
-      Ctx, offload::SetAssociativeCache::Params{128, 32, 4, 16});
+      Ctx, offload::SetAssociativeCache::Params{128, 32, 4, 16},
+      AiTargetLines);
   Ctx.bindCache(&TargetCache);
 
   bool Prefetch = Params.PrefetchAiTargets;

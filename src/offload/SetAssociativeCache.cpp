@@ -20,10 +20,11 @@ using namespace omm::sim;
 SoftwareCacheBase::~SoftwareCacheBase() = default;
 
 SetAssociativeCache::SetAssociativeCache(OffloadContext &Ctx, Params P)
-    : SetAssociativeCache(Ctx, P, /*IsSubclass=*/true) {}
+    : SetAssociativeCache(Ctx, P, OwnTable) {}
 
-SetAssociativeCache::SetAssociativeCache(OffloadContext &Ctx, Params P, bool)
-    : SoftwareCacheBase(Ctx), P(P) {
+SetAssociativeCache::SetAssociativeCache(OffloadContext &Ctx, Params P,
+                                         LineTable &Table)
+    : SoftwareCacheBase(Ctx), P(P), Table(Table) {
   if (!isPowerOf2(P.LineSize) || P.LineSize < 16 ||
       P.LineSize > MainMemory::GuardBytes)
     reportFatalError("software cache: line size must be a power of two "
@@ -32,22 +33,34 @@ SetAssociativeCache::SetAssociativeCache(OffloadContext &Ctx, Params P, bool)
   if (!isPowerOf2(P.NumSets) || P.Ways == 0)
     reportFatalError("software cache: sets must be a power of two and "
                      "ways non-zero");
+  assert(!Table.InUse && Table.ValidLines.empty() &&
+         "line table still held by another cache");
   Base = Ctx.localAlloc(P.LineSize * P.NumSets * P.Ways, P.LineSize);
-  Lines.resize(static_cast<size_t>(P.NumSets) * P.Ways);
+  Table.InUse = true;
+  Table.Lines.resize(static_cast<size_t>(P.NumSets) * P.Ways);
 }
 
 SetAssociativeCache::~SetAssociativeCache() {
   drainPrefetches();
   flush();
+  clearValidLines();
+  Table.InUse = false;
 }
 
 void SetAssociativeCache::drainPrefetches() {
   if (PendingFills == 0)
     return;
   Ctx.dmaWait(prefetchTag());
-  for (Line &L : Lines)
-    L.FillPending = false;
+  for (uint32_t Index : Table.ValidLines)
+    Table.Lines[Index].FillPending = false;
   PendingFills = 0;
+}
+
+void SetAssociativeCache::clearValidLines() {
+  for (uint32_t Index : Table.ValidLines)
+    Table.Lines[Index] = Line();
+  Table.ValidLines.clear();
+  DirtyLines = 0;
 }
 
 LocalAddr SetAssociativeCache::lineStorage(uint32_t Set, uint32_t Way) const {
@@ -69,15 +82,46 @@ void SetAssociativeCache::writebackLine(Line &L, uint32_t Set, uint32_t Way) {
   Ctx.dmaPutLarge(GlobalAddr(L.LineAddr), lineStorage(Set, Way), Bytes,
                   cacheTag());
   L.Dirty = false;
+  --DirtyLines;
   ++Stats.Writebacks;
   Stats.BytesWrittenBack += Bytes;
+}
+
+uint32_t SetAssociativeCache::freeWay(uint32_t Set) {
+  size_t First = static_cast<size_t>(Set) * P.Ways;
+  Line *SetLines = &Table.Lines[First];
+  uint32_t Victim = 0;
+  uint64_t OldestUse = UINT64_MAX;
+  for (uint32_t Way = 0; Way != P.Ways; ++Way) {
+    Line &L = SetLines[Way];
+    if (!L.Valid) {
+      Table.ValidLines.push_back(static_cast<uint32_t>(First + Way));
+      return Way;
+    }
+    if (L.LastUse < OldestUse) {
+      OldestUse = L.LastUse;
+      Victim = Way;
+    }
+  }
+
+  Line &L = SetLines[Victim];
+  ++Stats.Evictions;
+  if (L.FillPending)
+    drainPrefetches(); // Never reuse storage under an in-flight fill.
+  if (L.Dirty) {
+    writebackLine(L, Set, Victim);
+    // The fill reuses the victim's storage; wait for the writeback so
+    // the get cannot race the put on that range.
+    Ctx.dmaWait(cacheTag());
+  }
+  return Victim;
 }
 
 LocalAddr SetAssociativeCache::lineFor(uint64_t LineAddr, bool ForWrite) {
   chargeLookup(P.LookupCycles);
   uint32_t Set =
       static_cast<uint32_t>((LineAddr / P.LineSize) & (P.NumSets - 1));
-  Line *SetLines = &Lines[static_cast<size_t>(Set) * P.Ways];
+  Line *SetLines = &Table.Lines[static_cast<size_t>(Set) * P.Ways];
 
   // Hit path. A line whose async prefetch is still in flight counts as
   // a hit after paying the residual wait (the asynchronous-cache model
@@ -89,53 +133,29 @@ LocalAddr SetAssociativeCache::lineFor(uint64_t LineAddr, bool ForWrite) {
         drainPrefetches();
       ++Stats.Hits;
       L.LastUse = ++UseTick;
-      if (ForWrite)
+      if (ForWrite && !L.Dirty) {
         L.Dirty = true;
+        ++DirtyLines;
+      }
       return lineStorage(Set, Way);
     }
   }
 
-  // Miss: choose a victim (first invalid way, else LRU).
   ++Stats.Misses;
-  uint32_t Victim = 0;
-  uint64_t OldestUse = UINT64_MAX;
-  for (uint32_t Way = 0; Way != P.Ways; ++Way) {
-    Line &L = SetLines[Way];
-    if (!L.Valid) {
-      Victim = Way;
-      OldestUse = 0;
-      break;
-    }
-    if (L.LastUse < OldestUse) {
-      OldestUse = L.LastUse;
-      Victim = Way;
-    }
-  }
-
-  Line &L = SetLines[Victim];
-  if (L.Valid) {
-    ++Stats.Evictions;
-    if (L.FillPending)
-      drainPrefetches(); // Never reuse storage under an in-flight fill.
-    if (L.Dirty) {
-      writebackLine(L, Set, Victim);
-      // The fill below reuses the victim's storage; wait for the
-      // writeback so the get cannot race the put on that range.
-      Ctx.dmaWait(cacheTag());
-    }
-  }
-
+  uint32_t Way = freeWay(Set);
   uint32_t Bytes = lineBytesInMemory(LineAddr);
-  Ctx.dmaGetLarge(lineStorage(Set, Victim), GlobalAddr(LineAddr), Bytes,
+  Ctx.dmaGetLarge(lineStorage(Set, Way), GlobalAddr(LineAddr), Bytes,
                   cacheTag());
   Ctx.dmaWait(cacheTag());
   Stats.BytesFilled += Bytes;
 
+  Line &L = SetLines[Way];
   L.Valid = true;
   L.Dirty = ForWrite;
+  DirtyLines += ForWrite;
   L.LineAddr = LineAddr;
   L.LastUse = ++UseTick;
-  return lineStorage(Set, Victim);
+  return lineStorage(Set, Way);
 }
 
 template <typename AccessFn>
@@ -172,27 +192,22 @@ void SetAssociativeCache::write(GlobalAddr Dst, const void *Src,
 }
 
 void SetAssociativeCache::flush() {
-  bool AnyWriteback = false;
+  if (DirtyLines == 0)
+    return;
   for (uint32_t Set = 0; Set != P.NumSets; ++Set) {
     for (uint32_t Way = 0; Way != P.Ways; ++Way) {
-      Line &L = Lines[static_cast<size_t>(Set) * P.Ways + Way];
-      if (L.Valid && L.Dirty) {
+      Line &L = Table.Lines[static_cast<size_t>(Set) * P.Ways + Way];
+      if (L.Valid && L.Dirty)
         writebackLine(L, Set, Way);
-        AnyWriteback = true;
-      }
     }
   }
   // Batch the completion wait: all flush writebacks share the cache tag.
-  if (AnyWriteback)
-    Ctx.dmaWait(cacheTag());
+  Ctx.dmaWait(cacheTag());
 }
 
 void SetAssociativeCache::invalidate() {
   drainPrefetches();
-  for (Line &L : Lines) {
-    L.Valid = false;
-    L.Dirty = false;
-  }
+  clearValidLines();
 }
 
 void SetAssociativeCache::prefetch(GlobalAddr Addr) {
@@ -200,46 +215,22 @@ void SetAssociativeCache::prefetch(GlobalAddr Addr) {
   chargeLookup(P.LookupCycles);
   uint32_t Set =
       static_cast<uint32_t>((LineAddr / P.LineSize) & (P.NumSets - 1));
-  Line *SetLines = &Lines[static_cast<size_t>(Set) * P.Ways];
+  Line *SetLines = &Table.Lines[static_cast<size_t>(Set) * P.Ways];
 
   // Resident or already being fetched: nothing to do.
   for (uint32_t Way = 0; Way != P.Ways; ++Way)
     if (SetLines[Way].Valid && SetLines[Way].LineAddr == LineAddr)
       return;
 
-  // Victim selection as for a demand miss.
-  uint32_t Victim = 0;
-  uint64_t OldestUse = UINT64_MAX;
-  for (uint32_t Way = 0; Way != P.Ways; ++Way) {
-    Line &L = SetLines[Way];
-    if (!L.Valid) {
-      Victim = Way;
-      OldestUse = 0;
-      break;
-    }
-    if (L.LastUse < OldestUse) {
-      OldestUse = L.LastUse;
-      Victim = Way;
-    }
-  }
-  Line &L = SetLines[Victim];
-  if (L.Valid) {
-    if (L.FillPending)
-      drainPrefetches();
-    ++Stats.Evictions;
-    if (L.Dirty) {
-      writebackLine(L, Set, Victim);
-      Ctx.dmaWait(cacheTag());
-    }
-  }
-
+  uint32_t Way = freeWay(Set);
   uint32_t Bytes = lineBytesInMemory(LineAddr);
-  Ctx.dmaGetLarge(lineStorage(Set, Victim), GlobalAddr(LineAddr), Bytes,
+  Ctx.dmaGetLarge(lineStorage(Set, Way), GlobalAddr(LineAddr), Bytes,
                   prefetchTag()); // No wait: that is the point.
   Stats.BytesFilled += Bytes;
   ++PrefetchesIssued;
   ++PendingFills;
 
+  Line &L = SetLines[Way];
   L.Valid = true;
   L.Dirty = false;
   L.FillPending = true;

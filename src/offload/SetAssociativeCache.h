@@ -25,6 +25,14 @@ namespace omm::offload {
 
 /// Write-back LRU set-associative cache over main memory.
 class SetAssociativeCache : public SoftwareCacheBase {
+  struct Line {
+    uint64_t LineAddr = 0; ///< Byte address of the line in main memory.
+    uint64_t LastUse = 0;
+    bool Valid = false;
+    bool Dirty = false;
+    bool FillPending = false; ///< An async prefetch is still in flight.
+  };
+
 public:
   struct Params {
     uint32_t LineSize = 128; ///< Bytes per line; power of two, >= 16.
@@ -33,7 +41,25 @@ public:
     uint64_t LookupCycles = 16; ///< Charged per access (way search).
   };
 
+  /// The per-line state a cache keeps on the host, apart from the cache
+  /// so that code building one short-lived cache after another (one per
+  /// AI chunk) can hand each the same table. A cache takes the table
+  /// empty and leaves it empty, and both ends touch only the lines it
+  /// made valid, so neither allocates nor scans the whole table. One
+  /// cache at a time may use a table.
+  class LineTable {
+    friend class SetAssociativeCache;
+    std::vector<Line> Lines;          ///< NumSets * Ways, set-major.
+    std::vector<uint32_t> ValidLines; ///< Indices of the valid lines.
+    bool InUse = false;
+  };
+
+  /// A cache with a table of its own.
   SetAssociativeCache(OffloadContext &Ctx, Params P);
+  /// A cache on \p Table, which must be empty and outlive it.
+  SetAssociativeCache(OffloadContext &Ctx, Params P, LineTable &Table);
+  /// Waits out in-flight prefetches, writes back dirty lines, and
+  /// empties the table.
   ~SetAssociativeCache() override;
 
   void read(void *Dst, sim::GlobalAddr Src, uint32_t Size) override;
@@ -54,19 +80,7 @@ public:
   /// Prefetches issued so far (profile counter).
   uint64_t prefetchesIssued() const { return PrefetchesIssued; }
 
-protected:
-  /// Hook for subclasses (DirectMappedCache) to rename themselves.
-  SetAssociativeCache(OffloadContext &Ctx, Params P, bool);
-
 private:
-  struct Line {
-    uint64_t LineAddr = 0; ///< Byte address of the line in main memory.
-    uint64_t LastUse = 0;
-    bool Valid = false;
-    bool Dirty = false;
-    bool FillPending = false; ///< An async prefetch is still in flight.
-  };
-
   /// Walks [Src, Src+Size) line by line, calling
   /// Access(LineLocalAddr, OffsetInLine, BytesThisLine) for each piece.
   template <typename AccessFn>
@@ -76,6 +90,11 @@ private:
   /// \returns the local-store address of the line containing \p LineAddr,
   /// filling and/or evicting as needed.
   sim::LocalAddr lineFor(uint64_t LineAddr, bool ForWrite);
+
+  /// \returns the way of \p Set to fill next: its first invalid way
+  /// (which joins the valid lines), else its least recently used way,
+  /// evicted and written back if dirty.
+  uint32_t freeWay(uint32_t Set);
 
   uint32_t lineBytesInMemory(uint64_t LineAddr) const;
   sim::LocalAddr lineStorage(uint32_t Set, uint32_t Way) const;
@@ -88,12 +107,17 @@ private:
   /// Waits out every in-flight prefetch and marks the lines resident.
   void drainPrefetches();
 
+  /// Makes every valid line invalid and clean.
+  void clearValidLines();
+
   Params P;
   sim::LocalAddr Base;
-  std::vector<Line> Lines; ///< NumSets * Ways, set-major.
+  LineTable OwnTable;
+  LineTable &Table;
   uint64_t UseTick = 0;
   uint64_t PrefetchesIssued = 0;
   unsigned PendingFills = 0; ///< Prefetches not yet waited for.
+  uint32_t DirtyLines = 0;
 };
 
 /// Direct-mapped variant: one way, and a cheaper lookup (no way search,
@@ -107,21 +131,20 @@ public:
     uint64_t LookupCycles = 8;
   };
 
-  explicit DirectMappedCache(OffloadContext &Ctx);
-  DirectMappedCache(OffloadContext &Ctx, Params P);
+  explicit DirectMappedCache(OffloadContext &Ctx)
+      : DirectMappedCache(Ctx, Params()) {}
+  DirectMappedCache(OffloadContext &Ctx, Params P)
+      : SetAssociativeCache(Ctx, associative(P)) {}
+  DirectMappedCache(OffloadContext &Ctx, Params P, LineTable &Table)
+      : SetAssociativeCache(Ctx, associative(P), Table) {}
 
   const char *name() const override { return "direct-mapped"; }
+
+private:
+  static SetAssociativeCache::Params associative(Params P) {
+    return {P.LineSize, P.NumLines, 1, P.LookupCycles};
+  }
 };
-
-inline DirectMappedCache::DirectMappedCache(OffloadContext &Ctx, Params P)
-    : SetAssociativeCache(
-          Ctx,
-          SetAssociativeCache::Params{P.LineSize, P.NumLines, 1,
-                                      P.LookupCycles},
-          /*IsSubclass=*/true) {}
-
-inline DirectMappedCache::DirectMappedCache(OffloadContext &Ctx)
-    : DirectMappedCache(Ctx, Params()) {}
 
 } // namespace omm::offload
 

@@ -57,7 +57,13 @@ struct CacheStats {
 ///
 /// Caches allocate their storage from the block's local store and move
 /// data with the block's DMA engine, so they are constructed inside the
-/// block and must not outlive it. Destructors flush dirty state.
+/// block (or inside the LocalScope of the one descriptor they serve) and
+/// must not outlive it. Destructors flush dirty state. Code that builds
+/// one short-lived cache after another, like GameWorld's per-chunk AI
+/// target cache, keeps only the host-side line table across them
+/// (SetAssociativeCache::LineTable): each cache still claims its lines
+/// from the local store at construction and bills its flush at
+/// destruction, exactly as a cache with a table of its own does.
 class SoftwareCacheBase {
 public:
   explicit SoftwareCacheBase(OffloadContext &Ctx) : Ctx(Ctx) {}

@@ -20,8 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 using namespace omm;
@@ -422,6 +425,133 @@ TEST(SetAssociativeCache, RandomisedOpsWithPrefetchesMatchReference) {
     for (uint32_t I = 0; I != Region; ++I)
       ASSERT_EQ(M.mainMemory().readValue<uint8_t>(G + I), Reference[I]);
   });
+}
+
+namespace {
+
+/// Every DMA command issued: local, global, size, tag and issue cycle.
+struct DmaIssueLog : DmaObserver {
+  std::vector<std::array<uint64_t, 5>> Issues;
+  void onIssue(const DmaTransfer &Transfer) override {
+    Issues.push_back({Transfer.Local.Value, Transfer.Global.Value,
+                      Transfer.Size, Transfer.Tag, Transfer.IssueCycle});
+  }
+};
+
+/// What one cache did before its destruction, and the clock after it.
+struct CacheLife {
+  CacheStats Stats;
+  uint64_t ClockAfter = 0;
+  std::vector<uint8_t> ReadBytes;
+};
+
+struct LivesRun {
+  DmaIssueLog Log;
+  std::vector<CacheLife> Lives;
+  std::vector<uint8_t> Memory;
+};
+
+constexpr uint32_t TraceRegion = 2048;
+constexpr unsigned NumLives = 3;
+
+/// One block that builds NumLives caches in turn, each in its own local
+/// scope (as a resident worker's descriptors do), on one shared line
+/// table when \p ShareTable is set and on a table of its own otherwise.
+/// Each life replays a seeded trace of reads, writes and prefetches over
+/// a region four times the cache's capacity (dirty evictions included),
+/// and ends with writes and with prefetches of lines nothing touched
+/// yet, so dirty lines and pending fills are both left at destruction.
+template <typename CacheT>
+LivesRun runCacheLives(typename CacheT::Params P, bool ShareTable) {
+  Machine M;
+  GlobalAddr G = M.allocGlobal(TraceRegion + NumLives * 512);
+  SplitMix64 Fill(0x11FE);
+  for (uint32_t I = 0; I != TraceRegion; ++I)
+    M.mainMemory().writeValue<uint8_t>(G + I,
+                                       static_cast<uint8_t>(Fill.next()));
+  LivesRun Run;
+  M.addObserver(&Run.Log);
+  offloadSync(M, [&](OffloadContext &Ctx) {
+    SetAssociativeCache::LineTable Table;
+    for (unsigned Life = 0; Life != NumLives; ++Life) {
+      OffloadContext::LocalScope Scope(Ctx);
+      CacheLife Result;
+      {
+        std::optional<CacheT> Cache;
+        if (ShareTable)
+          Cache.emplace(Ctx, P, Table);
+        else
+          Cache.emplace(Ctx, P);
+        SplitMix64 Rng(0x7ACE + Life);
+        uint8_t Buffer[24];
+        for (int Op = 0; Op != 300; ++Op) {
+          uint32_t Size = 1 + static_cast<uint32_t>(Rng.nextBelow(24));
+          uint32_t Offset =
+              static_cast<uint32_t>(Rng.nextBelow(TraceRegion - Size));
+          uint64_t Kind = Op < 296 ? Rng.nextBelow(8) : 4;
+          if (Kind < 3) {
+            Cache->read(Buffer, G + Offset, Size);
+            Result.ReadBytes.insert(Result.ReadBytes.end(), Buffer,
+                                    Buffer + Size);
+          } else if (Kind < 6) {
+            for (uint32_t I = 0; I != Size; ++I)
+              Buffer[I] = static_cast<uint8_t>(Rng.next());
+            Cache->write(G + Offset, Buffer, Size);
+          } else {
+            Cache->prefetch(G + Offset);
+          }
+        }
+        for (uint32_t Line = 0; Line != 3; ++Line)
+          Cache->prefetch(G + TraceRegion + Life * 512 + Line * 128);
+        Result.Stats = Cache->stats();
+      }
+      Result.ClockAfter = Ctx.clock().now();
+      Run.Lives.push_back(std::move(Result));
+    }
+  });
+  M.removeObserver(&Run.Log);
+  for (uint32_t I = 0; I != TraceRegion; ++I)
+    Run.Memory.push_back(M.mainMemory().readValue<uint8_t>(G + I));
+  return Run;
+}
+
+/// A cache on a line table an earlier cache used must do exactly what a
+/// freshly built one does: the same DMA issues at the same cycles, the
+/// same profile counters, the same clock and the same data.
+template <typename CacheT>
+void expectSharedTableMatchesFresh(typename CacheT::Params P) {
+  LivesRun Fresh = runCacheLives<CacheT>(P, /*ShareTable=*/false);
+  LivesRun Shared = runCacheLives<CacheT>(P, /*ShareTable=*/true);
+  EXPECT_EQ(Shared.Log.Issues, Fresh.Log.Issues);
+  ASSERT_EQ(Shared.Lives.size(), Fresh.Lives.size());
+  for (unsigned Life = 0; Life != NumLives; ++Life) {
+    SCOPED_TRACE("life " + std::to_string(Life));
+    const CacheStats &Want = Fresh.Lives[Life].Stats;
+    const CacheStats &Got = Shared.Lives[Life].Stats;
+    // The trace must reach the paths a reset has to undo.
+    EXPECT_GT(Want.Hits, 0u);
+    EXPECT_GT(Want.Writebacks, 0u);
+    EXPECT_EQ(Got.Hits, Want.Hits);
+    EXPECT_EQ(Got.Misses, Want.Misses);
+    EXPECT_EQ(Got.Evictions, Want.Evictions);
+    EXPECT_EQ(Got.Writebacks, Want.Writebacks);
+    EXPECT_EQ(Got.BytesFilled, Want.BytesFilled);
+    EXPECT_EQ(Got.BytesWrittenBack, Want.BytesWrittenBack);
+    EXPECT_EQ(Got.LookupCycles, Want.LookupCycles);
+    EXPECT_EQ(Shared.Lives[Life].ClockAfter, Fresh.Lives[Life].ClockAfter);
+    EXPECT_EQ(Shared.Lives[Life].ReadBytes, Fresh.Lives[Life].ReadBytes);
+  }
+  EXPECT_EQ(Shared.Memory, Fresh.Memory);
+}
+
+} // namespace
+
+TEST(SetAssociativeCache, SharedLineTableMatchesFreshCache) {
+  expectSharedTableMatchesFresh<SetAssociativeCache>({64, 4, 2, 16});
+}
+
+TEST(DirectMappedCache, SharedLineTableMatchesFreshCache) {
+  expectSharedTableMatchesFresh<DirectMappedCache>({64, 8, 8});
 }
 
 TEST(StreamBuffer, SequentialScanPrefetches) {

@@ -249,11 +249,15 @@ BroadphaseRun runBroadphase(BroadphaseFn Broadphase,
 }
 
 /// Both broadphases over the same (unmodified) store must produce the
-/// same pairs in the same order at the same simulated cost.
-void expectMatchesReference(const EntityStore &Store) {
+/// same pairs in the same order at the same simulated cost. Every world
+/// must test some pair, so the cost check covers the join; \p HasPairs
+/// is false only for a world too sparse for any candidate to survive.
+void expectMatchesReference(const EntityStore &Store, bool HasPairs = true) {
   BroadphaseRun Ref = runBroadphase(referenceBroadphase, Store);
   BroadphaseRun Got = runBroadphase(broadphaseHost, Store);
-  ASSERT_FALSE(Ref.Pairs.empty());
+  ASSERT_GT(Ref.Counters.ComputeCycles,
+            uint64_t(Store.size()) * CollisionParams().CyclesPerHash);
+  ASSERT_NE(Ref.Pairs.empty(), HasPairs);
   ASSERT_EQ(Got.Pairs.size(), Ref.Pairs.size());
   for (size_t I = 0; I != Ref.Pairs.size(); ++I) {
     EXPECT_EQ(Got.Pairs[I].FirstId, Ref.Pairs[I].FirstId) << "pair " << I;
@@ -319,6 +323,58 @@ TEST(Broadphase, MatchesReferenceOrderAndCost) {
     for (int Frame = 0; Frame != 200; ++Frame)
       World.doFrameHostOnly();
     expectMatchesReference(World.entities());
+  }
+  // The tenant worlds: the smallest and largest entity counts
+  // serve_tenants draws, at the default extent of 60. The 96-entity
+  // world is sparse enough that no candidate passes the coarse test, so
+  // only its pair-test count is compared.
+  for (uint32_t Count : {96u, 768u}) {
+    SCOPED_TRACE(std::to_string(Count) + " entities at extent 60");
+    Machine M;
+    GameWorldParams Params;
+    Params.NumEntities = Count;
+    GameWorld World(M, Params);
+    for (int Frame = 0; Frame != 100; ++Frame)
+      World.doFrameHostOnly();
+    expectMatchesReference(World.entities(), /*HasPairs=*/Count != 96);
+  }
+  {
+    // Every key field at its widest: entities in the outermost cells a
+    // packed key holds, +-(2^20 - 2) on every axis, with touching pairs
+    // across the last cell boundary, plus a dense cluster at the origin.
+    SCOPED_TRACE("outermost cells on every axis plus an origin cluster");
+    constexpr float Edge = 8388592.0f; // Cell 2^20 - 2.
+    Machine M;
+    EntityStore Store(M, 128, 19, 30.0f);
+    uint32_t I = 0;
+    for (; I != 64; ++I)
+      placeEntity(Store, I,
+                  Vec3(-4.0f + 0.5f * float(I % 16), -2.0f + float(I / 16),
+                       -1.0f + 0.25f * float(I % 8)),
+                  1.0f);
+    for (uint32_t Corner = 0; Corner != 8; ++Corner) {
+      Vec3 Sign(Corner & 1 ? -1.0f : 1.0f, Corner & 2 ? -1.0f : 1.0f,
+                Corner & 4 ? -1.0f : 1.0f);
+      for (float Inset : {0.0f, 1.0f, 2.0f})
+        placeEntity(Store, I++,
+                    Vec3(Sign.X * (Edge - Inset), Sign.Y * Edge,
+                         Sign.Z * Edge),
+                    1.5f);
+      // One cell in from the corner on each axis, touching the corner.
+      placeEntity(Store, I++, Vec3(Sign.X * Edge, Sign.Y * Edge,
+                                   Sign.Z * (Edge - 1.0f)), 1.5f);
+      placeEntity(Store, I++, Vec3(Sign.X * Edge, Sign.Y * (Edge - 1.0f),
+                                   Sign.Z * Edge), 1.5f);
+      placeEntity(Store, I++, Vec3(Sign.X * (Edge - 8.0f), Sign.Y * Edge,
+                                   Sign.Z * Edge), 1.5f);
+      placeEntity(Store, I++, Vec3(Sign.X * Edge, Sign.Y * (Edge - 8.0f),
+                                   Sign.Z * (Edge - 8.0f)), 1.5f);
+      placeEntity(Store, I++, Vec3(Sign.X * (Edge - 8.0f),
+                                   Sign.Y * (Edge - 8.0f),
+                                   Sign.Z * (Edge - 8.0f)), 1.5f);
+    }
+    ASSERT_EQ(I, Store.size());
+    expectMatchesReference(Store);
   }
 }
 

@@ -63,7 +63,6 @@ struct RunOut {
   uint64_t Stragglers = 0;
   uint64_t Speculative = 0;
   uint64_t Cancels = 0;
-  uint64_t HostFallback = 0;
   uint64_t Failover = 0;
   uint64_t MissedFrames = 0;
   uint64_t AiShed = 0;
@@ -115,7 +114,6 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t FrameBudget,
   }
   PerfCounters C = M.countersSince(Before);
   Run.MissedFrames = C.DeadlineMissedFrames;
-  Run.HostFallback = C.HostFallbackChunks;
   Run.Hangs = C.HangsDetected;
   Run.Stragglers = C.StragglersDetected;
   Run.Speculative = C.SpeculativeRedispatches;
@@ -156,7 +154,6 @@ void reportRecoveryCounters(benchmark::State &State, const RunOut &Run) {
   State.counters["stragglers"] = static_cast<double>(Run.Stragglers);
   State.counters["cancels"] = static_cast<double>(Run.Cancels);
   State.counters["spec_redispatches"] = static_cast<double>(Run.Speculative);
-  State.counters["host_escalations"] = static_cast<double>(Run.HostFallback);
 }
 
 DeadlinePolicy policyFromArg(int64_t Arg) {

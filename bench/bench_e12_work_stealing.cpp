@@ -185,8 +185,6 @@ void BM_StragglerSteal(benchmark::State &State) {
     reportSimCycles(State, Run.TotalCycles);
     reportCyclePercentiles(State, Run.FrameCycles);
     reportStealCounters(State, Run);
-    State.counters["stragglers"] =
-        static_cast<double>(Run.Counters.StragglersDetected);
     if (Policy != StealPolicy::None) {
       RunOut None =
           runFrames(stealConfig(StealPolicy::None, Rate, Slowdown), 1);
@@ -231,8 +229,6 @@ void BM_KilledVictims(benchmark::State &State) {
     reportStealCounters(State, Run);
     State.counters["off_home_slices"] =
         static_cast<double>(Run.OffHomeSlices);
-    State.counters["host_slices"] =
-        static_cast<double>(Run.Counters.HostFallbackChunks);
     State.counters["overhead_pct"] =
         100.0 * (static_cast<double>(Run.TotalCycles) /
                      static_cast<double>(Clean.TotalCycles) -

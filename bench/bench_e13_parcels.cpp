@@ -170,8 +170,6 @@ void BM_KilledWorkers(benchmark::State &State) {
     reportChecksum(State, Run.Checksum);
     reportCyclePercentiles(State, Run.FrameCycles);
     reportParcelCounters(State, Run);
-    State.counters["host_fallback_chunks"] =
-        static_cast<double>(Run.Counters.HostFallbackChunks);
     State.counters["requeued_chunks"] = static_cast<double>(Run.Failovers);
   }
 }

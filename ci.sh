@@ -6,7 +6,7 @@
 #
 # Usage: ./ci.sh [jobs]
 #
-# Six stages, all must be green:
+# Seven stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the bench-toolchain
@@ -31,15 +31,21 @@
 #                    tenant may not move the other tenants' pooled p99
 #                    by more than 5% (E15) — and the domain-placement
 #                    floor (E16)
-#   4. benchmark   — benchmark/run.py --quick, untraced and then with
+#   4. dead api    — tools/dead_api builds every binary, omm_bench
+#                    included, at -O0 -fno-inline with --gc-sections
+#                    into build-dead-api/ and fails on any src/ library
+#                    function that no experiment, example or benchmark
+#                    keeps unless tools/dead_api.allowlist gives it a
+#                    reason (about 75 s cold on 4 cores)
+#   5. benchmark   — benchmark/run.py --quick, untraced and then with
 #                    --trace 1: every BENCHMARK.json workload at 1/20 of
 #                    its frames through omm_bench (built into
 #                    .bench_build/); fails on a checksum mismatch,
 #                    fingerprint divergence, observer/counter
 #                    disagreement or end-to-end or per-layer
 #                    metric-schema drift
-#   5. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
-#   6. soak        — the long randomised fault-injection and tenant
+#   6. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
+#   7. soak        — the long randomised fault-injection and tenant
 #                    endurance runs, under the sanitizer build where
 #                    their randomly killed workers are most likely to
 #                    expose leaks
@@ -132,6 +138,10 @@ python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
     --filter 'DomainSkew/hot_mult:16/policy:3' \
     --require domain_win_vs_oblivious '>=' 1.1
 stage_done "bench gates"
+
+echo "=== dead api: every library function is kept by a binary or allowlisted ==="
+python3 tools/dead_api --jobs "$JOBS"
+stage_done "dead api"
 
 echo "=== benchmark: every workload, quick, correctness and schema ==="
 python3 benchmark/run.py --quick

@@ -29,29 +29,6 @@ void OffloadDomain::addDuplicate(MethodId Method, DuplicateId Id,
   TotalCodeBytes += CodeBytes;
 }
 
-void OffloadDomain::annotateClassSlots(
-    ClassId Class, DuplicateId Id,
-    const std::function<LocalMethod(MethodId)> &MakeBody,
-    uint32_t CodeBytesPerMethod) {
-  for (unsigned Slot = 0, E = Registry.numSlots(Class); Slot != E; ++Slot) {
-    MethodId Method = Registry.slot(Class, Slot);
-    if (Method == NoMethod)
-      continue;
-    // Inherited slots may repeat the same method; annotate each
-    // implementation once per signature.
-    int Index = findOuter(Method);
-    if (Index >= 0) {
-      bool Present = false;
-      for (const InnerEntry &Entry : Inner[Index].Duplicates)
-        if (Entry.Id == Id)
-          Present = true;
-      if (Present)
-        continue;
-    }
-    addDuplicate(Method, Id, MakeBody(Method), CodeBytesPerMethod);
-  }
-}
-
 int OffloadDomain::findOuter(MethodId Method) const {
   for (size_t I = 0, E = Outer.size(); I != E; ++I)
     if (Outer[I] == Method)

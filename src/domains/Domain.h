@@ -101,13 +101,6 @@ public:
   void addDuplicate(MethodId Method, DuplicateId Id, LocalMethod Body,
                     uint32_t CodeBytes = 1024);
 
-  /// Registers the same body for every slot a class provides — the
-  /// "annotate this type's methods" convenience used by the
-  /// type-specialised component offloads.
-  void annotateClassSlots(ClassId Class, DuplicateId Id,
-                          const std::function<LocalMethod(MethodId)> &MakeBody,
-                          uint32_t CodeBytesPerMethod = 1024);
-
   /// Installs the paper's on-demand-code-loading elaboration: on a miss,
   /// \p Loader may supply the missing duplicate (charged at the
   /// code-load cost), which is then added to the domain.

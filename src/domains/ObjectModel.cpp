@@ -84,19 +84,9 @@ void ClassRegistry::initObject(Machine &M, GlobalAddr Obj,
   M.mainMemory().writeValue(Obj, Header);
 }
 
-const std::string &ClassRegistry::className(ClassId Class) const {
-  assert(Class < Classes.size() && "unknown class");
-  return Classes[Class].Name;
-}
-
 const std::string &ClassRegistry::methodName(MethodId Method) const {
   assert(Method < MethodNames.size() && "unknown method");
   return MethodNames[Method];
-}
-
-unsigned ClassRegistry::numSlots(ClassId Class) const {
-  assert(Class < Classes.size() && "unknown class");
-  return static_cast<unsigned>(Classes[Class].Slots.size());
 }
 
 MethodId ClassRegistry::slot(ClassId Class, unsigned Slot) const {
@@ -130,16 +120,6 @@ void ClassRegistry::callVirtualHost(Machine &M, GlobalAddr Obj,
     reportFatalError("virtual dispatch: slot has no host implementation "
                      "(pure virtual call)");
   (*Impl)(M, Obj, Arg);
-}
-
-MethodId ClassRegistry::resolveSlotOuter(offload::OffloadContext &Ctx,
-                                         GlobalAddr Obj,
-                                         unsigned Slot) const {
-  // Transfer 1: object header (in outer memory) -> vtable pointer.
-  uint64_t Vtable = Ctx.outerRead<uint64_t>(Obj);
-  // Transfer 2 (dependent): vtable slot (also outer) -> method address.
-  return Ctx.outerRead<MethodId>(GlobalAddr(Vtable) + 8 +
-                                 uint64_t(Slot) * sizeof(MethodId));
 }
 
 MethodId ClassRegistry::resolveSlotLocal(offload::OffloadContext &Ctx,

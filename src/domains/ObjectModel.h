@@ -97,9 +97,7 @@ public:
   /// Byte offset of the payload within an object.
   static constexpr uint64_t payloadOffset() { return sizeof(ObjectHeader); }
 
-  const std::string &className(ClassId Class) const;
   const std::string &methodName(MethodId Method) const;
-  unsigned numSlots(ClassId Class) const;
   MethodId slot(ClassId Class, unsigned Slot) const;
 
   //===--------------------------------------------------------------===//
@@ -116,12 +114,6 @@ public:
   /// dispatch helpers in Domain.h.
   MethodId resolveSlotHost(sim::Machine &M, sim::GlobalAddr Obj,
                            unsigned Slot) const;
-
-  /// Accelerator-side slot resolution for an object still in *outer*
-  /// memory: two dependent inter-memory-space transfers (the Section 4.2
-  /// anti-pattern).
-  MethodId resolveSlotOuter(offload::OffloadContext &Ctx,
-                            sim::GlobalAddr Obj, unsigned Slot) const;
 
   /// Accelerator-side slot resolution for an object already copied into
   /// local store at \p LocalObj: the header read is local; only the

@@ -201,9 +201,9 @@ private:
 /// Host-side stand-in for OffloadContext, used when a chunk of offloaded
 /// work must run on the host because no accelerator can take it (all
 /// dead, or the machine has none). It exposes the subset of the context
-/// API a machine-generic body can use: computation is charged to the
-/// host clock and outer accesses are plain cache-modelled host accesses
-/// (there is no local store to stage through).
+/// API the machine-generic bodies use: computation is charged to the
+/// host clock and typed outer accesses are plain cache-modelled host
+/// accesses (there is no local store to stage through).
 class HostContext {
 public:
   explicit HostContext(sim::Machine &M) : M(M) {}
@@ -220,13 +220,6 @@ public:
   template <typename T> void outerWrite(sim::GlobalAddr Addr,
                                         const T &Value) {
     M.hostWrite(Addr, Value);
-  }
-  void outerReadBytes(void *Dst, sim::GlobalAddr Src, uint32_t Size) {
-    M.hostReadBytes(Dst, Src, Size);
-  }
-  void outerWriteBytes(sim::GlobalAddr Dst, const void *Src,
-                       uint32_t Size) {
-    M.hostWriteBytes(Dst, Src, Size);
   }
 
 private:

@@ -17,9 +17,6 @@ using namespace omm;
 using namespace omm::offload;
 using namespace omm::sim;
 
-StreamBuffer::StreamBuffer(OffloadContext &Ctx)
-    : StreamBuffer(Ctx, Params()) {}
-
 StreamBuffer::StreamBuffer(OffloadContext &Ctx, Params P)
     : SoftwareCacheBase(Ctx), P(P) {
   if (P.WindowBytes < 16 || P.WindowBytes % 16 != 0)

@@ -34,7 +34,6 @@ public:
     uint64_t LookupCycles = 6;   ///< Charged per access (range compare).
   };
 
-  explicit StreamBuffer(OffloadContext &Ctx);
   StreamBuffer(OffloadContext &Ctx, Params P);
   ~StreamBuffer() override;
 

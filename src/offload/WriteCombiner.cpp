@@ -16,9 +16,6 @@ using namespace omm;
 using namespace omm::offload;
 using namespace omm::sim;
 
-WriteCombiner::WriteCombiner(OffloadContext &Ctx)
-    : WriteCombiner(Ctx, Params()) {}
-
 WriteCombiner::WriteCombiner(OffloadContext &Ctx, Params P)
     : SoftwareCacheBase(Ctx), P(P) {
   if (P.BufferBytes < 16 || P.BufferBytes % 16 != 0)

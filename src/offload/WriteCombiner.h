@@ -34,7 +34,6 @@ public:
     uint64_t LookupCycles = 4;   ///< Charged per access (append check).
   };
 
-  explicit WriteCombiner(OffloadContext &Ctx);
   WriteCombiner(OffloadContext &Ctx, Params P);
   ~WriteCombiner() override;
 

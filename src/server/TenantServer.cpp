@@ -33,10 +33,6 @@ TenantServer::TenantServer(Machine &M, const TenantServerParams &Params)
 TenantServer::~TenantServer() = default;
 
 unsigned TenantServer::addTenant(const TenantParams &Params) {
-  if (Params.ChunkDeadlineCycles != 0 && M.watchdog().checkCycles() == 0)
-    reportFatalError("tenant server: per-tenant chunk deadline needs "
-                     "WatchdogCheckCycles != 0 (the check grid is "
-                     "machine-wide)");
   Tenant T;
   T.Params = Params;
   T.World = std::make_unique<game::GameWorld>(M, Params.World);
@@ -55,10 +51,6 @@ TenantServer::Tenant &TenantServer::tenant(unsigned Id) {
   return Tenants[Id];
 }
 
-game::GameWorld &TenantServer::world(unsigned Tenant) {
-  return *tenant(Tenant).World;
-}
-
 const TenantStats &TenantServer::stats(unsigned Tenant) const {
   return const_cast<TenantServer *>(this)->tenant(Tenant).Stats;
 }
@@ -72,7 +64,7 @@ void TenantServer::scheduleTenantHang(unsigned Tenant, unsigned AccelId) {
   uint64_t Deadline = T.Params.ChunkDeadlineCycles != 0
                           ? T.Params.ChunkDeadlineCycles
                           : BaseChunkDeadline;
-  if (M.watchdog().checkCycles() == 0 || Deadline == 0)
+  if (Deadline == 0)
     reportFatalError("tenant server: hang scheduled for a tenant whose "
                      "slices arm no chunk deadline (unrecoverable)");
   T.Pending.push_back({AccelId, /*Slowdown=*/0.0f});

@@ -51,9 +51,9 @@ struct TenantParams {
   game::GameWorldParams World;
   /// Chunk deadline armed on the machine watchdog while this tenant's
   /// slice is served (RoundRobin) or folded into the shared minimum
-  /// (Batched); 0 leaves the machine's own deadline in place. Arming
-  /// requires MachineConfig::WatchdogCheckCycles != 0 — the check grid
-  /// is machine-wide and never moves per tenant.
+  /// (Batched); 0 leaves the machine's own deadline in place. The
+  /// check grid (MachineConfig::WatchdogCheckCycles) is a machine
+  /// constant and never moves per tenant.
   uint64_t ChunkDeadlineCycles = 0;
 };
 
@@ -124,7 +124,6 @@ public:
   unsigned numTenants() const {
     return static_cast<unsigned>(Tenants.size());
   }
-  game::GameWorld &world(unsigned Tenant);
   const TenantStats &stats(unsigned Tenant) const;
   uint64_t checksum(unsigned Tenant) const;
 

@@ -10,6 +10,8 @@
 #include "support/Diag.h"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
 
 using namespace omm;
 using namespace omm::sim;
@@ -17,61 +19,40 @@ using namespace omm::sim;
 DmaObserver::~DmaObserver() = default;
 
 const char *sim::faultKindName(FaultKind Kind) {
-  switch (Kind) {
-  case FaultKind::AcceleratorDeath:
-    return "accelerator_death";
-  case FaultKind::LaunchOnDeadAccelerator:
-    return "launch_on_dead_accelerator";
-  case FaultKind::NoAcceleratorAvailable:
-    return "no_accelerator_available";
-  case FaultKind::DmaCommandRejected:
-    return "dma_command_rejected";
-  case FaultKind::DmaCompletionDelayed:
-    return "dma_completion_delayed";
-  case FaultKind::ChunkRequeued:
-    return "chunk_requeued";
-  case FaultKind::HostFallback:
-    return "host_fallback";
-  case FaultKind::KernelHang:
-    return "kernel_hang";
-  case FaultKind::StragglerDetected:
-    return "straggler_detected";
-  case FaultKind::CancelIssued:
-    return "cancel_issued";
-  case FaultKind::SpeculativeRedispatch:
-    return "speculative_redispatch";
-  case FaultKind::FrameDeadlineMissed:
-    return "frame_deadline_missed";
-  case FaultKind::AcceleratorRecycled:
-    return "accelerator_recycled";
-  }
-  return "unknown_fault";
+  static constexpr const char *Names[] = {
+#define OMM_FAULT_KIND(Name, Label) Label,
+#include "sim/FaultKinds.def"
+  };
+  assert(static_cast<unsigned>(Kind) < NumFaultKinds && "unknown fault kind");
+  return Names[static_cast<unsigned>(Kind)];
 }
 
+namespace {
+
+struct DispatchEventInfo {
+  const char *Name;
+  bool OnHost;
+};
+
+constexpr DispatchEventInfo DispatchEventTable[] = {
+#define OMM_DISPATCH_EVENT(Name, Label, OnHost) {Label, OnHost},
+#include "sim/DispatchEventKinds.def"
+};
+
+const DispatchEventInfo &info(DispatchEventKind Kind) {
+  assert(static_cast<size_t>(Kind) < std::size(DispatchEventTable) &&
+         "unknown dispatch event kind");
+  return DispatchEventTable[static_cast<size_t>(Kind)];
+}
+
+} // namespace
+
 const char *sim::dispatchEventKindName(DispatchEventKind Kind) {
-  switch (Kind) {
-  case DispatchEventKind::DoorbellWrite:
-    return "doorbell_write";
-  case DispatchEventKind::IdlePoll:
-    return "idle_poll";
-  case DispatchEventKind::DescriptorFetch:
-    return "descriptor_fetch";
-  case DispatchEventKind::MailboxDrained:
-    return "mailbox_drained";
-  case DispatchEventKind::BulkDoorbell:
-    return "bulk_doorbell";
-  case DispatchEventKind::StealProbe:
-    return "steal_probe";
-  case DispatchEventKind::StealTransfer:
-    return "steal_transfer";
-  case DispatchEventKind::DescriptorRun:
-    return "descriptor_run";
-  case DispatchEventKind::ParcelSpawn:
-    return "parcel_spawn";
-  case DispatchEventKind::ParcelDeliver:
-    return "parcel_deliver";
-  }
-  return "unknown_dispatch_event";
+  return info(Kind).Name;
+}
+
+bool sim::isHostSideDispatch(DispatchEventKind Kind) {
+  return info(Kind).OnHost;
 }
 
 void ObserverMux::add(DmaObserver *Obs) {

@@ -61,22 +61,17 @@ struct DmaTransfer {
 /// Kinds of injected or observed machine faults (FaultInjector.h) as
 /// reported to observers; the trace layer renders these as instant
 /// events so a degraded frame's recovery is visible on the timeline.
+/// One enumerator per entry of sim/FaultKinds.def, which documents each.
 enum class FaultKind : uint8_t {
-  AcceleratorDeath,       ///< A core died and is lost for good.
-  LaunchOnDeadAccelerator,///< A launch targeted an already-dead core.
-  NoAcceleratorAvailable, ///< Auto-pick found no live core.
-  DmaCommandRejected,     ///< Transient MFC rejection (engine retries).
-  DmaCompletionDelayed,   ///< A transfer's completion was pushed out.
-  ChunkRequeued,          ///< A dead worker's chunk moved to a survivor.
-  HostFallback,           ///< Work ran on the host; no core could.
-  KernelHang,             ///< A descriptor wedged; watchdog fired.
-  StragglerDetected,      ///< A descriptor missed its chunk deadline.
-  CancelIssued,           ///< A cooperative cancel request was raised.
-  SpeculativeRedispatch,  ///< A backup copy was raced vs a straggler.
-  FrameDeadlineMissed,    ///< A frame exceeded its cycle budget.
-  AcceleratorRecycled,    ///< A dead core was restarted by a supervisor
-                          ///< (tenant server) and accepts launches again.
+#define OMM_FAULT_KIND(Name, Label) Name,
+#include "sim/FaultKinds.def"
 };
+
+/// Number of FaultKind enumerators (sizes per-kind tables).
+inline constexpr unsigned NumFaultKinds = 0
+#define OMM_FAULT_KIND(Name, Label) +1
+#include "sim/FaultKinds.def"
+    ;
 
 /// \returns a stable lower-case name for \p Kind (trace/report output).
 const char *faultKindName(FaultKind Kind);
@@ -85,33 +80,19 @@ const char *faultKindName(FaultKind Kind);
 /// (Mailbox.h / ResidentWorker.h), as reported to observers. The trace
 /// layer renders the host-side kinds as instants so descriptor dispatch
 /// is visible between the launch spans it replaces, and DescriptorRun as
-/// a span on the worker's track.
+/// a span on the worker's track. One enumerator per entry of
+/// sim/DispatchEventKinds.def, which documents each.
 enum class DispatchEventKind : uint8_t {
-  DoorbellWrite,   ///< Host published a descriptor and rang the bell.
-  IdlePoll,        ///< A worker spun on an empty mailbox (Detail = cycles).
-  DescriptorFetch, ///< A worker DMA-fetched a descriptor.
-  MailboxDrained,  ///< A dead worker's pending descriptors were taken
-                   ///< back for re-queueing (Seq = how many).
-  BulkDoorbell,    ///< Host bulk-placed a whole region slice with one
-                   ///< doorbell (Seq = first descriptor, Detail = count).
-  StealProbe,      ///< An idle worker probed for a victim (Detail =
-                   ///< victim accel id, or ~0 when none qualified).
-  StealTransfer,   ///< A thief gathered a victim's backlog tail with one
-                   ///< list-form DMA (Seq = descriptors stolen, Detail =
-                   ///< victim accel id).
-  DescriptorRun,   ///< A worker ran one descriptor body: [Begin, End)
-                   ///< from Cycle to EndCycle in worker time.
-  ParcelSpawn,     ///< A worker published a continuation descriptor into
-                   ///< a peer's mailbox (Detail = recipient accel id;
-                   ///< Cycle is the *spawner's* clock after paying the
-                   ///< peer doorbell + descriptor DMA).
-  ParcelDeliver,   ///< The recipient side of a ParcelSpawn: the parcel
-                   ///< landed in AccelId's mailbox (Detail = spawner
-                   ///< accel id, Begin the parcel's begin index).
+#define OMM_DISPATCH_EVENT(Name, Label, OnHost) Name,
+#include "sim/DispatchEventKinds.def"
 };
 
 /// \returns a stable lower-case name for \p Kind (trace/report output).
 const char *dispatchEventKindName(DispatchEventKind Kind);
+
+/// \returns true if the host performs \p Kind (a doorbell or a drain),
+/// false if a worker does.
+bool isHostSideDispatch(DispatchEventKind Kind);
 
 /// One dispatch transaction as reported to observers. The mailbox kinds
 /// fill the leading six fields; DescriptorRun and the parcel kinds also

@@ -58,9 +58,3 @@ uint8_t *LocalStore::rawPtr(LocalAddr Addr, uint32_t Size) {
     reportFatalError("local store: out-of-bounds raw access");
   return Storage.data() + Addr.Value;
 }
-
-const uint8_t *LocalStore::rawPtr(LocalAddr Addr, uint32_t Size) const {
-  if (!contains(Addr, Size))
-    reportFatalError("local store: out-of-bounds raw access");
-  return Storage.data() + Addr.Value;
-}

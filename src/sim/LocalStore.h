@@ -73,7 +73,6 @@ public:
 
   /// Direct pointer into backing storage for the DMA engine's copies.
   uint8_t *rawPtr(LocalAddr Addr, uint32_t Size);
-  const uint8_t *rawPtr(LocalAddr Addr, uint32_t Size) const;
 
   /// \returns true if [Addr, Addr+Size) lies within the store.
   bool contains(LocalAddr Addr, uint32_t Size) const {

@@ -104,11 +104,6 @@ void Machine::hostReadBytes(void *Dst, GlobalAddr Src, uint64_t Size) {
   Main.read(Dst, Src, Size);
 }
 
-void Machine::hostWriteBytes(GlobalAddr Dst, const void *Src, uint64_t Size) {
-  chargeHostAccess(Size, /*IsWrite=*/true, Dst);
-  Main.write(Dst, Src, Size);
-}
-
 PerfCounters Machine::totalCounters() const {
   PerfCounters Total = HostCounters;
   for (const auto &Accel : Accels)

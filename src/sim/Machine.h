@@ -167,9 +167,8 @@ public:
     Main.writeValue(Addr, Value);
   }
 
-  /// Host bulk copy out of / into main memory.
+  /// Host bulk copy out of main memory.
   void hostReadBytes(void *Dst, GlobalAddr Src, uint64_t Size);
-  void hostWriteBytes(GlobalAddr Dst, const void *Src, uint64_t Size);
 
   /// Charges \p Cycles of computation to the host clock.
   void hostCompute(uint64_t Cycles) {

@@ -12,8 +12,10 @@
 /// stores and MFC DMA) and a traditional shared-memory machine (the
 /// "targets with traditional memory architectures" of Section 4.1).
 /// The experiments sweep the settable fields; values no experiment
-/// varies (the Cell part's local-store size, MFC limits and calibration
-/// costs) are static constexpr members, read the same way but never
+/// varies (the Cell part's local-store size, MFC limits, calibration
+/// costs, the fixed per-phase prices of a launch, a doorbell and a
+/// descriptor fetch, the watchdog's check grid and the cancel-poll
+/// quantum) are static constexpr members, read the same way but never
 /// assigned. Absolute values are calibrated to the published Cell BE
 /// figures (high-latency DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
 ///
@@ -188,17 +190,17 @@ struct MachineConfig {
   static constexpr uint64_t OffloadLaunchCycles = 1000;
 
   /// Host-side cycles consumed issuing an offload launch.
-  uint64_t HostLaunchCycles = 200;
+  static constexpr uint64_t HostLaunchCycles = 200;
 
   /// Host cycles to ring a resident worker's doorbell when dispatching
   /// one work descriptor (an uncached store plus the barrier that makes
   /// the descriptor visible) — the persistent-worker runtime's cheap
   /// alternative to paying HostLaunchCycles per chunk.
-  uint64_t MailboxDoorbellCycles = 40;
+  static constexpr uint64_t MailboxDoorbellCycles = 40;
 
   /// Accelerator cycles to fetch one work descriptor from the worker's
   /// mailbox in main memory (the atomic pop's DMA round trip).
-  uint64_t MailboxDescriptorCycles = 200;
+  static constexpr uint64_t MailboxDescriptorCycles = 200;
 
   /// Poll-loop backoff quantum: a resident worker waiting on an empty
   /// mailbox re-checks its doorbell every this many cycles, so wake-ups
@@ -210,8 +212,9 @@ struct MachineConfig {
 
   /// Period of the watchdog's deadline sweep: an overdue descriptor is
   /// detected at the next absolute multiple of this, not at the
-  /// deadline itself (the watchdog is a polling device).
-  uint64_t WatchdogCheckCycles = 200;
+  /// deadline itself (the watchdog is a polling device). Never zero, so
+  /// ChunkDeadlineCycles alone arms or disarms the watchdog.
+  static constexpr uint64_t WatchdogCheckCycles = 200;
 
   /// Deadline, in cycles from descriptor pop, for one mailbox work
   /// descriptor. 0 disarms chunk deadlines.
@@ -219,7 +222,7 @@ struct MachineConfig {
 
   /// Workers observe a cancel request only at chunk boundaries; the
   /// observation is quantized to absolute multiples of this.
-  uint64_t CancelPollCycles = 64;
+  static constexpr uint64_t CancelPollCycles = 64;
 
   /// Recovery policy for deadline misses (watchdog must be armed).
   DeadlinePolicy DeadlineRecovery = DeadlinePolicy::None;

@@ -113,9 +113,3 @@ uint8_t *MainMemory::rawPtr(GlobalAddr Addr, uint64_t Size) {
     reportFatalError("main memory: out-of-bounds raw access");
   return Storage.get() + Addr.Value;
 }
-
-const uint8_t *MainMemory::rawPtr(GlobalAddr Addr, uint64_t Size) const {
-  if (!contains(Addr, Size))
-    reportFatalError("main memory: out-of-bounds raw access");
-  return Storage.get() + Addr.Value;
-}

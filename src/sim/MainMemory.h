@@ -82,7 +82,6 @@ public:
   /// Direct pointer into backing storage, for the DMA engine's copies.
   /// Bounds-checked; the pointer is valid for \p Size bytes.
   uint8_t *rawPtr(GlobalAddr Addr, uint64_t Size);
-  const uint8_t *rawPtr(GlobalAddr Addr, uint64_t Size) const;
 
   /// \returns true if [Addr, Addr+Size) lies within the memory.
   bool contains(GlobalAddr Addr, uint64_t Size) const {

@@ -8,12 +8,12 @@
 /// \file
 /// The resident runtime's watchdog for timing faults: a polling device
 /// that sweeps outstanding mailbox descriptors every WatchdogCheckCycles
-/// and flags any past its chunk deadline. Launches need no deadline —
-/// they are fail-stop (Offload.h) and never hang or straggle. The sweep
-/// quantization matters for determinism — a miss is detected at the
-/// next absolute multiple of the check period, never at the deadline
-/// itself, so detection cycles are exact functions of the config rather
-/// than of who happened to poll first.
+/// (a fixed Cell constant) and flags any past its chunk deadline.
+/// Launches need no deadline — they are fail-stop (Offload.h) and never
+/// hang or straggle. The sweep quantization matters for determinism — a
+/// miss is detected at the next absolute multiple of the check period,
+/// never at the deadline itself, so detection cycles are exact functions
+/// of the config rather than of who happened to poll first.
 ///
 /// The watchdog cannot tell an injected straggler from genuinely slow
 /// work: when armed, the deadline applies to every descriptor.
@@ -36,14 +36,12 @@ namespace omm::sim {
 class WatchdogTimer {
 public:
   explicit WatchdogTimer(const MachineConfig &Config)
-      : CheckCycles(Config.WatchdogCheckCycles),
-        ChunkDeadline(Config.ChunkDeadlineCycles) {}
+      : ChunkDeadline(Config.ChunkDeadlineCycles) {}
 
   /// \returns true if mailbox descriptors carry a deadline.
-  bool armsChunks() const { return CheckCycles != 0 && ChunkDeadline != 0; }
+  bool armsChunks() const { return ChunkDeadline != 0; }
 
   uint64_t chunkDeadline() const { return ChunkDeadline; }
-  uint64_t checkCycles() const { return CheckCycles; }
 
   /// Re-arms (or disarms, with 0) the per-descriptor deadline. The
   /// tenant server uses this to give each tenant its own deadline while
@@ -54,12 +52,11 @@ public:
   /// \returns the cycle at which the watchdog's sweep first observes a
   /// deadline expiring at \p Cycle: the next absolute multiple of the
   /// check period at or after it.
-  uint64_t detectionCycle(uint64_t Cycle) const {
-    return roundUpToMultiple(Cycle, CheckCycles);
+  static uint64_t detectionCycle(uint64_t Cycle) {
+    return roundUpToMultiple(Cycle, MachineConfig::WatchdogCheckCycles);
   }
 
 private:
-  uint64_t CheckCycles;
   uint64_t ChunkDeadline;
 };
 

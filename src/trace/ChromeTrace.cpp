@@ -174,10 +174,7 @@ void emitMailbox(EventSink &Sink, const TraceRecorder &Rec) {
     // the parcel kinds carry the acting worker in AccelId, so a spawn
     // appears on the spawner's track and the delivery on the
     // recipient's.
-    bool HostSide = E.Kind == DispatchEventKind::DoorbellWrite ||
-                    E.Kind == DispatchEventKind::BulkDoorbell ||
-                    E.Kind == DispatchEventKind::MailboxDrained;
-    int Tid = HostSide ? HostTid : accelTid(E.AccelId);
+    int Tid = isHostSideDispatch(E.Kind) ? HostTid : accelTid(E.AccelId);
     std::string S = commonFields(dispatchEventKindName(E.Kind), "mailbox",
                                  'i', Tid, E.Cycle);
     S += ",\"s\":\"t\",\"args\":{\"accel\":" + std::to_string(E.AccelId);

@@ -201,14 +201,12 @@ void trace::printTimelineReport(OStream &OS, const TraceRecorder &Rec) {
 
   if (!Rec.faults().empty()) {
     // Count per kind, printed in FaultKind order so the line is stable.
-    constexpr unsigned NumKinds =
-        static_cast<unsigned>(FaultKind::AcceleratorRecycled) + 1;
-    uint64_t Counts[NumKinds] = {};
+    uint64_t Counts[NumFaultKinds] = {};
     for (const FaultEvent &F : Rec.faults())
       ++Counts[static_cast<unsigned>(F.Kind)];
     OS << "faults seen: " << Rec.faults().size() << " (";
     bool First = true;
-    for (unsigned K = 0; K != NumKinds; ++K) {
+    for (unsigned K = 0; K != NumFaultKinds; ++K) {
       if (Counts[K] == 0)
         continue;
       if (!First)

@@ -7,7 +7,7 @@
 //
 // The deadline-aware watchdog runtime's contract, asserted:
 //   - WatchdogTimer quantizes detection to the check-interval grid and
-//     arms only when both the interval and a deadline are nonzero;
+//     arms only when a chunk deadline is nonzero;
 //   - a wedged resident worker (injected kernel hang) is detected at
 //     the sweep after its chunk deadline, cancelled, buried, and its
 //     work re-dispatched — results bit-identical to fault-free;
@@ -38,8 +38,8 @@ using namespace omm::offload;
 using namespace omm::sim;
 
 TEST(WatchdogTimer, DetectionSnapsToTheCheckGrid) {
+  static_assert(MachineConfig::WatchdogCheckCycles == 200);
   MachineConfig Cfg;
-  Cfg.WatchdogCheckCycles = 200;
   Cfg.ChunkDeadlineCycles = 1000;
   WatchdogTimer WD(Cfg);
   EXPECT_TRUE(WD.armsChunks());
@@ -47,12 +47,6 @@ TEST(WatchdogTimer, DetectionSnapsToTheCheckGrid) {
   EXPECT_EQ(WD.detectionCycle(200), 200u);
   EXPECT_EQ(WD.detectionCycle(201), 400u);
   EXPECT_EQ(WD.detectionCycle(399), 400u);
-
-  Cfg.WatchdogCheckCycles = 0;
-  WatchdogTimer Unarmed(Cfg);
-  EXPECT_FALSE(Unarmed.armsChunks());
-  // No check interval: detection degenerates to the deadline itself.
-  EXPECT_EQ(Unarmed.detectionCycle(123), 123u);
 }
 
 namespace {
@@ -63,9 +57,7 @@ namespace {
 MachineConfig armedConfig(DeadlinePolicy Policy) {
   MachineConfig Cfg;
   Cfg.NumAccelerators = 2;
-  Cfg.WatchdogCheckCycles = 100;
   Cfg.ChunkDeadlineCycles = 2000;
-  Cfg.CancelPollCycles = 16;
   Cfg.DeadlineRecovery = Policy;
   Cfg.Faults.Enabled = true;
   return Cfg;

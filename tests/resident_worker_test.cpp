@@ -37,17 +37,45 @@ using namespace omm::offload;
 using namespace omm::sim;
 
 TEST(ResidentWorker, ClockTiesRoundRobinAcrossWorkers) {
-  // Zero out every per-descriptor cost so all worker clocks stay tied
-  // forever; only the (executed, accel id) tie-break spreads the work.
-  MachineConfig Cfg;
-  Cfg.HostLaunchCycles = 0;
-  Cfg.MailboxDoorbellCycles = 0;
-  Cfg.MailboxDescriptorCycles = 0;
-  Machine M(Cfg);
+  // Every descriptor fetch costs the same MailboxDescriptorCycles, so
+  // worker clocks tie whenever workers have run equal work from a
+  // common start. A tie goes to the worker that has executed fewer
+  // descriptors, then to the lower accelerator id.
+  auto Body = [](OffloadContext &, uint32_t, uint32_t) {};
+  {
+    Machine M;
+    ResidentWorkerPool Pool(M, 2);
+    ASSERT_EQ(Pool.liveCount(), 2u);
+    auto TieClocks = [&] {
+      uint64_t T = std::max(M.accel(0).Clock.now(), M.accel(1).Clock.now());
+      M.accel(0).Clock.mergeTo(T);
+      M.accel(1).Clock.mergeTo(T);
+    };
+    auto RunOne = [&](unsigned W, uint32_t I) {
+      Pool.dispatch(W, {I, I + 1, I, WorkDescriptor::NoHome});
+      EXPECT_TRUE(Pool.executeNext(W, Body));
+    };
+    TieClocks();
+    unsigned First = Pool.pickWorker();
+    EXPECT_EQ(Pool.accelId(First), 0u); // Equal counts: the lower id.
+    RunOne(First, 0);
+    TieClocks();
+    unsigned Second = Pool.pickWorker();
+    EXPECT_EQ(Pool.accelId(Second), 1u); // Fewer executed beats lower id.
+    RunOne(Second, 1);
+    TieClocks();
+    EXPECT_EQ(Pool.accelId(Pool.pickWorker()), 0u);
+  }
+  // A whole region from tied start clocks (every worker far past the
+  // staggered host launches) with bodies that charge nothing: the
+  // clocks stay tied and the work spreads evenly instead of piling onto
+  // the first worker.
+  Machine M;
+  for (unsigned A = 0; A != M.numAccelerators(); ++A)
+    M.accel(A).Clock.mergeTo(100000);
   const uint32_t PerWorker = 10;
   const uint32_t Count = PerWorker * M.numAccelerators();
-  auto Stats = distributeJobs(
-      M, Count, {.ChunkSize = 1}, [](OffloadContext &, uint32_t, uint32_t) {});
+  auto Stats = distributeJobs(M, Count, {.ChunkSize = 1}, Body);
   ASSERT_EQ(Stats.WorkerChunks.size(), M.numAccelerators());
   for (unsigned W = 0; W != M.numAccelerators(); ++W)
     EXPECT_EQ(Stats.WorkerChunks[W], PerWorker) << "worker " << W;

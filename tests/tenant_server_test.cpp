@@ -47,7 +47,6 @@ MachineConfig faultReadyConfig() {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.Faults.Enabled = true;
   Cfg.Faults.Seed = 42;
-  Cfg.CancelPollCycles = 32;
   return Cfg;
 }
 

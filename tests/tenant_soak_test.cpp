@@ -50,7 +50,6 @@ MachineConfig soakConfig(uint64_t Seed) {
   Cfg.MainMemorySize = 8ull << 20;
   Cfg.NumAccelerators = 1 + static_cast<unsigned>(Rng.nextBelow(6));
   Cfg.ChunkDeadlineCycles = TenantDeadline;
-  Cfg.CancelPollCycles = 32;
   constexpr DeadlinePolicy Policies[] = {DeadlinePolicy::None,
                                          DeadlinePolicy::CancelRestart,
                                          DeadlinePolicy::Speculate};

@@ -15,6 +15,10 @@
 //      the recorder's data.
 //   4. The recorder coexists with the DMA race checker through the
 //      ObserverMux — both see every event.
+//   5. The resident runtime's descriptors, mailbox transactions, steals,
+//      parcels and faults reach both exporters, under their table names.
+//   6. The JSON helpers escape what JSON requires and never emit a
+//      non-finite number.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +27,20 @@
 #include "trace/TraceRecorder.h"
 
 #include "dmacheck/DmaRaceChecker.h"
+#include "offload/JobQueue.h"
 #include "offload/Offload.h"
+#include "offload/Parcel.h"
+#include "sim/FaultInjector.h"
 #include "support/OStream.h"
+#include "trace/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -469,4 +480,215 @@ TEST(Trace, CoexistsWithRaceChecker) {
   A.Dma.waitAll();
   EXPECT_EQ(Checker.raceCount(), 1u);
   M.removeObserver(&Checker);
+}
+
+//===----------------------------------------------------------------------===//
+// 5. Resident dispatch, steals, parcels and faults reach the exporters.
+//===----------------------------------------------------------------------===//
+
+TEST(Trace, EveryEventKindHasADistinctName) {
+  const FaultKind Faults[] = {
+#define OMM_FAULT_KIND(Name, Label) FaultKind::Name,
+#include "sim/FaultKinds.def"
+  };
+  const DispatchEventKind Dispatches[] = {
+#define OMM_DISPATCH_EVENT(Name, Label, OnHost) DispatchEventKind::Name,
+#include "sim/DispatchEventKinds.def"
+  };
+  ASSERT_EQ(std::size(Faults), NumFaultKinds);
+  std::set<std::string> Names;
+  auto Check = [&](const char *Name) {
+    ASSERT_NE(Name, nullptr);
+    std::string Str(Name);
+    EXPECT_FALSE(Str.empty());
+    EXPECT_EQ(Str.find_first_not_of("abcdefghijklmnopqrstuvwxyz_"),
+              std::string::npos)
+        << Str;
+    EXPECT_TRUE(Names.insert(Str).second) << "duplicate name " << Str;
+  };
+  for (unsigned K = 0; K != std::size(Faults); ++K) {
+    EXPECT_EQ(static_cast<unsigned>(Faults[K]), K);
+    Check(faultKindName(Faults[K]));
+  }
+  std::set<std::string> HostSide;
+  for (unsigned K = 0; K != std::size(Dispatches); ++K) {
+    EXPECT_EQ(static_cast<unsigned>(Dispatches[K]), K);
+    Check(dispatchEventKindName(Dispatches[K]));
+    if (isHostSideDispatch(Dispatches[K]))
+      HostSide.insert(dispatchEventKindName(Dispatches[K]));
+  }
+  EXPECT_EQ(HostSide, (std::set<std::string>{"doorbell_write", "bulk_doorbell",
+                                             "mailbox_drained"}));
+}
+
+namespace {
+
+/// Reads what a writer put into \p File from its start.
+std::string readBack(std::FILE *File) {
+  std::rewind(File);
+  std::string Text;
+  char Buf[4096];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), File))
+    Text.append(Buf, N);
+  return Text;
+}
+
+/// Sums the cells of the timeline report's steal matrix; \returns -1
+/// when the report has no matrix.
+int64_t stealMatrixSum(const std::string &Report) {
+  size_t At = Report.find("steal matrix");
+  if (At == std::string::npos)
+    return -1;
+  std::istringstream Lines(Report.substr(At));
+  std::string Line;
+  std::getline(Lines, Line); // Title.
+  std::getline(Lines, Line); // Victim column headers.
+  int64_t Sum = 0;
+  while (std::getline(Lines, Line) && Line.rfind("  thief ", 0) == 0) {
+    std::istringstream Cells(Line.substr(8));
+    std::string Cell;
+    Cells >> Cell; // The thief's id.
+    while (Cells >> Cell)
+      if (Cell != ".")
+        Sum += std::stoll(Cell);
+  }
+  return Sum;
+}
+
+} // namespace
+
+TEST(Trace, ExportsStealsParcelsAndFaults) {
+  // One recording of three resident regions: a kill refuses core 5's
+  // launch, a skewed stealing job queue runs on the other five workers,
+  // then a two-stage dataflow chains parcels worker to worker.
+  MachineConfig Cfg;
+  Cfg.WorkStealing = StealPolicy::LocalityAware;
+  Cfg.Faults.Enabled = true;
+  Machine M(Cfg);
+  M.faults()->scheduleKill(5, 0);
+  trace::TraceRecorder Recorder(M);
+  PerfCounters Before = M.totalCounters();
+  distributeJobs(M, 256, {.ChunkSize = 8},
+                 [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+                   for (uint32_t I = Begin; I != End; ++I)
+                     Ctx.compute(I < 64 ? 900 : 60);
+                 });
+  DataflowOptions Opts;
+  Opts.ChunkSize = 16;
+  Opts.NumStages = 2;
+  runDataflow(M, 128, Opts, [](auto &Ctx, const WorkDescriptor &Desc) {
+    Ctx.compute((Desc.End - Desc.Begin) * 40);
+  });
+  PerfCounters C = M.countersSince(Before);
+  ASSERT_GT(C.DescriptorsStolen, 0u);
+  ASSERT_GT(C.ParcelsSpawned, 0u);
+  ASSERT_FALSE(M.accel(5).Alive);
+
+  // The Chrome trace: one descriptor span per recorded descriptor, the
+  // mailbox instants under their table names and on the right track,
+  // and the kill on the dead core's track.
+  std::FILE *Json = std::tmpfile();
+  ASSERT_NE(Json, nullptr);
+  {
+    OStream OS(Json);
+    trace::writeChromeTrace(OS, Recorder);
+  }
+  JsonParser Parser(readBack(Json));
+  std::fclose(Json);
+  JsonValue Root = Parser.parse();
+  ASSERT_TRUE(Parser.ok()) << "trace output is not valid JSON";
+  const JsonValue *Events = Root.field("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  size_t DescriptorEvents = 0;
+  std::map<std::string, size_t> Mailbox, Faults;
+  for (const JsonValue &E : Events->Items) {
+    std::string Cat = E.strField("cat");
+    std::string Name = E.strField("name");
+    if (Cat == "descriptor") {
+      EXPECT_EQ(E.strField("ph"), "X");
+      EXPECT_EQ(Name.rfind("desc #", 0), 0u) << Name;
+      ++DescriptorEvents;
+    } else if (Cat == "mailbox") {
+      ++Mailbox[Name];
+      bool OnHost = Name == "doorbell_write" || Name == "bulk_doorbell" ||
+                    Name == "mailbox_drained";
+      const JsonValue *Args = E.field("args");
+      ASSERT_NE(Args, nullptr);
+      EXPECT_EQ(E.numField("tid"), OnHost ? 0 : Args->numField("accel") + 1)
+          << Name;
+    } else if (Cat == "fault") {
+      ++Faults[Name];
+      if (Name == "accelerator_death") {
+        EXPECT_EQ(E.numField("tid"), 6);
+      }
+    }
+  }
+  EXPECT_EQ(DescriptorEvents, Recorder.descriptors().size());
+  EXPECT_GT(DescriptorEvents, 0u);
+  size_t MailboxEvents = 0;
+  for (const auto &[Name, N] : Mailbox)
+    MailboxEvents += N;
+  EXPECT_EQ(MailboxEvents, Recorder.mailboxEvents().size());
+  for (const char *Name : {"bulk_doorbell", "descriptor_fetch", "steal_probe",
+                           "steal_transfer", "parcel_spawn", "parcel_deliver"})
+    EXPECT_GT(Mailbox[Name], 0u) << Name;
+  EXPECT_EQ(Mailbox["parcel_spawn"], C.ParcelsSpawned);
+  EXPECT_EQ(Mailbox["parcel_deliver"], C.ParcelsSpawned);
+  EXPECT_EQ(Faults["accelerator_death"], 1u);
+  EXPECT_EQ(Faults["launch_on_dead_accelerator"], 1u); // The dataflow pool.
+  size_t FaultEvents = 0;
+  for (const auto &[Name, N] : Faults)
+    FaultEvents += N;
+  EXPECT_EQ(FaultEvents, Recorder.faults().size());
+
+  // The timeline report: the dispatch summary, a steal matrix whose
+  // cells account for every stolen descriptor, and the fault line.
+  std::FILE *Tmp = std::tmpfile();
+  ASSERT_NE(Tmp, nullptr);
+  {
+    OStream OS(Tmp);
+    trace::printTimelineReport(OS, Recorder);
+  }
+  std::string Report = readBack(Tmp);
+  std::fclose(Tmp);
+  EXPECT_NE(Report.find("descriptors executed: " +
+                        std::to_string(Recorder.descriptors().size())),
+            std::string::npos)
+      << Report;
+  EXPECT_NE(Report.find("parcels " + std::to_string(C.ParcelsSpawned) + ")"),
+            std::string::npos)
+      << Report;
+  EXPECT_EQ(stealMatrixSum(Report), static_cast<int64_t>(C.DescriptorsStolen))
+      << Report;
+  EXPECT_NE(Report.find("faults seen: " +
+                        std::to_string(Recorder.faults().size()) +
+                        " (accelerator_death x1, launch_on_dead_accelerator x1)"),
+            std::string::npos)
+      << Report;
+}
+
+//===----------------------------------------------------------------------===//
+// 6. The JSON helpers.
+//===----------------------------------------------------------------------===//
+
+TEST(Trace, JsonEscapesQuotesBackslashesAndControlCharacters) {
+  std::string Out;
+  trace::appendJsonEscaped(Out, std::string_view("q\"b\\n\nr\rt\tc\x01\x1f", 13));
+  EXPECT_EQ(Out, "q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001f");
+  // Printable ASCII and UTF-8 bytes pass through unchanged.
+  Out.clear();
+  trace::appendJsonEscaped(Out, "ok /~ \xc3\xa9");
+  EXPECT_EQ(Out, "ok /~ \xc3\xa9");
+  EXPECT_EQ(trace::jsonQuote("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(trace::jsonQuote(""), "\"\"");
+}
+
+TEST(Trace, JsonNumberWritesNonFiniteValuesAsZero) {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(trace::jsonNumber(Inf), "0");
+  EXPECT_EQ(trace::jsonNumber(-Inf), "0");
+  EXPECT_EQ(trace::jsonNumber(std::numeric_limits<double>::quiet_NaN()), "0");
+  EXPECT_EQ(trace::jsonNumber(42), "42");
+  EXPECT_EQ(trace::jsonNumber(-1.5), "-1.5");
+  EXPECT_EQ(trace::jsonNumber(0.1), "0.10000000000000001");
 }

@@ -42,7 +42,7 @@ namespace {
 struct Harness {
   explicit Harness(unsigned NumMethods)
       : M(MachineConfig::cellLike()), Dom(nullptr) {
-    Class = Registry.createClass("Probe", NumMethods);
+    Class = Registry.createClass(NumMethods);
     Methods.reserve(NumMethods);
     for (unsigned I = 0; I != NumMethods; ++I) {
       MethodId Method =

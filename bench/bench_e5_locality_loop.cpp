@@ -77,7 +77,7 @@ enum class Variant { Naive, Cache, Accessor, AccessorCache, Batched };
 struct Harness {
   Harness(uint32_t Count, uint64_t ComputeCost)
       : M(MachineConfig::cellLike()), Count(Count) {
-    Class = Registry.createClass("GameObject", 1);
+    Class = Registry.createClass(1);
     Move = Registry.createMethod("GameObject::move");
     Registry.setSlot(Class, 0, Move);
     Registry.materialize(M);

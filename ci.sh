@@ -33,10 +33,13 @@
 #                    floor (E16)
 #   4. dead api    — tools/dead_api builds every binary, omm_bench
 #                    included, at -O0 -fno-inline with --gc-sections
-#                    into build-dead-api/ and fails on any src/ library
-#                    function that no experiment, example or benchmark
-#                    keeps unless tools/dead_api.allowlist gives it a
-#                    reason (about 75 s cold on 4 cores)
+#                    into build-dead-api/ and fails on any out-of-line
+#                    (T-symbol) src/ library function that no
+#                    experiment, example or benchmark keeps unless
+#                    tools/dead_api.allowlist gives it a reason; it does
+#                    not see header-only inline functions or templates
+#                    (about 80 s cold on 4 cores, a few seconds when
+#                    nothing changed)
 #   5. benchmark   — benchmark/run.py --quick, untraced and then with
 #                    --trace 1: every BENCHMARK.json workload at 1/20 of
 #                    its frames through omm_bench (built into
@@ -139,7 +142,7 @@ python3 tools/bench_summary.py "$BASELINES/e16_domains.json" \
     --require domain_win_vs_oblivious '>=' 1.1
 stage_done "bench gates"
 
-echo "=== dead api: every library function is kept by a binary or allowlisted ==="
+echo "=== dead api: every out-of-line library function is kept by a binary or allowlisted ==="
 python3 tools/dead_api --jobs "$JOBS"
 stage_done "dead api"
 

@@ -15,11 +15,9 @@ using namespace omm;
 using namespace omm::domains;
 using namespace omm::sim;
 
-ClassId ClassRegistry::createClass(std::string Name, unsigned NumSlots,
-                                   int Parent) {
+ClassId ClassRegistry::createClass(unsigned NumSlots, int Parent) {
   assert(!Materialized && "class hierarchy is frozen after materialize()");
   ClassInfo Info;
-  Info.Name = std::move(Name);
   Info.Slots.assign(NumSlots, NoMethod);
   if (Parent >= 0) {
     assert(static_cast<unsigned>(Parent) < Classes.size() &&

@@ -67,8 +67,7 @@ public:
 
   /// Registers a class with \p NumSlots virtual slots. If \p Parent is
   /// non-negative, the new class inherits (copies) the parent's slots.
-  ClassId createClass(std::string Name, unsigned NumSlots,
-                      int Parent = -1);
+  ClassId createClass(unsigned NumSlots, int Parent = -1);
 
   /// Registers a method implementation name; \returns its id.
   MethodId createMethod(std::string Name);
@@ -129,7 +128,6 @@ public:
 
 private:
   struct ClassInfo {
-    std::string Name;
     std::vector<MethodId> Slots;
     sim::GlobalAddr Vtable;
   };

@@ -105,7 +105,7 @@ ComponentSystem::~ComponentSystem() {
 void ComponentSystem::buildRegistry() {
   for (unsigned K = 0; K != NumKinds; ++K) {
     const KindSpec &Spec = kinds()[K];
-    KindClass[K] = Registry.createClass(Spec.Name, Spec.NumMethods);
+    KindClass[K] = Registry.createClass(Spec.NumMethods);
     KindMethods[K].resize(Spec.NumMethods);
     for (unsigned Slot = 0; Slot != Spec.NumMethods; ++Slot) {
       std::string Name = std::string(Spec.Name) +
@@ -148,7 +148,7 @@ void ComponentSystem::buildRegistry() {
     }
   }
 
-  ServicesClass = Registry.createClass("GameServices", NumServiceMethods);
+  ServicesClass = Registry.createClass(NumServiceMethods);
   for (unsigned S = 0; S != NumServiceMethods; ++S) {
     MethodId Method =
         Registry.createMethod("GameServices::svc" + std::to_string(S));

@@ -21,17 +21,17 @@ namespace {
 class DomainTest : public ::testing::Test {
 protected:
   DomainTest() {
-    BaseClass = Registry.createClass("Base", 2);
+    BaseClass = Registry.createClass(2);
     MoveBase = Registry.createMethod("Base::move");
     Registry.setSlot(BaseClass, 0, MoveBase);
 
-    SoldierClass = Registry.createClass("Soldier", 2, BaseClass);
+    SoldierClass = Registry.createClass(2, BaseClass);
     MoveSoldier = Registry.createMethod("Soldier::move");
     ShootSoldier = Registry.createMethod("Soldier::shoot");
     Registry.setSlot(SoldierClass, 0, MoveSoldier);
     Registry.setSlot(SoldierClass, 1, ShootSoldier);
 
-    VehicleClass = Registry.createClass("Vehicle", 2, BaseClass);
+    VehicleClass = Registry.createClass(2, BaseClass);
     MoveVehicle = Registry.createMethod("Vehicle::move");
     Registry.setSlot(VehicleClass, 0, MoveVehicle);
 

@@ -8,8 +8,6 @@
 #include "game/Animation.h"
 
 #include "game/Math.h"
-#include "offload/DoubleBuffer.h"
-#include "offload/Ptr.h"
 
 using namespace omm;
 using namespace omm::game;
@@ -53,11 +51,6 @@ void AnimationSystem::blendPose(Pose &Current, const Pose &Key, float Rate) {
 }
 
 void AnimationSystem::blendPassHost(uint32_t Frame,
-                                    const AnimationParams &Params) {
-  blendPassHost(Frame, Params, 0, Count);
-}
-
-void AnimationSystem::blendPassHost(uint32_t Frame,
                                     const AnimationParams &Params,
                                     uint32_t Begin, uint32_t End) {
   for (uint32_t I = Begin; I != End; ++I) {
@@ -67,23 +60,6 @@ void AnimationSystem::blendPassHost(uint32_t Frame,
     M.hostCompute(Params.CyclesPerJoint * Pose::NumJoints);
     M.hostWrite(Addr, Current);
   }
-}
-
-void AnimationSystem::blendPassOffload(offload::OffloadContext &Ctx,
-                                       uint32_t Frame,
-                                       const AnimationParams &Params,
-                                       uint32_t ChunkElems) {
-  offload::transformDoubleBuffered<Pose>(
-      Ctx, offload::OuterPtr<Pose>(Base), Count, ChunkElems,
-      [&](offload::ChunkView<Pose> &Chunk) {
-        for (uint32_t I = 0, E = Chunk.size(); I != E; ++I) {
-          uint32_t Id = Chunk.firstIndex() + I;
-          Chunk.update(I, [&](Pose &Current) {
-            blendPose(Current, keyPose(Id, Frame), Params.BlendRate);
-          });
-          Ctx.compute(Params.CyclesPerJoint * Pose::NumJoints);
-        }
-      });
 }
 
 uint64_t AnimationSystem::checksum() const {

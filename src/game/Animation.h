@@ -10,15 +10,13 @@
 /// from animation, AI, collision detection, physics, and rendering",
 /// Section 4): each entity owns a fixed-size pose (8 joints x 4 floats)
 /// in its own main-memory array, blended toward a procedurally derived
-/// key pose every frame. Perfectly sequential and uniform — the ideal
-/// client for the StreamBuffer cache and double-buffered transfers.
+/// key pose every frame. GameWorld blends it on the host.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMM_GAME_ANIMATION_H
 #define OMM_GAME_ANIMATION_H
 
-#include "offload/OffloadContext.h"
 #include "sim/Machine.h"
 
 #include <cstdint>
@@ -58,19 +56,11 @@ public:
   /// Pure blend of \p Current toward \p Key.
   static void blendPose(Pose &Current, const Pose &Key, float Rate);
 
-  /// Host pass over all poses.
-  void blendPassHost(uint32_t Frame, const AnimationParams &Params);
-
-  /// Host pass over poses [\p Begin, \p End) only — the graceful-
-  /// degradation path blends a prefix and lets the tail hold its last
-  /// pose for a frame (GameWorld's frame-budget shedding).
+  /// Host pass over poses [\p Begin, \p End). The graceful-degradation
+  /// path blends only a prefix and lets the tail hold its last pose for
+  /// a frame (GameWorld's frame-budget shedding).
   void blendPassHost(uint32_t Frame, const AnimationParams &Params,
                      uint32_t Begin, uint32_t End);
-
-  /// Offloaded pass: double-buffered stream over the pose array.
-  void blendPassOffload(offload::OffloadContext &Ctx, uint32_t Frame,
-                        const AnimationParams &Params,
-                        uint32_t ChunkElems = 32);
 
   /// Bit-exact checksum over all poses (uncosted; verification only).
   uint64_t checksum() const;

@@ -33,7 +33,6 @@ const char *offload::toString(OffloadStatus Status) {
 
 offload::OffloadStatus offload::detail::openBlock(Machine &M,
                                                   unsigned AccelId,
-                                                  uint64_t NotBefore,
                                                   BlockSpan &Span) {
   const MachineConfig &Cfg = M.config();
   M.hostClock().advance(Cfg.HostLaunchCycles);
@@ -55,8 +54,7 @@ offload::OffloadStatus offload::detail::openBlock(Machine &M,
     return OffloadStatus::AcceleratorDead;
   }
 
-  uint64_t Start =
-      std::max({Accel.FreeAt, NotBefore, Now}) + Cfg.OffloadLaunchCycles;
+  uint64_t Start = std::max(Accel.FreeAt, Now) + Cfg.OffloadLaunchCycles;
   FaultInjector *FI = M.faults();
   if (FI && FI->launchFails(AccelId)) {
     // The core accepts the launch, burns some cycles, and dies before

@@ -37,10 +37,10 @@
 /// Launches are fail-stop: a core runs the block or is lost before the
 /// body starts. Timing faults (hangs, stragglers) are never drawn here;
 /// they exist only at resident descriptor pops (ResidentWorker.h). Every
-/// accelerator block — offloadBlock, a resident worker's lifetime, a
-/// TaskSchedule task — goes through the one detail::openBlock /
-/// detail::closeBlock pair, so launch cost, fault gate and the observer
-/// span each have exactly one site.
+/// accelerator block — offloadBlock or a resident worker's lifetime —
+/// goes through the one detail::openBlock / detail::closeBlock pair, so
+/// launch cost, fault gate and the observer span each have exactly one
+/// site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,19 +93,17 @@ struct BlockSpan {
   sim::LocalStore::Mark Mark;
 };
 
-/// The one launch protocol, shared by offloadBlock, the resident
-/// workers and TaskSchedule. Charges the host HostLaunchCycles, takes
-/// the block id and applies the fail-stop gate: AccelId ==
-/// NoAccelerator yields NoAcceleratorAvailable, a dead core
-/// AcceleratorDead, and an attached fault injector's death verdict
-/// burns the core's wasted cycles and kills it (AcceleratorDead). Every
-/// failure bumps LaunchFaults and emits its fault event; the body must
-/// not run. On Ok the core's clock moves to max(FreeAt, \p NotBefore,
-/// host now) + OffloadLaunchCycles, the local store is marked and the
-/// observers see onBlockBegin. \p Span's AccelId and BlockId are
-/// filled in either way; its Mark only on Ok.
-OffloadStatus openBlock(sim::Machine &M, unsigned AccelId,
-                        uint64_t NotBefore, BlockSpan &Span);
+/// The one launch protocol, shared by offloadBlock and the resident
+/// workers. Charges the host HostLaunchCycles, takes the block id and
+/// applies the fail-stop gate: AccelId == NoAccelerator yields
+/// NoAcceleratorAvailable, a dead core AcceleratorDead, and an attached
+/// fault injector's death verdict burns the core's wasted cycles and
+/// kills it (AcceleratorDead). Every failure bumps LaunchFaults and
+/// emits its fault event; the body must not run. On Ok the core's clock
+/// moves to max(FreeAt, host now) + OffloadLaunchCycles, the local store
+/// is marked and the observers see onBlockBegin. \p Span's AccelId and
+/// BlockId are filled in either way; its Mark only on Ok.
+OffloadStatus openBlock(sim::Machine &M, unsigned AccelId, BlockSpan &Span);
 
 /// Ends a block openBlock opened: onBlockEnd fires before the DMA drain
 /// (so the race checker can report missing waits), then the queue
@@ -229,8 +227,7 @@ OffloadHandle offloadBlock(sim::Machine &M, unsigned AccelId, BodyFn &&Body) {
   // the failed handle stalls the host until the runtime watchdog
   // reports the fault.
   detail::BlockSpan Span;
-  if (OffloadStatus Fault =
-          detail::openBlock(M, AccelId, /*NotBefore=*/0, Span);
+  if (OffloadStatus Fault = detail::openBlock(M, AccelId, Span);
       Fault != OffloadStatus::Ok)
     return OffloadHandle(AccelId, Span.BlockId,
                          M.hostClock().now() +

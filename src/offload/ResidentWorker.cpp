@@ -36,8 +36,7 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
   FrameEnd = FrameStart;
   for (unsigned A = 0; A != Budget; ++A) {
     Worker Wk;
-    if (detail::openBlock(M, A, /*NotBefore=*/0, Wk.Span) !=
-        OffloadStatus::Ok) {
+    if (detail::openBlock(M, A, Wk.Span) != OffloadStatus::Ok) {
       // openBlock already billed the fault; the pool just opens one
       // worker short. A core killed during launch still burned cycles
       // that bound the makespan.

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The cache favouring streaming *output* behaviour: consecutive small
-/// writes (updated entities, animation poses, render commands) are
+/// writes (updated entities, streamed output records) are
 /// combined in a local buffer and written back as one large DMA put.
 /// Without it, each small outer store costs a full read-modify-write of
 /// the enclosing aligned region (see OffloadContext::directOuterWrite) —

@@ -53,11 +53,9 @@ constexpr uint64_t divideCeil(uint64_t Numerator, uint64_t Denominator) {
 }
 
 /// \returns \p Value rounded up to the next multiple of \p Quantum, for
-/// any quantum (alignTo needs a power of two); a \p Quantum of 0
-/// returns \p Value unchanged.
+/// any non-zero quantum (alignTo needs a power of two).
 constexpr uint64_t roundUpToMultiple(uint64_t Value, uint64_t Quantum) {
-  if (Quantum == 0)
-    return Value;
+  assert(Quantum != 0 && "quantum of zero");
   uint64_t Rem = Value % Quantum;
   return Rem == 0 ? Value : Value + (Quantum - Rem);
 }

@@ -14,6 +14,8 @@
 //   - an injected straggler finishes late under DeadlinePolicy::None,
 //     earlier under CancelRestart and Speculate, with identical results
 //     under every policy;
+//   - with no other worker to copy onto, CancelRestart escalates a
+//     missed chunk to the host and trims the victim's clock;
 //   - timing faults are drawn only at resident descriptor pops: a
 //     launch is fail-stop, so a scheduled straggler or hang skips every
 //     offloadBlock and fires at the next mailbox descriptor instead;
@@ -28,9 +30,11 @@
 #include "offload/Offload.h"
 #include "offload/Ptr.h"
 #include "sim/FaultInjector.h"
+#include "support/MathExtras.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 using namespace omm;
@@ -254,4 +258,76 @@ TEST(Deadline, FrameBudgetShedsDownTheDegradationLadder) {
     EXPECT_EQ(S.AiEntitiesShed, 0u);
   }
   EXPECT_EQ(World3.degradeLevel(), 0u);
+}
+
+namespace {
+
+/// Keeps every fault event and every descriptor run a machine reports.
+struct EventLog : DmaObserver {
+  std::vector<FaultEvent> Faults;
+  std::vector<DispatchEvent> Runs;
+  void onFault(const FaultEvent &Event) override { Faults.push_back(Event); }
+  void onDispatchEvent(const DispatchEvent &Event) override {
+    if (Event.Kind == DispatchEventKind::DescriptorRun)
+      Runs.push_back(Event);
+  }
+};
+
+} // namespace
+
+TEST(Deadline, LoneStragglerEscalatesToTheHost) {
+  // One resident worker leaves CancelRestart no copy worker: a missed
+  // deadline hands the chunk to the host and cancels the victim.
+  game::GameWorldParams Params;
+  Params.NumEntities = 256; // 4 shards of 64 in each of the 3 stages.
+  uint64_t CleanChecksum;
+  {
+    Machine Plain;
+    game::GameWorld World(Plain, Params);
+    World.doFrameStaged(/*MaxAccelerators=*/1);
+    CleanChecksum = World.checksum();
+  }
+
+  // Shards cost 7k-64k cycles, all inside the 100k deadline. The 16x
+  // straggler lands on the frame's last shard (physics, ~7k real
+  // cycles), so nothing runs on the core after its cancel.
+  constexpr uint64_t Slowdown = 16;
+  MachineConfig Cfg = armedConfig(DeadlinePolicy::CancelRestart);
+  Cfg.ChunkDeadlineCycles = 100000;
+  Machine M(Cfg);
+  M.faults()->scheduleStraggler(0, 11, float(Slowdown));
+  EventLog Log;
+  M.addObserver(&Log);
+  game::GameWorld World(M, Params);
+  PerfCounters Before = M.totalCounters();
+  World.doFrameStaged(/*MaxAccelerators=*/1);
+  PerfCounters Delta = M.countersSince(Before);
+  M.removeObserver(&Log);
+
+  EXPECT_EQ(Delta.StragglersDetected, 1u);
+  EXPECT_EQ(Delta.HostFallbackChunks, Delta.StragglersDetected);
+  EXPECT_EQ(Delta.CancelsIssued, 1u);
+  EXPECT_EQ(Delta.FailoverChunks, 0u);
+  unsigned HostFallbacks = 0;
+  for (const FaultEvent &Event : Log.Faults)
+    HostFallbacks += Event.Kind == FaultKind::HostFallback;
+  EXPECT_EQ(HostFallbacks, Delta.HostFallbackChunks);
+  EXPECT_EQ(World.checksum(), CleanChecksum);
+
+  // The victim's clock is trimmed to the first cancel poll after
+  // detection, never before its real work ends nor past its slowed end.
+  ASSERT_EQ(Log.Runs.size(), 12u);
+  const DispatchEvent &Victim = Log.Runs.back();
+  uint64_t UnslowedEnd = Victim.EndCycle;
+  uint64_t SlowEnd =
+      UnslowedEnd + (Slowdown - 1) * (UnslowedEnd - Victim.Cycle);
+  uint64_t DetectAt =
+      M.watchdog().detectionCycle(Victim.Cycle + Cfg.ChunkDeadlineCycles);
+  uint64_t VictimEnd = std::min(
+      SlowEnd, std::max(UnslowedEnd,
+                        roundUpToMultiple(DetectAt,
+                                          MachineConfig::CancelPollCycles)));
+  EXPECT_LT(UnslowedEnd, VictimEnd);
+  EXPECT_LT(VictimEnd, SlowEnd);
+  EXPECT_EQ(M.accel(Victim.AccelId).Clock.now(), VictimEnd);
 }

@@ -100,33 +100,3 @@ TEST(Animation, BlendConvergesToKey) {
     for (unsigned C = 0; C != 4; ++C)
       EXPECT_NEAR(Current.Joints[J][C], Key.Joints[J][C], 1e-3f);
 }
-
-TEST(Animation, HostAndOffloadPassesAgreeBitExactly) {
-  Machine MHost, MAccel;
-  AnimationSystem HostAnim(MHost, 200);
-  AnimationSystem AccelAnim(MAccel, 200);
-  AnimationParams Params;
-
-  for (uint32_t Frame = 1; Frame != 4; ++Frame) {
-    HostAnim.blendPassHost(Frame, Params);
-    omm::offload::offloadSync(MAccel,
-                              [&](omm::offload::OffloadContext &Ctx) {
-                                AccelAnim.blendPassOffload(Ctx, Frame,
-                                                           Params);
-                              });
-  }
-  EXPECT_EQ(HostAnim.checksum(), AccelAnim.checksum());
-}
-
-TEST(Animation, OffloadPassIsStreamEfficient) {
-  // The double-buffered pose stream should move each pose exactly twice
-  // (in and out) per pass, not per-joint.
-  Machine M;
-  AnimationSystem Anim(M, 128);
-  omm::offload::offloadSync(M, [&](omm::offload::OffloadContext &Ctx) {
-    Anim.blendPassOffload(Ctx, 1, AnimationParams(), 32);
-    const PerfCounters &Counters = Ctx.accel().Counters;
-    EXPECT_EQ(Counters.DmaBytesRead, 128u * sizeof(Pose));
-    EXPECT_EQ(Counters.DmaBytesWritten, 128u * sizeof(Pose));
-  });
-}

@@ -49,8 +49,8 @@ void OffloadDomain::reserveCode(offload::OffloadContext &Ctx) const {
   // The duplicates' code occupies local store for the block's lifetime,
   // and uploading it costs time proportional to its size.
   Ctx.localAlloc(static_cast<uint32_t>(TotalCodeBytes));
-  Ctx.compute(Costs.CodeLoadLatency +
-              Costs.CodeLoadPerByte * TotalCodeBytes);
+  Ctx.compute(DomainCosts::CodeLoadLatency +
+              DomainCosts::CodeLoadPerByte * TotalCodeBytes);
 }
 
 void OffloadDomain::setCodeBudget(uint64_t Bytes) {
@@ -89,8 +89,8 @@ void OffloadDomain::touchOverlay(offload::OffloadContext &Ctx,
 
   // Upload: fixed latency plus per-byte transfer (the code comes from
   // main memory like any other data).
-  Ctx.compute(Costs.CodeLoadLatency +
-              Costs.CodeLoadPerByte * Entry.CodeBytes);
+  Ctx.compute(DomainCosts::CodeLoadLatency +
+              DomainCosts::CodeLoadPerByte * Entry.CodeBytes);
   Entry.Resident = true;
   ResidentBytes += Entry.CodeBytes;
   ++CodeUploads;
@@ -104,7 +104,7 @@ const LocalMethod *OffloadDomain::lookup(offload::OffloadContext &Ctx,
   int Index = -1;
   for (size_t I = 0, E = Outer.size(); I != E; ++I) {
     ++Stats.OuterScanSteps;
-    Ctx.compute(Costs.OuterScanPerEntry);
+    Ctx.compute(DomainCosts::OuterScanPerEntry);
     if (Outer[I] == Method) {
       Index = static_cast<int>(I);
       break;
@@ -115,13 +115,12 @@ const LocalMethod *OffloadDomain::lookup(offload::OffloadContext &Ctx,
   if (Index >= 0) {
     InnerDomain &Dom = Inner[Index];
     for (InnerEntry &Entry : Dom.Duplicates) {
-      ++Stats.InnerMatchSteps;
-      Ctx.compute(Costs.InnerMatchPerEntry);
+      Ctx.compute(DomainCosts::InnerMatchPerEntry);
       if (Entry.Id == Id) {
         ++Stats.Hits;
         if (CodeBudget != 0)
           touchOverlay(Ctx, Entry);
-        Ctx.compute(Costs.CallOverhead);
+        Ctx.compute(DomainCosts::CallOverhead);
         return &Entry.Body;
       }
     }
@@ -142,15 +141,15 @@ const LocalMethod *OffloadDomain::lookup(offload::OffloadContext &Ctx,
     if (LocalMethod Loaded = OnDemandLoader(Method, Id)) {
       ++Stats.OnDemandLoads;
       constexpr uint32_t LoadedCodeBytes = 1024;
-      Ctx.compute(Costs.CodeLoadLatency +
-                  Costs.CodeLoadPerByte * LoadedCodeBytes);
+      Ctx.compute(DomainCosts::CodeLoadLatency +
+                  DomainCosts::CodeLoadPerByte * LoadedCodeBytes);
       addDuplicate(Method, Id, std::move(Loaded), LoadedCodeBytes);
       // The freshly added duplicate is the last entry of its method's
       // inner domain.
       int NewIndex = findOuter(Method);
       assert(NewIndex >= 0 && "on-demand load failed to register");
       ++Stats.Hits;
-      Ctx.compute(Costs.CallOverhead);
+      Ctx.compute(DomainCosts::CallOverhead);
       return &Inner[NewIndex].Duplicates.back().Body;
     }
   }
@@ -161,7 +160,7 @@ MethodId OffloadDomain::resolveSlotMemoised(offload::OffloadContext &Ctx,
                                             uint64_t VtableAddr,
                                             unsigned Slot) {
   if (MemoEnabled) {
-    Ctx.compute(Costs.MemoLookupCycles);
+    Ctx.compute(DomainCosts::MemoLookupCycles);
     for (const MemoEntry &Entry : Memo)
       if (Entry.VtableAddr == VtableAddr && Entry.Slot == Slot) {
         ++Stats.MemoHits;

@@ -65,21 +65,20 @@ struct DispatchTarget {
 using LocalMethod =
     std::function<void(offload::OffloadContext &, DispatchTarget, uint64_t)>;
 
-/// Cost model for domain dispatch and code management.
+/// Fixed cost model for domain dispatch and code management, in cycles.
 struct DomainCosts {
-  uint64_t OuterScanPerEntry = 2; ///< Cycles per outer-domain compare.
-  uint64_t InnerMatchPerEntry = 3; ///< Cycles per (id, address) compare.
-  uint64_t CallOverhead = 8;       ///< Indirect-branch cost on a hit.
-  uint64_t CodeLoadPerByte = 1;    ///< On-demand code upload, per byte.
-  uint64_t CodeLoadLatency = 2000; ///< On-demand code upload, fixed part.
-  uint64_t MemoLookupCycles = 6;   ///< Vtable-memo probe cost.
+  static constexpr uint64_t OuterScanPerEntry = 2; ///< Per outer compare.
+  static constexpr uint64_t InnerMatchPerEntry = 3; ///< Per (id, addr) pair.
+  static constexpr uint64_t CallOverhead = 8; ///< Indirect branch on a hit.
+  static constexpr uint64_t CodeLoadPerByte = 1; ///< Code upload, per byte.
+  static constexpr uint64_t CodeLoadLatency = 2000; ///< Code upload, fixed.
+  static constexpr uint64_t MemoLookupCycles = 6; ///< Vtable-memo probe.
 };
 
 /// Running profile of a domain's dispatch behaviour.
 struct DomainStats {
   uint64_t Lookups = 0;
   uint64_t OuterScanSteps = 0;
-  uint64_t InnerMatchSteps = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t OnDemandLoads = 0;
@@ -91,9 +90,8 @@ struct DomainStats {
 /// lookup structure.
 class OffloadDomain {
 public:
-  explicit OffloadDomain(const ClassRegistry &Registry,
-                         DomainCosts Costs = DomainCosts())
-      : Registry(Registry), Costs(Costs) {}
+  explicit OffloadDomain(const ClassRegistry &Registry)
+      : Registry(Registry) {}
 
   /// Annotates \p Method (with duplicate signature \p Id) as callable
   /// from this offload; \p Body is the accelerator-compiled duplicate
@@ -223,7 +221,6 @@ private:
                                uint64_t VtableAddr, unsigned Slot);
 
   const ClassRegistry &Registry;
-  DomainCosts Costs;
   /// "An array of known virtual method addresses" (Figure 3).
   std::vector<MethodId> Outer;
   /// Parallel to Outer: count + (id, address) pairs per method.

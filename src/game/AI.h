@@ -26,12 +26,13 @@
 
 namespace omm::game {
 
-/// Tuning for the AI behaviour tree and its cost model.
+/// Tuning for the AI behaviour tree and its cost model. Only the node
+/// cost is varied (E2); the tree's thresholds are static constexpr.
 struct AiParams {
-  float SeekRadius = 40.0f;    ///< Start seeking targets inside this.
-  float AttackRadius = 6.0f;   ///< Close enough to attack.
-  float FleeHealthFraction = 0.25f; ///< Flee below this health fraction.
-  float ReplanInterval = 0.5f; ///< Seconds between full re-plans.
+  static constexpr float SeekRadius = 40.0f; ///< Seek targets inside this.
+  static constexpr float AttackRadius = 6.0f; ///< Close enough to attack.
+  static constexpr float FleeHealthFraction = 0.25f; ///< Flee below this.
+  static constexpr float ReplanInterval = 0.5f; ///< Seconds between re-plans.
   uint64_t CyclesPerNode = 60; ///< Cost of one behaviour-tree node.
 };
 

@@ -32,9 +32,9 @@ struct Pose {
 };
 static_assert(sizeof(Pose) == 128 && sizeof(Pose) % 16 == 0);
 
-/// Tuning for pose blending.
+/// Tuning for pose blending; only the cost is varied (E2).
 struct AnimationParams {
-  float BlendRate = 0.2f;          ///< Fraction moved toward the key.
+  static constexpr float BlendRate = 0.2f; ///< Fraction moved to the key.
   uint64_t CyclesPerJoint = 24;    ///< Blend cost per joint.
 };
 
@@ -48,7 +48,6 @@ public:
   AnimationSystem &operator=(const AnimationSystem &) = delete;
 
   uint32_t size() const { return Count; }
-  sim::GlobalAddr base() const { return Base; }
 
   /// Pure key-pose generator for entity \p Id at frame \p Frame.
   static Pose keyPose(uint32_t Id, uint32_t Frame);

@@ -28,12 +28,13 @@
 
 namespace omm::game {
 
-/// Tuning for collision detection and response.
+/// Tuning for collision detection and response. The grid cell and the
+/// response price are static constexpr: no experiment varies them.
 struct CollisionParams {
-  float CellSize = 8.0f;            ///< Broadphase grid cell edge.
+  static constexpr float CellSize = 8.0f; ///< Broadphase grid cell edge.
   uint64_t CyclesPerHash = 12;      ///< Cost of binning one entity.
   uint64_t CyclesPerPairTest = 30;  ///< Cost of one candidate pair test.
-  uint64_t CyclesPerResponse = 120; ///< Cost of resolving one contact.
+  static constexpr uint64_t CyclesPerResponse = 120; ///< Per contact.
 };
 
 /// Pure contact resolution (Figure 1's do_collision_response): if the

@@ -87,8 +87,8 @@ unsigned ComponentSystem::serviceSlotFor(unsigned Kind,
 }
 
 ComponentSystem::ComponentSystem(Machine &M, uint32_t ComponentsPerKind,
-                                 uint64_t Seed, ComponentCosts Costs)
-    : M(M), PerKind(ComponentsPerKind), Costs(Costs) {
+                                 uint64_t Seed)
+    : M(M), PerKind(ComponentsPerKind) {
   assert(PerKind != 0 && "component system needs components");
   buildRegistry();
   Registry.materialize(M);
@@ -125,7 +125,7 @@ void ComponentSystem::buildRegistry() {
           ComponentData Data = Mach.hostRead<ComponentData>(Payload);
           transformPayload(Data, MIdx);
           Mach.hostWrite(Payload, Data);
-          Mach.hostCompute(Costs.CyclesPerMethod);
+          Mach.hostCompute(ComponentCosts::CyclesPerMethod);
           // Cascade: every other method of this component, virtually.
           for (unsigned Sub = 1; Sub != kinds()[K].NumMethods; ++Sub)
             Registry.callVirtualHost(Mach, Obj, Sub, 0);
@@ -135,14 +135,13 @@ void ComponentSystem::buildRegistry() {
                                      serviceSlotFor(K, S), 0);
         });
       } else {
-        Registry.setHostImpl(Method, [this, MIdx](Machine &Mach,
-                                                  GlobalAddr Obj,
-                                                  uint64_t) {
+        Registry.setHostImpl(Method, [MIdx](Machine &Mach, GlobalAddr Obj,
+                                            uint64_t) {
           GlobalAddr Payload = Obj + ClassRegistry::payloadOffset();
           ComponentData Data = Mach.hostRead<ComponentData>(Payload);
           transformPayload(Data, MIdx);
           Mach.hostWrite(Payload, Data);
-          Mach.hostCompute(Costs.CyclesPerMethod);
+          Mach.hostCompute(ComponentCosts::CyclesPerMethod);
         });
       }
     }
@@ -154,13 +153,13 @@ void ComponentSystem::buildRegistry() {
         Registry.createMethod("GameServices::svc" + std::to_string(S));
     ServiceMethods[S] = Method;
     Registry.setSlot(ServicesClass, S, Method);
-    Registry.setHostImpl(Method, [this, S](Machine &Mach, GlobalAddr Obj,
-                                           uint64_t) {
+    Registry.setHostImpl(Method, [S](Machine &Mach, GlobalAddr Obj,
+                                     uint64_t) {
       GlobalAddr Counter =
           Obj + ClassRegistry::payloadOffset() + uint64_t(S) * 8;
       uint64_t Value = Mach.hostRead<uint64_t>(Counter);
       Mach.hostWrite<uint64_t>(Counter, Value + 1 + (S & 3));
-      Mach.hostCompute(Costs.CyclesPerMethod / 2);
+      Mach.hostCompute(ComponentCosts::CyclesPerMethod / 2);
     });
   }
 }
@@ -220,7 +219,7 @@ GlobalAddr ComponentSystem::componentAddr(unsigned Kind,
 //===----------------------------------------------------------------------===//
 
 LocalMethod ComponentSystem::makeServiceBody(unsigned ServiceSlot) {
-  uint64_t HalfCost = Costs.CyclesPerMethod / 2;
+  uint64_t HalfCost = ComponentCosts::CyclesPerMethod / 2;
   GlobalAddr ServicesObj = Services;
   return [ServicesObj, ServiceSlot, HalfCost](offload::OffloadContext &Ctx,
                                               DispatchTarget Target,
@@ -244,7 +243,7 @@ LocalMethod ComponentSystem::makeLocalBody(unsigned Kind, unsigned Slot,
     ComponentData Data = Ctx.localRead<ComponentData>(Payload);
     transformPayload(Data, MIdx);
     Ctx.localWrite(Payload, Data);
-    Ctx.compute(Costs.CyclesPerMethod);
+    Ctx.compute(ComponentCosts::CyclesPerMethod);
     if (Slot != 0)
       return;
     for (unsigned Sub = 1; Sub != kinds()[Kind].NumMethods; ++Sub) {
@@ -272,7 +271,7 @@ LocalMethod ComponentSystem::makeOuterBody(unsigned Kind, unsigned Slot,
     ComponentData Data = Ctx.outerRead<ComponentData>(Payload);
     transformPayload(Data, MIdx);
     Ctx.outerWrite(Payload, Data);
-    Ctx.compute(Costs.CyclesPerMethod);
+    Ctx.compute(ComponentCosts::CyclesPerMethod);
     if (Slot != 0)
       return;
     for (unsigned Sub = 1; Sub != kinds()[Kind].NumMethods; ++Sub) {
@@ -304,10 +303,10 @@ OffloadDomain &ComponentSystem::monolithicDomain() {
     for (unsigned Slot = 0; Slot != kinds()[K].NumMethods; ++Slot)
       Dom->addDuplicate(KindMethods[K][Slot], DuplicateId::thisOuter(),
                         makeOuterBody(K, Slot, Dom),
-                        Costs.CodeBytesPerMethod);
+                        ComponentCosts::CodeBytesPerMethod);
   for (unsigned S = 0; S != NumServiceMethods; ++S)
     Dom->addDuplicate(ServiceMethods[S], DuplicateId::thisOuter(),
-                      makeServiceBody(S), Costs.CodeBytesPerMethod);
+                      makeServiceBody(S), ComponentCosts::CodeBytesPerMethod);
   return *MonolithicDomain;
 }
 
@@ -322,10 +321,10 @@ OffloadDomain &ComponentSystem::kindDomain(unsigned Kind) {
   for (unsigned Slot = 0; Slot != kinds()[Kind].NumMethods; ++Slot)
     Dom->addDuplicate(KindMethods[Kind][Slot], DuplicateId::thisLocal(),
                       makeLocalBody(Kind, Slot, Dom),
-                      Costs.CodeBytesPerMethod);
+                      ComponentCosts::CodeBytesPerMethod);
   for (unsigned S = 0; S != kinds()[Kind].ServicesUsed; ++S)
     Dom->addDuplicate(ServiceMethods[S], DuplicateId::thisOuter(),
-                      makeServiceBody(S), Costs.CodeBytesPerMethod);
+                      makeServiceBody(S), ComponentCosts::CodeBytesPerMethod);
   return *KindDomains[Kind];
 }
 

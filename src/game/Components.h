@@ -69,10 +69,10 @@ struct ComponentObject {
 static_assert(sizeof(ComponentObject) == 64 &&
               sizeof(ComponentObject) % 16 == 0);
 
-/// Cost model knobs for component execution.
+/// Fixed cost model for component execution.
 struct ComponentCosts {
-  uint64_t CyclesPerMethod = 100;   ///< Charged by every method body.
-  uint32_t CodeBytesPerMethod = 1536; ///< Accelerator code footprint.
+  static constexpr uint64_t CyclesPerMethod = 100; ///< Per method body.
+  static constexpr uint32_t CodeBytesPerMethod = 1536; ///< Code footprint.
 };
 
 /// The component system: classes, objects, schedules and domains.
@@ -91,7 +91,7 @@ public:
   static const std::array<KindSpec, NumKinds> &kinds();
 
   ComponentSystem(sim::Machine &M, uint32_t ComponentsPerKind,
-                  uint64_t Seed, ComponentCosts Costs = ComponentCosts());
+                  uint64_t Seed);
   ~ComponentSystem();
 
   ComponentSystem(const ComponentSystem &) = delete;
@@ -165,7 +165,6 @@ private:
 
   sim::Machine &M;
   uint32_t PerKind;
-  ComponentCosts Costs;
 
   domains::ClassRegistry Registry;
   std::array<domains::ClassId, NumKinds> KindClass{};

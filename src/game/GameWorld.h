@@ -48,7 +48,7 @@ struct GameWorldParams {
   uint32_t NumEntities = 1000;
   uint64_t Seed = 0x0FF10AD;
   float WorldHalfExtent = 60.0f;
-  float Dt = 1.0f / 30.0f;
+  static constexpr float Dt = 1.0f / 30.0f; ///< Fixed frame step.
   AiParams Ai;
   CollisionParams Collision;
   PhysicsParams Physics;

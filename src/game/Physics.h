@@ -21,9 +21,9 @@
 
 namespace omm::game {
 
-/// Tuning for the integrator.
+/// Tuning for the integrator; only the cost is varied (E2).
 struct PhysicsParams {
-  float Damping = 0.995f;
+  static constexpr float Damping = 0.995f;
   uint64_t CyclesPerIntegrate = 80;
 };
 

@@ -615,6 +615,53 @@ TEST(WriteCombiner, NonContiguousWriteFlushes) {
   });
 }
 
+TEST(WriteCombiner, OversizedWriteFlushesThenBypassesTheBuffer) {
+  Machine M;
+  GlobalAddr G = M.allocGlobal(4096);
+  offloadSync(M, [&](OffloadContext &Ctx) {
+    WriteCombiner Combiner(Ctx, {256, 4});
+    uint64_t Small = 0x1111;
+    Combiner.write(G, &Small, 8);
+    std::array<uint32_t, 128> Big; // 512 bytes: twice the buffer.
+    for (uint32_t I = 0; I != Big.size(); ++I)
+      Big[I] = I * 2654435761u;
+    Combiner.write(G + 1024, Big.data(), sizeof(Big));
+    // The buffered write was flushed first and the oversized one went
+    // straight to memory: both are there before any explicit flush.
+    EXPECT_EQ(M.mainMemory().readValue<uint64_t>(G), 0x1111u);
+    for (uint32_t I = 0; I != Big.size(); ++I)
+      ASSERT_EQ(M.mainMemory().readValue<uint32_t>(G + 1024 + I * 4),
+                I * 2654435761u);
+    // One miss opened the combining region, one for the bypass; only
+    // the flush counts as a write-back.
+    EXPECT_EQ(Combiner.stats().Misses, 2u);
+    EXPECT_EQ(Combiner.stats().Hits, 0u);
+    EXPECT_EQ(Combiner.stats().Writebacks, 1u);
+    EXPECT_EQ(Combiner.stats().BytesWrittenBack, 8u);
+    Combiner.flush(); // Nothing is left buffered.
+    EXPECT_EQ(Combiner.stats().Writebacks, 1u);
+  });
+}
+
+TEST(WriteCombiner, InvalidateDropsBufferedWrites) {
+  Machine M;
+  GlobalAddr G = M.allocGlobal(1024);
+  M.mainMemory().writeValue<uint32_t>(G, 111);
+  offloadSync(M, [&](OffloadContext &Ctx) {
+    {
+      WriteCombiner Combiner(Ctx, {256, 4});
+      uint32_t Value = 222;
+      Combiner.write(G, &Value, 4);
+      Combiner.invalidate(); // Documented: buffered data is dropped.
+      Combiner.flush();
+      EXPECT_EQ(Combiner.stats().Misses, 1u);
+      EXPECT_EQ(Combiner.stats().Writebacks, 0u);
+      EXPECT_EQ(M.mainMemory().readValue<uint32_t>(G), 111u);
+    } // Nor does the destructor's flush write it.
+    EXPECT_EQ(M.mainMemory().readValue<uint32_t>(G), 111u);
+  });
+}
+
 TEST(CacheCostModel, LookupOverheadOrdering) {
   // "Software cache lookup introduces some overhead" — and the designs
   // trade lookup cost against flexibility: write-combiner < stream <

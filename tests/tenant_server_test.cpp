@@ -312,6 +312,53 @@ TEST(TenantServerTest, StragglerIsAttributedToItsTenantOnly) {
   }
 }
 
+TEST(TenantServerTest, BatchedTickArmsTheSmallestTenantDeadline) {
+  // Two tenants with different chunk deadlines share one batched pool.
+  // The pool must run under the smaller deadline, and the machine's own
+  // deadline must be back in place once the tick is over.
+  MachineConfig Cfg = faultReadyConfig();
+  Cfg.DeadlineRecovery = DeadlinePolicy::CancelRestart;
+  TenantServerParams SP;
+  SP.Mode = ServeMode::Batched;
+
+  // Stragglers detected in one batched tick; tenant 0 asks for
+  // LargeDeadline, tenant 1 for SmallDeadline.
+  auto Detections = [&](uint64_t SmallDeadline, uint64_t LargeDeadline,
+                        bool Straggle) {
+    Machine M(Cfg);
+    TenantServer Server(M, SP);
+    std::vector<TenantParams> Population = testTenants();
+    Population.resize(2);
+    Population[0].ChunkDeadlineCycles = LargeDeadline;
+    Population[1].ChunkDeadlineCycles = SmallDeadline;
+    for (const TenantParams &P : Population)
+      Server.addTenant(P);
+    if (Straggle)
+      Server.scheduleTenantStraggler(/*Tenant=*/0, /*AccelId=*/1,
+                                     /*Slowdown=*/32.0f);
+    PerfCounters Before = M.totalCounters();
+    Server.serveTick();
+    EXPECT_EQ(M.watchdog().chunkDeadline(), Cfg.ChunkDeadlineCycles);
+    return M.countersSince(Before).StragglersDetected;
+  };
+  // Smallest doubling deadline under which a fault-free batched tick
+  // detects nothing, so every later detection is the injected straggler.
+  uint64_t Small = 20000;
+  while (Detections(Small, Small, /*Straggle=*/false) != 0) {
+    Small *= 2;
+    ASSERT_LT(Small, uint64_t(1) << 40);
+  }
+  // A 32x slowdown of a chunk that fits under Small stays under 64x
+  // Small, so the straggler misses only the smaller deadline. The
+  // machine's own deadline is larger still, and distinct from both.
+  uint64_t Large = 64 * Small;
+  Cfg.ChunkDeadlineCycles = 4 * Large;
+
+  EXPECT_EQ(Detections(Small, Large, /*Straggle=*/false), 0u);
+  EXPECT_EQ(Detections(Large, Large, /*Straggle=*/true), 0u);
+  EXPECT_EQ(Detections(Small, Large, /*Straggle=*/true), 1u);
+}
+
 TEST(TenantServerTest, DeadlineMissesAreAttributedToTheTenantThatMissed) {
   // Every tenant gets one frame budget, halfway between the cheapest and
   // the dearest frame of an unbudgeted tick, so some frames miss it and

@@ -46,8 +46,8 @@ uint64_t runNarrowphase(DmaStyle Style, uint64_t DmaLatency,
   uint64_t Cycles = 0;
   offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
     uint64_t Start = Ctx.clock().now();
-    narrowphaseOffload(Ctx, PairsAddr,
-                       static_cast<uint32_t>(Pairs.size()), Params, Style);
+    narrowphaseOffload(Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()),
+                       Style);
     Cycles = Ctx.clock().now() - Start;
     if (StallOut)
       *StallOut = Ctx.accel().Counters.DmaStallCycles;
@@ -85,8 +85,7 @@ void BM_MissingWaitRaceReports(benchmark::State &State) {
     uint64_t Cycles = 0;
     offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
       uint64_t Start = Ctx.clock().now();
-      narrowphaseOffload(Ctx, PairsAddr,
-                         static_cast<uint32_t>(Pairs.size()), Params,
+      narrowphaseOffload(Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()),
                          DmaStyle::MissingWait);
       Cycles = Ctx.clock().now() - Start;
     });

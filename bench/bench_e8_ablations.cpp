@@ -80,7 +80,7 @@ void BM_DmaLatencyNaive(benchmark::State &State) {
       for (uint32_t I = 0; I != 500; ++I) {
         offload::OuterPtr<GameEntity> Ptr = Entities.entity(I);
         GameEntity E = Ptr.read(Ctx);
-        integrateEntity(E, 0.033f, 30.0f, PhysicsParams());
+        integrateEntity(E, 0.033f, 30.0f);
         Ctx.compute(PhysicsParams().CyclesPerIntegrate);
         Ptr.write(Ctx, E);
       }

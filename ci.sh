@@ -11,7 +11,7 @@
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the bench-toolchain
 #                    tests, among them the bench row-independence check,
-#                    and runs all 7 examples as `example_*` integration
+#                    and runs all 6 examples as `example_*` integration
 #                    tests that pass on exit 0 with stdout and stderr
 #                    equal byte for byte to examples/expected/<name>.txt)
 #   2. baselines   — every committed BENCH_baseline/ snapshot is

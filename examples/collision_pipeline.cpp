@@ -45,7 +45,7 @@ uint64_t runStyle(DmaStyle Style, uint32_t NumEntities, uint32_t *Contacts,
   offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
     uint64_t Start = Ctx.clock().now();
     *Contacts = narrowphaseOffload(
-        Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()), Params, Style);
+        Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()), Style);
     Cycles = Ctx.clock().now() - Start;
   });
   return Cycles;

@@ -21,22 +21,14 @@
 #ifndef OMM_DOMAINS_SPACESIGNATURE_H
 #define OMM_DOMAINS_SPACESIGNATURE_H
 
-#include <cassert>
 #include <compare>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 
 namespace omm::domains {
 
-/// Which memory space a pointer argument refers to.
-enum class MemSpace : uint8_t {
-  Outer, ///< Main (host) memory; access generates transfer code.
-  Local, ///< The accelerator's own scratch-pad.
-};
-
 /// Identifies one duplicate of a function by the memory spaces of its
-/// pointer arguments (bit i set = argument i is Local).
+/// pointer arguments (bit i set = argument i points into local store).
 struct DuplicateId {
   uint32_t Bits = 0;
   uint8_t NumArgs = 0;
@@ -44,20 +36,6 @@ struct DuplicateId {
   constexpr DuplicateId() = default;
   constexpr DuplicateId(uint32_t Bits, uint8_t NumArgs)
       : Bits(Bits), NumArgs(NumArgs) {}
-
-  /// Builds the id from per-argument spaces, first argument = bit 0.
-  static DuplicateId of(std::initializer_list<MemSpace> Spaces) {
-    assert(Spaces.size() <= 32 && "too many pointer arguments");
-    DuplicateId Id;
-    Id.NumArgs = static_cast<uint8_t>(Spaces.size());
-    unsigned Bit = 0;
-    for (MemSpace Space : Spaces) {
-      if (Space == MemSpace::Local)
-        Id.Bits |= 1u << Bit;
-      ++Bit;
-    }
-    return Id;
-  }
 
   /// The common single-argument signatures: a method whose `this` lives
   /// in local store / outer memory respectively.

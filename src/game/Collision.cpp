@@ -299,14 +299,13 @@ GlobalAddr omm::game::materializePairs(Machine &M,
 }
 
 uint32_t omm::game::narrowphaseHost(EntityStore &Entities,
-                                    const std::vector<CollisionPair> &Pairs,
-                                    const CollisionParams &Params) {
+                                    const std::vector<CollisionPair> &Pairs) {
   Machine &M = Entities.machine();
   uint32_t Contacts = 0;
   for (const CollisionPair &Pair : Pairs) {
     GameEntity First = Entities.read(Pair.FirstId);
     GameEntity Second = Entities.read(Pair.SecondId);
-    M.hostCompute(Params.CyclesPerResponse);
+    M.hostCompute(CollisionParams::CyclesPerResponse);
     if (respondToCollision(First, Second))
       ++Contacts;
     Entities.write(Pair.FirstId, First);
@@ -318,7 +317,6 @@ uint32_t omm::game::narrowphaseHost(EntityStore &Entities,
 uint32_t omm::game::narrowphaseOffload(offload::OffloadContext &Ctx,
                                        GlobalAddr PairsAddr,
                                        uint32_t PairCount,
-                                       const CollisionParams &Params,
                                        DmaStyle Style) {
   // Local staging: the pair record and the two entities (Figure 1's
   // "GameEntity e1, e2; // Allocated in local store").
@@ -369,7 +367,7 @@ uint32_t omm::game::narrowphaseOffload(offload::OffloadContext &Ctx,
     if (Style == DmaStyle::MissingWait)
       Ctx.dmaWait(Tag); // Late wait: the damage (race) is already done.
 
-    Ctx.compute(Params.CyclesPerResponse);
+    Ctx.compute(CollisionParams::CyclesPerResponse);
     if (respondToCollision(First, Second))
       ++Contacts;
     Ctx.localWrite(E1, First);

@@ -79,8 +79,7 @@ sim::GlobalAddr materializePairs(sim::Machine &M,
 /// Host narrowphase: response for every pair, host loads/stores.
 /// \returns the number of resolved contacts.
 uint32_t narrowphaseHost(EntityStore &Entities,
-                         const std::vector<CollisionPair> &Pairs,
-                         const CollisionParams &Params);
+                         const std::vector<CollisionPair> &Pairs);
 
 /// How the explicit-DMA narrowphase issues its transfers.
 enum class DmaStyle {
@@ -96,7 +95,7 @@ enum class DmaStyle {
 /// the given style. \returns the number of resolved contacts.
 uint32_t narrowphaseOffload(offload::OffloadContext &Ctx,
                             sim::GlobalAddr PairsAddr, uint32_t PairCount,
-                            const CollisionParams &Params, DmaStyle Style);
+                            DmaStyle Style);
 
 } // namespace omm::game
 

@@ -84,8 +84,11 @@ public:
   struct KindSpec {
     const char *Name;
     unsigned NumMethods;   ///< Virtual methods of this class (incl. update).
-    unsigned ServicesUsed; ///< How many shared service methods it calls
-                           ///< into (prefix of the service vtable).
+    /// Length of the service-vtable prefix annotated for this kind's
+    /// specialised offload. An update calls only the slots
+    /// (7·S + Kind) mod ServicesUsed for S < ServiceCallsPerUpdate:
+    /// 4 of AIAgent's 28, 8 of Script's 12.
+    unsigned ServicesUsed;
     unsigned ServiceCallsPerUpdate; ///< Service dispatches per update.
   };
   static const std::array<KindSpec, NumKinds> &kinds();

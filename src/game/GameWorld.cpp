@@ -171,8 +171,7 @@ void GameWorld::collisionPassHost(FrameStats &Stats) {
 void GameWorld::updateAndRender(FrameStats &Stats) {
   uint64_t Start = M.hostClock().now();
 
-  Stats.Contacts = narrowphaseHost(Entities, PendingContacts,
-                                   Params.Collision);
+  Stats.Contacts = narrowphaseHost(Entities, PendingContacts);
   PendingContacts.clear();
   physicsPassHost(Entities, Params.Dt, Params.Physics);
   uint32_t AnimEnd = degradedAnimEnd();
@@ -422,7 +421,7 @@ void GameWorld::physicsStageShard(ContextT &Ctx, uint32_t Begin,
                                   uint32_t End) {
   auto Integrate = [&](GameEntity &E) {
     Ctx.compute(Params.Physics.CyclesPerIntegrate);
-    integrateEntity(E, Params.Dt, Params.WorldHalfExtent, Params.Physics);
+    integrateEntity(E, Params.Dt, Params.WorldHalfExtent);
   };
   if constexpr (StagesInLocalStore<ContextT>) {
     offload::OffloadContext::LocalScope Scope(Ctx);

@@ -13,10 +13,9 @@ using namespace omm;
 using namespace omm::game;
 
 void omm::game::integrateEntity(GameEntity &E, float Dt,
-                                float WorldHalfExtent,
-                                const PhysicsParams &Params) {
+                                float WorldHalfExtent) {
   E.Position += E.Velocity * Dt;
-  E.Velocity = E.Velocity * Params.Damping;
+  E.Velocity = E.Velocity * PhysicsParams::Damping;
 
   // Bounce off the world box.
   auto Bounce = [&](float &Coord, float &Vel) {
@@ -38,7 +37,7 @@ void omm::game::physicsPassHost(EntityStore &Entities, float Dt,
   sim::Machine &M = Entities.machine();
   for (uint32_t I = 0, E = Entities.size(); I != E; ++I) {
     GameEntity Entity = Entities.read(I);
-    integrateEntity(Entity, Dt, Entities.worldHalfExtent(), Params);
+    integrateEntity(Entity, Dt, Entities.worldHalfExtent());
     M.hostCompute(Params.CyclesPerIntegrate);
     Entities.write(I, Entity);
   }
@@ -54,7 +53,7 @@ void omm::game::physicsPassOffload(offload::OffloadContext &Ctx,
       [&](offload::ChunkView<GameEntity> &Chunk) {
         for (uint32_t I = 0, E = Chunk.size(); I != E; ++I) {
           Chunk.update(I, [&](GameEntity &Entity) {
-            integrateEntity(Entity, Dt, HalfExtent, Params);
+            integrateEntity(Entity, Dt, HalfExtent);
           });
           Ctx.compute(Params.CyclesPerIntegrate);
         }

@@ -28,8 +28,7 @@ struct PhysicsParams {
 };
 
 /// Pure single-entity integration step.
-void integrateEntity(GameEntity &E, float Dt, float WorldHalfExtent,
-                     const PhysicsParams &Params);
+void integrateEntity(GameEntity &E, float Dt, float WorldHalfExtent);
 
 /// Host pass over all entities.
 void physicsPassHost(EntityStore &Entities, float Dt,

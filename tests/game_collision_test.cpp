@@ -414,7 +414,7 @@ void compareHostAndOffloadNarrowphase(DmaStyle Style) {
   EntityStore HostStore(MHost, 200, 17, 25.0f);
   auto Pairs = broadphaseHost(HostStore, Params);
   ASSERT_FALSE(Pairs.empty());
-  uint32_t HostContacts = narrowphaseHost(HostStore, Pairs, Params);
+  uint32_t HostContacts = narrowphaseHost(HostStore, Pairs);
   uint64_t HostChecksum = HostStore.checksum();
 
   Machine MAccel;
@@ -425,8 +425,7 @@ void compareHostAndOffloadNarrowphase(DmaStyle Style) {
   uint32_t AccelContacts = 0;
   offload::offloadSync(MAccel, [&](offload::OffloadContext &Ctx) {
     AccelContacts = narrowphaseOffload(
-        Ctx, PairsAddr, static_cast<uint32_t>(AccelPairs.size()), Params,
-        Style);
+        Ctx, PairsAddr, static_cast<uint32_t>(AccelPairs.size()), Style);
   });
 
   EXPECT_EQ(HostContacts, AccelContacts);
@@ -459,8 +458,7 @@ TEST(Narrowphase, DmaListBeatsOverlappedTags) {
     GlobalAddr PairsAddr = materializePairs(M, Pairs);
     offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
       uint64_t Start = Ctx.clock().now();
-      narrowphaseOffload(Ctx, PairsAddr,
-                         static_cast<uint32_t>(Pairs.size()), Params,
+      narrowphaseOffload(Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()),
                          Case == 0 ? DmaStyle::DmaList
                                    : DmaStyle::OverlappedTags);
       Times[Case] = Ctx.clock().now() - Start;
@@ -479,8 +477,7 @@ TEST(Narrowphase, OverlappedTagsAreFasterThanSerialised) {
     GlobalAddr PairsAddr = materializePairs(M, Pairs);
     offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
       uint64_t Start = Ctx.clock().now();
-      narrowphaseOffload(Ctx, PairsAddr,
-                         static_cast<uint32_t>(Pairs.size()), Params,
+      narrowphaseOffload(Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()),
                          Case == 0 ? DmaStyle::OverlappedTags
                                    : DmaStyle::Serialised);
       Times[Case] = Ctx.clock().now() - Start;
@@ -504,8 +501,7 @@ TEST(Narrowphase, MissingWaitIsCaughtByChecker) {
   ASSERT_FALSE(Pairs.empty());
   GlobalAddr PairsAddr = materializePairs(M, Pairs);
   offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
-    narrowphaseOffload(Ctx, PairsAddr,
-                       static_cast<uint32_t>(Pairs.size()), Params,
+    narrowphaseOffload(Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()),
                        DmaStyle::MissingWait);
   });
   EXPECT_GT(Checker.raceCount(dmacheck::RaceKind::CoreAccessDuringGet), 0u);
@@ -523,8 +519,7 @@ TEST(Narrowphase, CorrectStylesAreCheckerClean) {
   auto Pairs = broadphaseHost(Store, Params);
   GlobalAddr PairsAddr = materializePairs(M, Pairs);
   offload::offloadSync(M, [&](offload::OffloadContext &Ctx) {
-    narrowphaseOffload(Ctx, PairsAddr,
-                       static_cast<uint32_t>(Pairs.size()), Params,
+    narrowphaseOffload(Ctx, PairsAddr, static_cast<uint32_t>(Pairs.size()),
                        DmaStyle::OverlappedTags);
   });
   EXPECT_EQ(Checker.raceCount(), 0u) << "Figure 1 idiom must be race-free";

@@ -167,6 +167,15 @@ TEST(ComponentSystem, DomainStatsCountAcceleratorDispatches) {
   // Every host virtual call has an accelerator-side counterpart.
   EXPECT_GT(Lookups, 1300u);
   EXPECT_EQ(System.monolithicDomain().stats().Misses, 0u);
+
+  // Each specialised domain holds every method its offload reaches:
+  // the kind's own methods and the service slots its update calls.
+  System.updateSpecialisedOffloads();
+  for (unsigned K = 0; K != ComponentSystem::NumKinds; ++K) {
+    const DomainStats &Stats = System.kindDomain(K).stats();
+    EXPECT_GT(Stats.Lookups, 0u) << ComponentSystem::kinds()[K].Name;
+    EXPECT_EQ(Stats.Misses, 0u) << ComponentSystem::kinds()[K].Name;
+  }
 }
 
 TEST(ComponentSystem, CodeFootprintShrinksWithSpecialisation) {
@@ -178,6 +187,9 @@ TEST(ComponentSystem, CodeFootprintShrinksWithSpecialisation) {
     MaxKindCode =
         std::max(MaxKindCode, System.kindDomain(K).codeBytes());
   EXPECT_LT(MaxKindCode, MonolithicCode / 2);
+  // E4's footprints: 110 and 40 duplicates of 1536 B each.
+  EXPECT_EQ(MonolithicCode, 110u * 1536u);
+  EXPECT_EQ(MaxKindCode, 40u * 1536u);
 }
 
 TEST(ComponentSystem, DeterministicAcrossRuns) {

@@ -18,7 +18,7 @@ TEST(Physics, IntegrationMovesByVelocity) {
   GameEntity E{};
   E.Position = Vec3(0, 0, 0);
   E.Velocity = Vec3(10, -5, 2);
-  integrateEntity(E, 0.1f, 100.0f, PhysicsParams());
+  integrateEntity(E, 0.1f, 100.0f);
   EXPECT_NEAR(E.Position.X, 1.0f, 1e-5f);
   EXPECT_NEAR(E.Position.Y, -0.5f, 1e-5f);
   EXPECT_NEAR(E.Position.Z, 0.2f, 1e-5f);
@@ -27,8 +27,7 @@ TEST(Physics, IntegrationMovesByVelocity) {
 TEST(Physics, DampingSlowsEntities) {
   GameEntity E{};
   E.Velocity = Vec3(10, 0, 0);
-  PhysicsParams Params;
-  integrateEntity(E, 0.1f, 100.0f, Params);
+  integrateEntity(E, 0.1f, 100.0f);
   EXPECT_LT(E.Velocity.X, 10.0f);
   EXPECT_GT(E.Velocity.X, 9.0f);
 }
@@ -37,7 +36,7 @@ TEST(Physics, BouncesOffWorldBounds) {
   GameEntity E{};
   E.Position = Vec3(99.9f, 0, 0);
   E.Velocity = Vec3(50, 0, 0);
-  integrateEntity(E, 1.0f, 100.0f, PhysicsParams());
+  integrateEntity(E, 1.0f, 100.0f);
   EXPECT_EQ(E.Position.X, 100.0f); // Clamped to the wall...
   EXPECT_LT(E.Velocity.X, 0.0f);   // ...and reflected.
 }
@@ -47,7 +46,7 @@ TEST(Physics, EntitiesStayInsideBoundsOverManySteps) {
   E.Position = Vec3(0, 0, 0);
   E.Velocity = Vec3(37, -23, 51);
   for (int I = 0; I != 1000; ++I) {
-    integrateEntity(E, 0.05f, 20.0f, PhysicsParams());
+    integrateEntity(E, 0.05f, 20.0f);
     ASSERT_LE(std::abs(E.Position.X), 20.0f);
     ASSERT_LE(std::abs(E.Position.Y), 20.0f);
     ASSERT_LE(std::abs(E.Position.Z), 20.0f);

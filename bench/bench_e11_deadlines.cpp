@@ -22,6 +22,10 @@
 //     the frame completes on the survivors.
 //   - budget_pct: graceful degradation under a frame budget of N% of
 //     the fault-free median frame, with stragglers injected.
+//   - lone straggler: the staged frame on one resident worker under
+//     cancel+restart, with one 16x straggler past a 100k-cycle deadline.
+//     No second worker can take the copy, so the host runs the chunk
+//     (the escalation's price: host_chunks, recovery_cycles).
 //
 // Every row is checksum-asserted: timing faults and recovery must
 // never change world state (bit-identical to the fault-free run);
@@ -65,6 +69,7 @@ struct RunOut {
   uint64_t Cancels = 0;
   uint64_t Failover = 0;
   uint64_t MissedFrames = 0;
+  uint64_t HostChunks = 0;
   uint64_t AiShed = 0;
   uint64_t AnimShed = 0;
   unsigned FinalDegradeLevel = 0;
@@ -260,6 +265,52 @@ void BM_FrameBudget(benchmark::State &State) {
   }
 }
 
+/// Frames of the staged schedule on one resident worker. A \p Slowdown
+/// above 1 makes the worker's 12th descriptor pop a straggler: a shard
+/// of the first frame's collision stage (8 shards in each of 3 stages),
+/// and every shard runs well inside the lone-straggler deadline
+/// fault-free.
+RunOut runStagedFrames(const MachineConfig &Cfg, float Slowdown) {
+  Machine M(Cfg);
+  if (Slowdown > 1.0f)
+    M.faults()->scheduleStraggler(0, /*Index=*/11, Slowdown);
+  GameWorld World(M, worldParams(0));
+  RunOut Run;
+  Run.FrameCycles.reserve(FramesPerRow);
+  PerfCounters Before = M.totalCounters();
+  for (uint32_t F = 0; F != FramesPerRow; ++F) {
+    FrameStats S = World.doFrameStaged(/*MaxAccelerators=*/1);
+    Run.FrameCycles.push_back(S.FrameCycles);
+    Run.TotalCycles += S.FrameCycles;
+  }
+  PerfCounters C = M.countersSince(Before);
+  Run.Stragglers = C.StragglersDetected;
+  Run.Cancels = C.CancelsIssued;
+  Run.HostChunks = C.HostFallbackChunks;
+  Run.Checksum = World.checksum();
+  return Run;
+}
+
+void BM_LoneStraggler(benchmark::State &State) {
+  float Slowdown = static_cast<float>(State.range(0));
+  constexpr uint64_t Deadline = 100000;
+  for (auto _ : State) {
+    RunOut Clean = runStagedFrames(MachineConfig::cellLike(), 1.0f);
+    RunOut Run = runStagedFrames(
+        deadlineConfig(Deadline, DeadlinePolicy::CancelRestart, 0.0f,
+                       Slowdown, true),
+        Slowdown);
+    requireChecksum(Run.Checksum, Clean.Checksum, "lone_straggler",
+                    State.range(0), "the fault-free run");
+    reportSimCycles(State, Run.TotalCycles);
+    reportCyclePercentiles(State, Run.FrameCycles);
+    reportRecoveryCounters(State, Run);
+    State.counters["host_chunks"] = static_cast<double>(Run.HostChunks);
+    State.counters["recovery_cycles"] =
+        static_cast<double>(Run.TotalCycles - Clean.TotalCycles);
+  }
+}
+
 } // namespace
 
 BENCHMARK(BM_StragglerPolicy)
@@ -298,4 +349,9 @@ BENCHMARK(BM_HungWorkers)
 BENCHMARK(BM_FrameBudget)
     ->ArgName("budget_pct")
     ->Arg(0)->Arg(100)->Arg(105)->Arg(115)
+    ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });
+
+BENCHMARK(BM_LoneStraggler)
+    ->ArgName("slowdown")
+    ->Arg(16)
     ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });

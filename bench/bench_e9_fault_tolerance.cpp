@@ -10,11 +10,15 @@
 // cores being reclaimed by the OS mid-frame; the engineering question is
 // how much frame time graceful recovery costs as the fault rate grows.
 //
-// Two sweeps, both on the parallel-AI frame schedule:
+// Two sweeps on the parallel-AI frame schedule, and one row on the
+// resident schedule:
 //   - fault_rate: seeded random DMA rejections/delays and accelerator
 //     deaths at increasing rates (argument is parts-per-million);
 //   - killed_accels: K of 6 accelerators deterministically killed at
-//     their first launch of the measured frame.
+//     their first launch of the measured frame;
+//   - resident killed_accels:6: every core dies at its first launch,
+//     so the resident pool opens empty and the host runs every chunk
+//     (the host fallback's price per chunk).
 //
 // Every configuration checks the recovered frames are bit-identical to a
 // fault-free run — a wrong answer aborts the benchmark. Expected shape:
@@ -56,12 +60,23 @@ struct FrameRun {
   PerfCounters Totals;
 };
 
-FrameRun runFrames(const MachineConfig &Cfg) {
+enum class Schedule { Parallel, Resident };
+
+/// Runs the measured frames on \p Cfg, with accelerators 0..Killed-1
+/// scheduled to die at their first launch.
+FrameRun runFrames(const MachineConfig &Cfg,
+                   Schedule Sched = Schedule::Parallel, int64_t Killed = 0) {
   Machine M(Cfg);
+  for (int64_t A = 0; A != Killed; ++A)
+    M.faults()->scheduleKill(static_cast<unsigned>(A), 0);
   GameWorld World(M, worldParams());
   uint64_t Begin = M.globalTime();
-  for (int I = 0; I != Frames; ++I)
-    World.doFrameOffloadAiParallel();
+  for (int I = 0; I != Frames; ++I) {
+    if (Sched == Schedule::Resident)
+      World.doFrameOffloadAiResident();
+    else
+      World.doFrameOffloadAiParallel();
+  }
   FrameRun Run;
   Run.Checksum = World.checksum();
   Run.Cycles = M.globalTime() - Begin;
@@ -129,8 +144,10 @@ void BM_FaultRateSweep(benchmark::State &State) {
 
 /// Kill K of the 6 accelerators at their first launch of the run: the
 /// schedule starts whole, loses K cores mid-frame, and finishes the
-/// remaining frames on whatever survived.
-void BM_KilledAccelerators(benchmark::State &State) {
+/// remaining frames on whatever survived. Priced against the same
+/// schedule's fault-free run.
+void runKilledRow(benchmark::State &State, Schedule Sched,
+                  const char *Sweep) {
   int64_t Killed = State.range(0);
 
   MachineConfig Clean = MachineConfig::cellLike();
@@ -139,26 +156,22 @@ void BM_KilledAccelerators(benchmark::State &State) {
   Faulty.Faults.Seed = 0xE9E9;
 
   for (auto _ : State) {
-    FrameRun Reference = runFrames(Clean);
-
-    Machine M(Faulty);
-    for (int64_t A = 0; A != Killed; ++A)
-      M.faults()->scheduleKill(static_cast<unsigned>(A), 0);
-    GameWorld World(M, worldParams());
-    uint64_t Begin = M.globalTime();
-    for (int I = 0; I != Frames; ++I)
-      World.doFrameOffloadAiParallel();
-    FrameRun Injected;
-    Injected.Checksum = World.checksum();
-    Injected.Cycles = M.globalTime() - Begin;
-    Injected.Totals = M.hostCounters();
-    for (unsigned A = 0; A != M.numAccelerators(); ++A)
-      Injected.Totals.merge(M.accel(A).Counters);
-
-    requireBitIdentical(Injected, Reference, "killed_accels", Killed);
+    FrameRun Reference = runFrames(Clean, Sched);
+    FrameRun Injected = runFrames(Faulty, Sched, Killed);
+    requireBitIdentical(Injected, Reference, Sweep, Killed);
     reportSimCycles(State, Injected.Cycles / Frames);
     reportRecoveryCounters(State, Injected, Reference);
   }
+}
+
+void BM_KilledAccelerators(benchmark::State &State) {
+  runKilledRow(State, Schedule::Parallel, "killed_accels");
+}
+
+/// The resident schedule: at K = 6 no worker ever opens, so every chunk
+/// of every frame is a host-fallback chunk.
+void BM_ResidentKilledAccelerators(benchmark::State &State) {
+  runKilledRow(State, Schedule::Resident, "resident_killed_accels");
 }
 
 } // namespace
@@ -176,4 +189,9 @@ BENCHMARK(BM_FaultRateSweep)
 BENCHMARK(BM_KilledAccelerators)
     ->ArgName("killed_accels")
     ->DenseRange(0, 6, 1)
+    ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });
+
+BENCHMARK(BM_ResidentKilledAccelerators)
+    ->ArgName("killed_accels")
+    ->Arg(6)
     ->Apply([](benchmark::internal::Benchmark *B) { simBench(B); });

@@ -22,7 +22,9 @@
 #                    snapshot in the same change, or this stage names the
 #                    stale file
 #   3. bench gates — tools/bench_summary.py asserts each headline claim
-#                    on the regenerated rows: the finest-chunk speedup
+#                    on the regenerated rows: the host-fallback rows
+#                    hand chunks to the host (E9 all-dead resident
+#                    frame, E11 lone straggler), the finest-chunk speedup
 #                    floor (E10), the work-stealing p99 win floor (E12),
 #                    the parcel-dataflow win over the host-staged
 #                    schedule at 4 and 6 workers and under every
@@ -101,6 +103,15 @@ python3 tools/bench_summary.py "$BASELINES/e12_work_stealing.json" \
 python3 tools/bench_summary.py "$BASELINES/e12_work_stealing.json" \
     --filter 'StragglerSteal/.*/policy:2' \
     --require p99_win_vs_none '>=' 1.3
+# The host-fallback rows: a resident frame with every core dead and a
+# lone straggler escalated under cancel+restart must each hand chunks
+# to the host, or the row no longer measures the fallback path.
+python3 tools/bench_summary.py "$BASELINES/e9_fault_tolerance.json" \
+    --filter 'ResidentKilledAccelerators/killed_accels:6/' \
+    --require host_chunks '>' 0
+python3 tools/bench_summary.py "$BASELINES/e11_deadlines.json" \
+    --filter 'LoneStraggler/slowdown:16/' \
+    --require host_chunks '>' 0
 # Once every worker seeds a continuation chain, the dataflow frame beats
 # the host-staged schedule outright. The sim is deterministic, so an
 # exact >= 1.0 floor is stable.

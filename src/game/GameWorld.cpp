@@ -13,6 +13,7 @@
 #include "offload/Offload.h"
 #include "offload/Parcel.h"
 
+#include <cassert>
 #include <type_traits>
 #include <vector>
 
@@ -202,21 +203,16 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
   // The slice boundaries come from the full worker budget and never
   // move when a core refuses its slice — the slice fails over to the
   // next live core (or the host), so recovered frames compute
-  // bit-identical state.
+  // bit-identical state. A machine without accelerators still carves
+  // one slice, which finds no live core and runs on the host like any
+  // other refused slice.
+  assert(MaxAccelerators != 0 && "no accelerator budget");
   unsigned NumAccels = M.numAccelerators();
-  unsigned Workers = std::min({NumAccels, MaxAccelerators, AiCount});
+  unsigned Workers =
+      std::min({std::max(NumAccels, 1u), MaxAccelerators, AiCount});
   offload::OffloadGroup Group;
   uint64_t LastFinish = FrameStart;
   uint64_t HostAiEnd = FrameStart;
-  if (Workers == 0) {
-    // No accelerator budget at all: the host runs the whole pass, in
-    // the host-only schedule's position (before collision detection).
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
-                 /*BlockId=*/0, M.hostClock().now(), /*Detail=*/0});
-    servedAiChunkHost(0, AiCount);
-    HostAiEnd = M.hostClock().now();
-  }
   uint32_t PerWorker = Workers != 0 ? AiCount / Workers : 0;
   uint32_t Remainder = Workers != 0 ? AiCount % Workers : 0;
   uint32_t Begin = 0;
@@ -243,10 +239,9 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
       Retried = true;
     }
     if (!Launched) {
-      ++M.hostCounters().HostFallbackChunks;
-      M.emitFault({FaultKind::HostFallback, offload::NoAccelerator,
-                   /*BlockId=*/0, M.hostClock().now(), Begin});
-      servedAiChunkHost(Begin, End);
+      offload::runHostChunk(M, Begin, [&](offload::HostContext &Ctx) {
+        servedAiChunk(Ctx, Begin, End);
+      });
       HostAiEnd = M.hostClock().now();
     }
     Begin = End;
@@ -279,11 +274,7 @@ FrameStats GameWorld::doFrameOffloadAiResident() {
   addRecovery(ServedStats, offload::distributeJobs(
       M, AiCount, Opts,
       [&](auto &Ctx, uint32_t Begin, uint32_t End) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(Ctx)>,
-                                     offload::OffloadContext>)
-          servedAiChunk(Ctx, Begin, End);
-        else
-          servedAiChunkHost(Begin, End);
+        servedAiChunk(Ctx, Begin, End);
       }));
   return finishServedFrame();
 }

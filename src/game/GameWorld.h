@@ -148,9 +148,10 @@ public:
   /// collisions; the join precedes updateEntities. MaxAccelerators = 1
   /// is the paper's Figure 2 schedule: one offload block on one
   /// accelerator. A faulted slice fails over to the next live
-  /// accelerator, or to the host when none is left; world state stays
+  /// accelerator, or to the host when none is left (a machine without
+  /// accelerators runs its one slice there); world state stays
   /// bit-identical either way (the machine counters record the recovery
-  /// work).
+  /// work). \p MaxAccelerators must not be 0.
   FrameStats doFrameOffloadAiParallel(unsigned MaxAccelerators = ~0u);
 
   /// The persistent-worker schedule: the AI pass runs as adaptively
@@ -212,9 +213,14 @@ public:
   void servedAiChunk(offload::OffloadContext &Ctx, uint32_t Begin,
                      uint32_t End);
 
+  /// servedAiChunkHost, for a dispatch body that takes its context as
+  /// auto& and runs on the host when no accelerator will take a chunk.
+  void servedAiChunk(offload::HostContext &, uint32_t Begin, uint32_t End) {
+    servedAiChunkHost(Begin, End);
+  }
+
   /// Host-side AI pass over [Begin, End) (reads targets with ordinary
-  /// loads). Also the fallback when an offloaded slice has no live
-  /// accelerator to run on.
+  /// loads).
   void servedAiChunkHost(uint32_t Begin, uint32_t End);
 
   FrameStats finishServedFrame();

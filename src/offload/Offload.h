@@ -64,6 +64,19 @@ class OffloadHandle;
 /// a machine with no live core, and the AccelId of failed auto-picks).
 inline constexpr unsigned NoAccelerator = ~0u;
 
+/// The one host-fallback site, for a chunk no accelerator will take:
+/// bills HostFallbackChunks, reports a HostFallback fault (AccelId
+/// NoAccelerator, BlockId 0, Cycle the host clock now, Detail the
+/// chunk's first index \p FirstIndex) and runs \p Run on a HostContext.
+template <typename RunFn>
+void runHostChunk(sim::Machine &M, uint32_t FirstIndex, RunFn &&Run) {
+  ++M.hostCounters().HostFallbackChunks;
+  M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, /*BlockId=*/0,
+               M.hostClock().now(), FirstIndex});
+  HostContext Ctx(M);
+  Run(Ctx);
+}
+
 /// Outcome of an offload launch. Launches are fail-stop: a core either
 /// runs the whole block or is lost before the body's first instruction.
 /// A non-Ok handle is still joinable — joining charges the host the

@@ -51,14 +51,11 @@ RegionStats parallelForRange(sim::Machine &M, uint32_t Count, BodyFn &&Body,
   if (Count == 0)
     return {};
   unsigned NumAccels = M.numAccelerators();
-  unsigned Workers = std::min({NumAccels, MaxAccelerators, Count});
-  ResidentWorkerPool Pool(M, Workers);
-  if (Workers == 0) {
-    // No accelerator budget at all: the whole range is one host slice.
-    Pool.runOnHost(Body, sim::WorkDescriptor{0, Count});
-    Pool.close();
-    return Pool.stats();
-  }
+  unsigned Budget = std::min({NumAccels, MaxAccelerators, Count});
+  ResidentWorkerPool Pool(M, Budget);
+  // With no accelerator budget the pool opens empty, and place() runs
+  // the one slice carved here on the host.
+  unsigned Workers = std::max(Budget, 1u);
   // Domain-first static split: slice lengths are balanced across
   // domains before the per-worker split inside each one (slice homes
   // are the accelerator ids 0..Workers-1, so worker W's domain is

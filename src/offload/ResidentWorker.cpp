@@ -390,10 +390,8 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   auto EscalateToHost = [&] {
     CancelVictimAt(DetectAt);
     M.hostClock().advanceTo(DetectAt);
-    M.hostClock().advance(Cost);
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, Wk.Span.BlockId,
-                 M.hostClock().now(), Desc.Begin});
+    runHostChunk(M, Desc.Begin,
+                 [&](HostContext &Host) { Host.clock().advance(Cost); });
   };
 
   switch (Cfg.DeadlineRecovery) {

@@ -338,30 +338,27 @@ public:
   /// Host fallback for a descriptor no worker can take: runs \p Desc
   /// and then its remaining continuation chain (with no worker left
   /// there is nobody to deliver a parcel to, and the chain's stage
-  /// order must survive the pool emptying). Each descriptor run is
-  /// billed (HostChunks, the HostFallbackChunks counter, a HostFallback
-  /// fault event) and invoked on a HostContext, in the same two call
-  /// forms executeNext accepts. A body hard-wired to OffloadContext
-  /// cannot fall back, which is a fatal configuration error (there is
-  /// nowhere left to run the work).
+  /// order must survive the pool emptying). Each descriptor run counts
+  /// in HostChunks and goes through runHostChunk (Offload.h), in the
+  /// same two call forms executeNext accepts. A body hard-wired to
+  /// OffloadContext cannot fall back, which is a fatal configuration
+  /// error (there is nowhere left to run the work).
   template <typename BodyFn>
   void runOnHost(BodyFn &Body, sim::WorkDescriptor Desc) {
     for (;;) {
       ++RS.HostChunks;
-      ++M.hostCounters().HostFallbackChunks;
-      M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                   /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-      HostContext Ctx(M);
-      if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
-                                        const sim::WorkDescriptor &>)
-        Body(Ctx, Desc);
-      else if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
-                                             uint32_t, uint32_t>)
-        Body(Ctx, Desc.Begin, Desc.End);
-      else
-        reportFatalError("offload: no accelerator available and the body "
-                         "is not host-invocable (take the context "
-                         "parameter as auto& to enable host fallback)");
+      runHostChunk(M, Desc.Begin, [&](HostContext &Ctx) {
+        if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                          const sim::WorkDescriptor &>)
+          Body(Ctx, Desc);
+        else if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                               uint32_t, uint32_t>)
+          Body(Ctx, Desc.Begin, Desc.End);
+        else
+          reportFatalError("offload: no accelerator available and the "
+                           "body is not host-invocable (take the context "
+                           "parameter as auto& to enable host fallback)");
+      });
       if (!Desc.hasContinuation())
         return;
       Desc = DispatchPlan::continuation(Desc, continuationOf(Desc.NextKernel),

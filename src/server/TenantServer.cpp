@@ -13,7 +13,6 @@
 #include "support/Random.h"
 
 #include <algorithm>
-#include <type_traits>
 
 using namespace omm;
 using namespace omm::server;
@@ -180,11 +179,7 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
             game::GameWorld &W = *Tenants[Admitted[Slot]].World;
             uint32_t LocalBegin = Begin - Offsets[Slot];
             uint32_t LocalEnd = SliceEnd - Offsets[Slot];
-            if constexpr (std::is_same_v<std::decay_t<decltype(Ctx)>,
-                                         offload::OffloadContext>)
-              W.servedAiChunk(Ctx, LocalBegin, LocalEnd);
-            else
-              W.servedAiChunkHost(LocalBegin, LocalEnd);
+            W.servedAiChunk(Ctx, LocalBegin, LocalEnd);
             Begin = SliceEnd;
           }
         });

@@ -308,10 +308,11 @@ TEST(Deadline, LoneStragglerEscalatesToTheHost) {
   EXPECT_EQ(Delta.HostFallbackChunks, Delta.StragglersDetected);
   EXPECT_EQ(Delta.CancelsIssued, 1u);
   EXPECT_EQ(Delta.FailoverChunks, 0u);
-  unsigned HostFallbacks = 0;
+  std::vector<FaultEvent> HostFallbacks;
   for (const FaultEvent &Event : Log.Faults)
-    HostFallbacks += Event.Kind == FaultKind::HostFallback;
-  EXPECT_EQ(HostFallbacks, Delta.HostFallbackChunks);
+    if (Event.Kind == FaultKind::HostFallback)
+      HostFallbacks.push_back(Event);
+  ASSERT_EQ(HostFallbacks.size(), Delta.HostFallbackChunks);
   EXPECT_EQ(World.checksum(), CleanChecksum);
 
   // The victim's clock is trimmed to the first cancel poll after
@@ -330,4 +331,13 @@ TEST(Deadline, LoneStragglerEscalatesToTheHost) {
   EXPECT_LT(UnslowedEnd, VictimEnd);
   EXPECT_LT(VictimEnd, SlowEnd);
   EXPECT_EQ(M.accel(Victim.AccelId).Clock.now(), VictimEnd);
+
+  // The escalation follows the one host-fallback convention: no block,
+  // stamped when the host takes the chunk over (at detection), with the
+  // chunk's first index.
+  const FaultEvent &Escalation = HostFallbacks.front();
+  EXPECT_EQ(Escalation.AccelId, offload::NoAccelerator);
+  EXPECT_EQ(Escalation.BlockId, 0u);
+  EXPECT_EQ(Escalation.Cycle, DetectAt);
+  EXPECT_EQ(Escalation.Detail, Victim.Begin);
 }

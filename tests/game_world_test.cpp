@@ -146,6 +146,26 @@ TEST(GameWorld, ResidentAiScheduleIsBitIdenticalAndAmortizesLaunches) {
   MResident.removeObserver(&Launches);
 }
 
+TEST(GameWorld, ParallelFrameWithoutAcceleratorsRunsOnTheHost) {
+  // No accelerator to launch on: the frame's one slice takes the
+  // ordinary host fallback, and the frame is the host-only frame.
+  MachineConfig Cfg;
+  Cfg.NumAccelerators = 0;
+  Machine MNone(Cfg), MHost;
+  GameWorld NoAccel(MNone, smallWorld());
+  GameWorld HostOnly(MHost, smallWorld());
+  for (int Frame = 0; Frame != 3; ++Frame) {
+    PerfCounters Before = MNone.totalCounters();
+    FrameStats Stats = NoAccel.doFrameOffloadAiParallel();
+    FrameStats HostStats = HostOnly.doFrameHostOnly();
+    EXPECT_EQ(MNone.countersSince(Before).HostFallbackChunks, 1u)
+        << "frame " << Frame;
+    EXPECT_EQ(Stats.FrameCycles, HostStats.FrameCycles) << "frame " << Frame;
+    ASSERT_EQ(NoAccel.checksum(), HostOnly.checksum())
+        << "divergence at frame " << Frame;
+  }
+}
+
 TEST(GameWorld, ParallelAiShortensTheAiStage) {
   GameWorldParams Params = smallWorld();
   Params.NumEntities = 600; // Enough work to amortise launches.

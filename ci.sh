@@ -40,6 +40,10 @@
 #                    experiment, example or benchmark keeps unless
 #                    tools/dead_api.allowlist gives it a reason; it does
 #                    not see header-only inline functions or templates
+#                    (among them the per-access fast paths:
+#                    MainMemory/LocalStore read and write,
+#                    Machine::chargeHostAccess and
+#                    OffloadContext::noteLocalAccess)
 #                    (about 80 s cold on 4 cores, a few seconds when
 #                    nothing changed)
 #   5. benchmark   — benchmark/run.py --quick, untraced and then with
@@ -48,7 +52,9 @@
 #                    .bench_build/); fails on a checksum mismatch,
 #                    fingerprint divergence, observer/counter
 #                    disagreement or end-to-end or per-layer
-#                    metric-schema drift
+#                    metric-schema drift, and fails unless each
+#                    workload's seed-1 fingerprint equals the value
+#                    committed here
 #   6. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
 #   7. soak        — the long randomised fault-injection and tenant
 #                    endurance runs, under the sanitizer build where
@@ -159,6 +165,27 @@ stage_done "dead api"
 
 echo "=== benchmark: every workload, quick, correctness and schema ==="
 python3 benchmark/run.py --quick
+# Each workload's run fingerprint (a hash of its simulated cycles and
+# checksums) must equal the committed value. The benchmark's own
+# reference pass runs the same broadphase as the run it checks, so this
+# is the only gate that pins the -O3 build's behaviour from outside.
+python3 - <<'PY'
+import json, sys
+expected = {
+    "frame_resident": "e8d5502d36e0c675",
+    "frame_dataflow": "63d83203946bbe26",
+    "frame_launch": "2e5250119117ce9e",
+    "serve_tenants": "03c416330aa3ef7b",
+}
+stale = []
+for workload, want in expected.items():
+    path = f".bench_build/results/{workload}-seed1-trace0.json"
+    got = json.load(open(path))["fingerprint"]
+    if got != want:
+        stale.append(f"{workload}: fingerprint {got}, expected {want}")
+if stale:
+    sys.exit("fingerprint drift:\n  " + "\n  ".join(stale))
+PY
 # The traced run is the only one that checks the DMA observer stream
 # against the counters and self-checks the per-layer metric schema.
 python3 benchmark/run.py --quick --trace 1

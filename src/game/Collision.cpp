@@ -8,6 +8,7 @@
 #include "game/Collision.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -49,11 +50,10 @@ bool omm::game::respondToCollision(GameEntity &First, GameEntity &Second) {
 
 namespace {
 
-/// Cell coordinates a packed key can hold: |cell| < 2^20 - 1, so the
-/// occupied span of an axis is at most 2^21 - 3 cells and its field,
-/// which also holds one cell of margin on either side, fits 21 bits.
+/// Cell coordinates the grid accepts (its packed-key range): |cell| <
+/// 2^20 - 1, so an axis's occupied span, the radix key compressAxis
+/// sorts by, fits 21 bits.
 constexpr float CellLimit = float((1 << 20) - 1);
-constexpr unsigned MaxFieldBits = 21;
 
 /// The cell holding \p Coord.
 int32_t cellOf(float Coord, float InvCell) {
@@ -64,11 +64,10 @@ int32_t cellOf(float Coord, float InvCell) {
 }
 
 /// The 13 "forward" neighbour offsets, so each unordered cell pair is
-/// visited once, in the order their pairs are tested. Each is
-/// lexicographically positive, so a cell's neighbour keys grow with the
-/// cell's key. They lie in five rows of cells that share (X, Y): the
-/// cell's own row (Z + 1 only) and the rows at (X, Y) offsets (0, 1),
-/// (1, -1), (1, 0) and (1, 1) (Z - 1, Z and Z + 1).
+/// visited once, in the order their pairs are tested. They lie in five
+/// rows of cells that share (X, Y): the cell's own row (Z + 1 only) and
+/// the rows at (X, Y) offsets (0, 1), (1, -1), (1, 0) and (1, 1)
+/// (Z - 1, Z and Z + 1).
 constexpr unsigned NumRows = 5;
 constexpr int8_t RowOffset[NumRows][2] = {
     {0, 0}, {0, 1}, {1, -1}, {1, 0}, {1, 1}};
@@ -82,6 +81,15 @@ constexpr ForwardNeighbour Forward[13] = {
     {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},  {1, -1, 0},
     {1, 0, 1},  {1, 0, -1}, {0, 1, 1},  {0, 1, -1}, {1, 1, 1},
     {1, 1, -1}, {1, -1, 1}, {1, -1, -1}};
+
+/// NeighbourRank[R][Z + 1]: the position in Forward of the neighbour in
+/// row R at Z offset Z (row 0 holds only Z + 1).
+constexpr auto NeighbourRank = [] {
+  std::array<std::array<uint8_t, 3>, NumRows> Rank{};
+  for (uint8_t F = 0; F != std::size(Forward); ++F)
+    Rank[Forward[F].row()][Forward[F].Z + 1] = F;
+  return Rank;
+}();
 static_assert([] {
   for (const ForwardNeighbour &F : Forward)
     if (RowOffset[F.row()][0] != F.X || RowOffset[F.row()][1] != F.Y)
@@ -90,7 +98,7 @@ static_assert([] {
 }());
 
 struct Binned {
-  uint64_t Key;
+  uint32_t Key;
   uint32_t Id;
 };
 
@@ -111,6 +119,35 @@ void radixSortByKey(std::vector<Binned> &Bins, unsigned KeyBits) {
       Scratch[Count[(B.Key >> Shift) & 0xFF]++] = B;
     Bins.swap(Scratch);
   }
+}
+
+/// Compresses one axis: \p Bins holds each entity's cell on the axis,
+/// as an offset from the lowest occupied cell (at most \p MaxKey), and
+/// Slot[Id] receives its slot. Occupied cells keep their order; each
+/// run of empty cells between two of them shrinks to one empty slot,
+/// and one empty slot lies below the first and above the last. So two
+/// cells are adjacent exactly when their slots are. \returns the
+/// number of slots, at most 2 × (occupied cells) + 1.
+uint32_t compressAxis(std::vector<Binned> &Bins, uint32_t MaxKey,
+                      std::vector<uint32_t> &Slot) {
+  radixSortByKey(Bins, static_cast<unsigned>(std::bit_width(MaxKey)));
+  uint32_t Prev = Bins.front().Key, S = 1;
+  for (const Binned &B : Bins) {
+    if (B.Key != Prev)
+      S += B.Key == Prev + 1 ? 1 : 2;
+    Prev = B.Key;
+    Slot[B.Id] = S;
+  }
+  return S + 2;
+}
+
+/// The most cells the grid index of \p NumEntities entities may hold:
+/// 2^20 + 64 per entity, so the index costs at most 4 MiB plus 256
+/// bytes an entity. A dense or clustered world needs a few cells an
+/// entity; only one whose entities are spread out on every axis at
+/// once needs more (up to (2 × N + 1)^3).
+uint64_t maxIndexCells(uint32_t NumEntities) {
+  return (uint64_t(1) << 20) + 64 * uint64_t(NumEntities);
 }
 
 } // namespace
@@ -153,113 +190,122 @@ omm::game::broadphaseHost(const EntityStore &Entities,
     M.hostCompute(Params.CyclesPerHash);
   }
 
-  // Pack each cell into a key of three fields, X high, so the integer
-  // order of keys is the lexicographic (X, Y, Z) order of cells. Field
-  // A holds cell - Lo[A] + 1 and spans the occupied cells plus one on
-  // either side, so adding a neighbour's key delta never carries into
-  // or borrows from the next field.
-  unsigned Bits[3], Shift[3];
-  for (unsigned A = 0; A != 3; ++A) {
-    Bits[A] = static_cast<unsigned>(
-        std::bit_width(static_cast<uint32_t>(Hi[A] - Lo[A] + 2)));
-    assert(Bits[A] <= MaxFieldBits && "cell span outside a key field");
-  }
-  Shift[2] = 0;
-  Shift[1] = Bits[2];
-  Shift[0] = Bits[1] + Bits[2];
+  // Index every cell of the compressed grid, X major, so index order is
+  // the lexicographic (X, Y, Z) order of cells and a cell's neighbour
+  // at (DX, DY, DZ) is DX × Size[1] × Size[2] + DY × Size[2] + DZ
+  // indices away. The index may hold at most maxIndexCells(NumEntities)
+  // cells, checked before each axis is folded into CellIndex, so no
+  // index overflows 32 bits.
+  uint32_t Size[3];
+  uint64_t NumSlots = 1;
+  std::vector<uint32_t> CellIndex(NumEntities, 0), Slot(NumEntities);
   std::vector<Binned> Bins(NumEntities);
-  for (uint32_t I = 0; I != NumEntities; ++I) {
-    uint64_t Key = 0;
-    for (unsigned A = 0; A != 3; ++A)
-      Key |= uint64_t(Cells[I].Axis[A] - Lo[A] + 1) << Shift[A];
-    Bins[I] = Binned{Key, I};
+  for (unsigned A = 0; A != 3; ++A) {
+    for (uint32_t I = 0; I != NumEntities; ++I)
+      Bins[I] = Binned{static_cast<uint32_t>(Cells[I].Axis[A] - Lo[A]), I};
+    Size[A] = compressAxis(Bins, static_cast<uint32_t>(Hi[A] - Lo[A]), Slot);
+    NumSlots *= Size[A];
+    assert(NumSlots <= maxIndexCells(NumEntities) &&
+           "world too sparse for the broadphase grid index");
+    for (uint32_t I = 0; I != NumEntities; ++I)
+      CellIndex[I] = CellIndex[I] * Size[A] + Slot[I];
   }
 
-  // Cells in key order, ids ascending within a cell: the bins were
-  // pushed in id order and the sort is stable.
-  radixSortByKey(Bins, Shift[0] + Bits[0]);
-
-  // Snapshots in sorted order, each radius with the coarse test's margin
-  // already applied; cell C holds sorted entities [CellBegin[C],
-  // CellBegin[C + 1]).
-  struct Sorted {
-    Vec3 Position;
-    float Reach;
-    uint32_t Id;
-  };
-  std::vector<Sorted> Order(NumEntities);
-  std::vector<uint64_t> CellKeys;
-  std::vector<uint32_t> CellBegin;
+  // Counting sort into the index, ids ascending within a cell (entities
+  // are placed in id order); then CellBegin[C] is the first sorted
+  // entity of cell C and CellBegin[C + 1] one past its last.
+  std::vector<uint32_t> CellBegin(NumSlots + 2, 0);
+  for (uint32_t C : CellIndex)
+    ++CellBegin[C + 2];
+  for (uint64_t C = 2; C < NumSlots + 2; ++C)
+    CellBegin[C] += CellBegin[C - 1];
+  // Sorted entities as parallel arrays, each radius with the coarse
+  // test's margin already applied.
+  std::vector<float> X(NumEntities), Y(NumEntities), Z(NumEntities),
+      Reach(NumEntities);
+  std::vector<uint32_t> Id(NumEntities), SortedCell(NumEntities);
   for (uint32_t I = 0; I != NumEntities; ++I) {
-    const Snapshot &S = Snapshots[Bins[I].Id];
-    Order[I] = Sorted{S.Position, S.Radius * 1.2f, Bins[I].Id};
-    if (CellKeys.empty() || CellKeys.back() != Bins[I].Key) {
-      CellKeys.push_back(Bins[I].Key);
-      CellBegin.push_back(I);
+    uint32_t P = CellBegin[CellIndex[I] + 1]++;
+    X[P] = Snapshots[I].Position.X;
+    Y[P] = Snapshots[I].Position.Y;
+    Z[P] = Snapshots[I].Position.Z;
+    Reach[P] = Snapshots[I].Radius * 1.2f;
+    Id[P] = I;
+    SortedCell[P] = CellIndex[I];
+  }
+
+  // Writes to Hits the sorted entities in [Begin, End) whose sphere
+  // overlaps A's, without a branch per test, and \returns how many.
+  // It evaluates spheresOverlap(A, B) exactly.
+  std::vector<uint32_t> Hits(NumEntities);
+  auto Overlapping = [&](uint32_t A, uint32_t Begin, uint32_t End) {
+    float AX = X[A], AY = Y[A], AZ = Z[A], AReach = Reach[A];
+    uint32_t Count = 0;
+    for (uint32_t B = Begin; B != End; ++B) {
+      float DX = AX - X[B], DY = AY - Y[B], DZ = AZ - Z[B];
+      float R = AReach + Reach[B];
+      Hits[Count] = B;
+      Count += DX * DX + DY * DY + DZ * DZ <= R * R;
     }
-  }
-  size_t NumCells = CellKeys.size();
-  CellBegin.push_back(NumEntities);
-  // A sentinel above every key ends each forward scan.
-  CellKeys.push_back(UINT64_MAX);
-
+    return Count;
+  };
   std::vector<CollisionPair> Pairs;
-  auto Consider = [&](const Sorted &SA, const Sorted &SB) {
-    // Coarse test with margin; the narrowphase does the exact test.
-    if (!spheresOverlap(SA.Position, SA.Reach, SB.Position, SB.Reach))
-      return;
+  auto Emit = [&](uint32_t A, uint32_t B) {
     CollisionPair Pair;
-    uint32_t First = std::min(SA.Id, SB.Id);
-    uint32_t Second = std::max(SA.Id, SB.Id);
+    uint32_t First = std::min(Id[A], Id[B]);
+    uint32_t Second = std::max(Id[A], Id[B]);
     Pair.FirstAddr = Entities.entity(First).addr().Value;
     Pair.SecondAddr = Entities.entity(Second).addr().Value;
     Pair.FirstId = First;
     Pair.SecondId = Second;
     Pairs.push_back(Pair);
   };
-  // Tests the pairs of cell C with cell N, or within C when N == C.
-  uint64_t Tests = 0;
-  auto TestCells = [&](size_t C, size_t N) {
-    uint32_t Begin = CellBegin[C], End = CellBegin[C + 1];
-    if (C == N) {
-      Tests += uint64_t(End - Begin) * (End - Begin - 1) / 2;
-      for (uint32_t A = Begin; A != End; ++A)
-        for (uint32_t B = A + 1; B != End; ++B)
-          Consider(Order[A], Order[B]);
-      return;
-    }
-    Tests += uint64_t(End - Begin) * (CellBegin[N + 1] - CellBegin[N]);
-    for (uint32_t A = Begin; A != End; ++A)
-      for (uint32_t B = CellBegin[N]; B != CellBegin[N + 1]; ++B)
-        Consider(Order[A], Order[B]);
-  };
 
-  // Candidate pairs: within a cell, then against each forward neighbour.
-  // Cells are visited in key order, so the key of each row's Z - 1 cell
-  // only grows and one forward-only cursor per row finds it (a merge
-  // join); the row's next two cells, if present, follow it directly.
-  uint64_t RowStart[NumRows];
+  // Candidate pairs, cell by cell in index order: within the cell, then
+  // against the forward neighbours. Each of the five neighbour rows is
+  // one contiguous run of sorted entities (Z + 1 alone in the cell's
+  // own row, Z - 1 to Z + 1 in the others), so each is tested as one
+  // span; the few hits are then sorted back into Forward order.
+  int64_t RowStep[NumRows];
   for (unsigned R = 0; R != NumRows; ++R)
-    RowStart[R] = static_cast<uint64_t>(
-        int64_t(RowOffset[R][0]) * (int64_t(1) << Shift[0]) +
-        int64_t(RowOffset[R][1]) * (int64_t(1) << Shift[1]) - 1);
-  constexpr size_t NoCell = SIZE_MAX;
-  size_t Cursor[NumRows] = {};
-  for (size_t C = 0; C != NumCells; ++C) {
-    TestCells(C, C);
-    size_t Near[NumRows][3];
+    RowStep[R] = int64_t(RowOffset[R][0]) * Size[1] * Size[2] +
+                 int64_t(RowOffset[R][1]) * Size[2];
+  struct NeighbourHit {
+    uint32_t Rank, A, B;
+  };
+  std::vector<NeighbourHit> Found;
+  uint64_t Tests = 0;
+  for (uint32_t Begin = 0, End; Begin != NumEntities; Begin = End) {
+    uint32_t C = SortedCell[Begin];
+    End = CellBegin[C + 1];
+    Tests += uint64_t(End - Begin) * (End - Begin - 1) / 2;
+    for (uint32_t A = Begin; A != End; ++A)
+      for (uint32_t H = 0, N = Overlapping(A, A + 1, End); H != N; ++H)
+        Emit(A, Hits[H]);
+
+    Found.clear();
     for (unsigned R = 0; R != NumRows; ++R) {
-      uint64_t Start = CellKeys[C] + RowStart[R];
-      size_t N = Cursor[R];
-      while (CellKeys[N] < Start)
-        ++N;
-      Cursor[R] = N;
-      for (unsigned Z = 0; Z != 3; ++Z)
-        Near[R][Z] = CellKeys[N] == Start + Z ? N++ : NoCell;
+      uint64_t Row = C + RowStep[R];
+      uint32_t First = CellBegin[R == 0 ? Row + 1 : Row - 1];
+      uint32_t Last = CellBegin[Row + 2];
+      if (First == Last)
+        continue;
+      Tests += uint64_t(End - Begin) * (Last - First);
+      for (uint32_t A = Begin; A != End; ++A)
+        for (uint32_t H = 0, N = Overlapping(A, First, Last); H != N; ++H) {
+          uint32_t B = Hits[H];
+          unsigned DZ = B < CellBegin[Row] ? 0 : B < CellBegin[Row + 1] ? 1 : 2;
+          Found.push_back(NeighbourHit{NeighbourRank[R][DZ], A, B});
+        }
     }
-    for (const ForwardNeighbour &F : Forward)
-      if (size_t N = Near[F.row()][F.Z + 1]; N != NoCell)
-        TestCells(C, N);
+    // Hits were found row by row, each row's in (A, B) order; a stable
+    // sort by neighbour rank gives the (neighbour, A, B) test order.
+    std::stable_sort(Found.begin(), Found.end(),
+                     [](const NeighbourHit &L, const NeighbourHit &R) {
+                       return L.Rank < R.Rank;
+                     });
+    for (const NeighbourHit &Hit : Found)
+      Emit(Hit.A, Hit.B);
   }
   // The join makes no host access, so one charge for every pair test
   // reaches the same clock as one charge per test would.

@@ -54,10 +54,19 @@ bool respondToCollision(GameEntity &First, GameEntity &Second);
 /// responses in sequence: cells are visited in lexicographic (X, Y, Z)
 /// order; within a cell, ids ascend and pairs are tested in that order;
 /// then each of the 13 forward neighbour cells is tested, in a fixed
-/// offset order. Cells are packed into 64-bit keys of three fields, one
-/// per axis, each as wide as that axis's occupied span plus two cells,
-/// so every cell coordinate must satisfy |cell| < 2^20 - 1: |position|
-/// < ~8.4M world units at the default 8-unit cell (asserted).
+/// offset order. Every cell coordinate must satisfy |cell| < 2^20 - 1
+/// (the packed-key range): |position| < ~8.4M world units at the
+/// default 8-unit cell (asserted).
+///
+/// Neighbours are found through a dense grid index, not a search. Each
+/// axis is compressed: occupied coordinates keep their order and every
+/// run of empty ones shrinks to one, so an axis of d occupied
+/// coordinates spans at most 2d + 1 slots and adjacency is unchanged.
+/// The index holds one offset per slot of the compressed grid, so a
+/// world must need at most 2^20 + 64 × (entity count) slots (asserted):
+/// at most 4 MiB plus 256 bytes an entity. Dense and clustered worlds
+/// need a few slots an entity; only entities spread apart on all three
+/// axes at once (up to (2N + 1)^3 slots) break the bound.
 std::vector<CollisionPair> broadphaseHost(const EntityStore &Entities,
                                           const CollisionParams &Params);
 

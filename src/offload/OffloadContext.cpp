@@ -34,20 +34,6 @@ OffloadContext::OffloadContext(sim::Machine &M, unsigned AccelId)
 
 OffloadContext::~OffloadContext() = default;
 
-void OffloadContext::noteLocalAccess(LocalAddr Addr, uint32_t Size,
-                                     bool IsWrite) {
-  // The SPE accesses its local store in 16-byte quadwords; charge one
-  // access cost per quadword touched.
-  uint64_t Quadwords = divideCeil(std::max<uint32_t>(Size, 1), 16);
-  Accel.Clock.advance(Quadwords * M.config().LocalAccessCycles);
-  if (IsWrite)
-    ++Accel.Counters.LocalStores;
-  else
-    ++Accel.Counters.LocalLoads;
-  if (DmaObserver *Obs = M.observer())
-    Obs->onLocalAccess(accelId(), Addr, Size, IsWrite, Accel.Clock.now());
-}
-
 void OffloadContext::outerReadBytes(void *Dst, GlobalAddr Src,
                                     uint32_t Size) {
   if (BoundCache) {

@@ -183,7 +183,19 @@ public:
 private:
   friend class SoftwareCacheBase;
 
-  void noteLocalAccess(sim::LocalAddr Addr, uint32_t Size, bool IsWrite);
+  /// Bills one local-store access: the SPE accesses its local store in
+  /// 16-byte quadwords, so one access cost per quadword touched, then
+  /// the counter and the observers. Inline: every local access pays it.
+  void noteLocalAccess(sim::LocalAddr Addr, uint32_t Size, bool IsWrite) {
+    uint64_t Quadwords = divideCeil(Size > 1 ? Size : 1, 16);
+    Accel.Clock.advance(Quadwords * sim::MachineConfig::LocalAccessCycles);
+    if (IsWrite)
+      ++Accel.Counters.LocalStores;
+    else
+      ++Accel.Counters.LocalLoads;
+    if (sim::DmaObserver *Obs = M.observer())
+      Obs->onLocalAccess(accelId(), Addr, Size, IsWrite, Accel.Clock.now());
+  }
 
   /// Synchronous, uncached transfer of the 16-byte-aligned region
   /// enclosing [Addr, Addr+Size) through the bounce buffer.

@@ -12,11 +12,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace omm;
 using namespace omm::sim;
 
-LocalStore::LocalStore(uint32_t SizeBytes) : Storage(SizeBytes, 0) {
+LocalStore::LocalStore(uint32_t SizeBytes) : Storage(SizeBytes) {
   assert(SizeBytes >= 64 && "local store implausibly small");
 }
 
@@ -41,20 +42,12 @@ void LocalStore::reset(Mark M) {
   Top = M;
 }
 
-void LocalStore::read(void *Dst, LocalAddr Src, uint32_t Size) const {
-  if (!contains(Src, Size))
-    reportFatalError("local store: out-of-bounds read");
-  std::memcpy(Dst, Storage.data() + Src.Value, Size);
-}
-
-void LocalStore::write(LocalAddr Dst, const void *Src, uint32_t Size) {
-  if (!contains(Dst, Size))
-    reportFatalError("local store: out-of-bounds write");
-  std::memcpy(Storage.data() + Dst.Value, Src, Size);
-}
-
 uint8_t *LocalStore::rawPtr(LocalAddr Addr, uint32_t Size) {
   if (!contains(Addr, Size))
-    reportFatalError("local store: out-of-bounds raw access");
+    fatalAccess("out-of-bounds raw access");
   return Storage.data() + Addr.Value;
+}
+
+void LocalStore::fatalAccess(const char *What) {
+  reportFatalError(std::string("local store: ") + What);
 }

@@ -20,11 +20,11 @@
 #define OMM_SIM_LOCALSTORE_H
 
 #include "sim/Address.h"
+#include "support/ZeroedPages.h"
 
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
-#include <vector>
 
 namespace omm::sim {
 
@@ -53,9 +53,18 @@ public:
   void reset(Mark M);
 
   /// Raw bounds-checked access (functional layer; timing is charged by
-  /// the owning Machine/OffloadContext).
-  void read(void *Dst, LocalAddr Src, uint32_t Size) const;
-  void write(LocalAddr Dst, const void *Src, uint32_t Size);
+  /// the owning Machine/OffloadContext). Inline, so a typed access
+  /// copies a constant number of bytes.
+  void read(void *Dst, LocalAddr Src, uint32_t Size) const {
+    if (!contains(Src, Size)) [[unlikely]]
+      fatalAccess("out-of-bounds read");
+    std::memcpy(Dst, Storage.data() + Src.Value, Size);
+  }
+  void write(LocalAddr Dst, const void *Src, uint32_t Size) {
+    if (!contains(Dst, Size)) [[unlikely]]
+      fatalAccess("out-of-bounds write");
+    std::memcpy(Storage.data() + Dst.Value, Src, Size);
+  }
 
   template <typename T> T readValue(LocalAddr Addr) const {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -84,7 +93,12 @@ public:
   uint32_t peakUsage() const { return Peak; }
 
 private:
-  std::vector<uint8_t> Storage;
+  /// Reports a failed access (\p What) as a fatal error.
+  [[noreturn, gnu::cold]] static void fatalAccess(const char *What);
+
+  // Zeroed and committed page by page on first touch (ZeroedPages), so
+  // building a machine does not clear every core's whole store.
+  ZeroedPages Storage;
   uint32_t Top = 16; // Offset zero reserved as the null local address.
   uint32_t Peak = 16;
 };

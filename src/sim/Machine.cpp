@@ -87,18 +87,6 @@ void Machine::removeObserver(DmaObserver *Obs) {
       Accel->Dma.setObserver(nullptr);
 }
 
-void Machine::chargeHostAccess(uint64_t Size, bool IsWrite, GlobalAddr Addr) {
-  uint64_t Words = divideCeil(std::max<uint64_t>(Size, 1),
-                              Cfg.HostAccessGranularity);
-  HostClock.advance(Words * Cfg.HostAccessCycles);
-  if (IsWrite)
-    ++HostCounters.HostStores;
-  else
-    ++HostCounters.HostLoads;
-  if (DmaObserver *Obs = observer())
-    Obs->onHostAccess(Addr, Size, IsWrite, HostClock.now());
-}
-
 void Machine::hostReadBytes(void *Dst, GlobalAddr Src, uint64_t Size) {
   chargeHostAccess(Size, /*IsWrite=*/false, Src);
   Main.read(Dst, Src, Size);

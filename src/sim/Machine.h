@@ -30,6 +30,7 @@
 #include "sim/MainMemory.h"
 #include "sim/PerfCounters.h"
 #include "sim/WatchdogTimer.h"
+#include "support/MathExtras.h"
 
 #include <memory>
 #include <vector>
@@ -189,7 +190,19 @@ public:
   uint64_t globalTime() const;
 
 private:
-  void chargeHostAccess(uint64_t Size, bool IsWrite, GlobalAddr Addr);
+  /// Bills one host access: the host clock, the load or store counter,
+  /// then the observers. Inline: every host access pays it.
+  void chargeHostAccess(uint64_t Size, bool IsWrite, GlobalAddr Addr) {
+    uint64_t Words = divideCeil(Size > 1 ? Size : 1,
+                                MachineConfig::HostAccessGranularity);
+    HostClock.advance(Words * MachineConfig::HostAccessCycles);
+    if (IsWrite)
+      ++HostCounters.HostStores;
+    else
+      ++HostCounters.HostLoads;
+    if (DmaObserver *Obs = observer())
+      Obs->onHostAccess(Addr, Size, IsWrite, HostClock.now());
+  }
 
   MachineConfig Cfg;
   MainMemory Main;

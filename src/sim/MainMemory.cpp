@@ -12,17 +12,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
+#include <string>
 
 using namespace omm;
 using namespace omm::sim;
 
-MainMemory::MainMemory(uint64_t SizeBytes)
-    : Storage(static_cast<uint8_t *>(std::calloc(SizeBytes, 1))),
-      StorageSize(SizeBytes) {
+MainMemory::MainMemory(uint64_t SizeBytes) : Storage(SizeBytes) {
   assert(SizeBytes >= 2 * GuardBytes && "main memory implausibly small");
-  if (!Storage)
-    reportFatalError("main memory: cannot reserve host backing store");
   FreeList.push_back(FreeBlock{GuardBytes, SizeBytes - GuardBytes});
 }
 
@@ -96,20 +92,12 @@ void MainMemory::deallocate(GlobalAddr Addr) {
   }
 }
 
-void MainMemory::read(void *Dst, GlobalAddr Src, uint64_t Size) const {
-  if (!contains(Src, Size))
-    reportFatalError("main memory: out-of-bounds read");
-  std::memcpy(Dst, Storage.get() + Src.Value, Size);
-}
-
-void MainMemory::write(GlobalAddr Dst, const void *Src, uint64_t Size) {
-  if (!contains(Dst, Size))
-    reportFatalError("main memory: out-of-bounds write");
-  std::memcpy(Storage.get() + Dst.Value, Src, Size);
-}
-
 uint8_t *MainMemory::rawPtr(GlobalAddr Addr, uint64_t Size) {
   if (!contains(Addr, Size))
-    reportFatalError("main memory: out-of-bounds raw access");
-  return Storage.get() + Addr.Value;
+    fatalAccess("out-of-bounds raw access");
+  return Storage.data() + Addr.Value;
+}
+
+void MainMemory::fatalAccess(const char *What) {
+  reportFatalError(std::string("main memory: ") + What);
 }

@@ -23,11 +23,10 @@
 #define OMM_SIM_MAINMEMORY_H
 
 #include "sim/Address.h"
+#include "support/ZeroedPages.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -45,7 +44,7 @@ public:
 
   explicit MainMemory(uint64_t SizeBytes);
 
-  uint64_t size() const { return StorageSize; }
+  uint64_t size() const { return Storage.size(); }
 
   /// Allocates \p Size bytes aligned to max(\p Align, 16).
   ///
@@ -61,8 +60,17 @@ public:
 
   /// Raw bounds-checked access. These are the *functional* accessors used
   /// by the DMA engine and the host; timing is charged by the Machine.
-  void read(void *Dst, GlobalAddr Src, uint64_t Size) const;
-  void write(GlobalAddr Dst, const void *Src, uint64_t Size);
+  /// Inline, so a typed access copies a constant number of bytes.
+  void read(void *Dst, GlobalAddr Src, uint64_t Size) const {
+    if (!contains(Src, Size)) [[unlikely]]
+      fatalAccess("out-of-bounds read");
+    std::memcpy(Dst, Storage.data() + Src.Value, Size);
+  }
+  void write(GlobalAddr Dst, const void *Src, uint64_t Size) {
+    if (!contains(Dst, Size)) [[unlikely]]
+      fatalAccess("out-of-bounds write");
+    std::memcpy(Storage.data() + Dst.Value, Src, Size);
+  }
 
   /// Typed helpers for trivially copyable values.
   template <typename T> T readValue(GlobalAddr Addr) const {
@@ -85,25 +93,25 @@ public:
 
   /// \returns true if [Addr, Addr+Size) lies within the memory.
   bool contains(GlobalAddr Addr, uint64_t Size) const {
-    return !Addr.isNull() && Addr.Value + Size <= StorageSize &&
+    return !Addr.isNull() && Addr.Value + Size <= Storage.size() &&
            Addr.Value + Size >= Addr.Value;
   }
 
 private:
+  /// Reports a failed access (\p What) as a fatal error.
+  [[noreturn, gnu::cold]] static void fatalAccess(const char *What);
+
   struct FreeBlock {
     uint64_t Offset;
     uint64_t Size;
   };
 
-  struct FreeDeleter {
-    void operator()(uint8_t *Ptr) const { std::free(Ptr); }
-  };
-
-  // calloc'd: a large calloc gets fresh, already-zero pages from the OS,
-  // so simulated memory a run never touches is never committed on the
-  // host. A value-initialised container would write every byte.
-  std::unique_ptr<uint8_t[], FreeDeleter> Storage;
-  uint64_t StorageSize;
+  // An anonymous mapping (ZeroedPages): its pages are zero and are
+  // committed on first touch, so simulated memory a run never touches
+  // costs no host RSS. A calloc'd block gives no such promise (glibc
+  // may serve it from the heap and clear every byte), and a
+  // value-initialised container always writes every byte.
+  ZeroedPages Storage;
 
   // Sorted by offset; adjacent blocks are coalesced on deallocate.
   std::vector<FreeBlock> FreeList;

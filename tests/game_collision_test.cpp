@@ -376,6 +376,44 @@ TEST(Broadphase, MatchesReferenceOrderAndCost) {
     ASSERT_EQ(I, Store.size());
     expectMatchesReference(Store);
   }
+  {
+    // Clusters at cells 4i..4i+1 on every axis, so two empty cells
+    // separate occupied coordinates and each gap compresses to one slot.
+    // Each cluster straddles its cell boundaries, so pairs cross them.
+    SCOPED_TRACE("sparse clusters with gaps of two cells on every axis");
+    Machine M;
+    EntityStore Store(M, 27 * 6, 23, 30.0f);
+    uint32_t I = 0;
+    for (uint32_t Cluster = 0; Cluster != 27; ++Cluster) {
+      Vec3 Corner(32.0f * float(Cluster % 3) + 8.0f,
+                  32.0f * float(Cluster / 3 % 3) - 56.0f,
+                  32.0f * float(Cluster / 9) + 40.0f);
+      for (uint32_t K = 0; K != 6; ++K)
+        placeEntity(Store, I++,
+                    Corner + Vec3(K & 1 ? -1.5f : 1.0f, K & 2 ? -1.0f : 1.5f,
+                                  K < 4 ? 0.5f - float(K % 3) : -0.5f),
+                    1.0f);
+    }
+    ASSERT_EQ(I, Store.size());
+    expectMatchesReference(Store);
+  }
+  {
+    // Every cell of a 5x5x5 block occupied, so every neighbour row of an
+    // inner cell is three occupied cells in a row: a full span.
+    SCOPED_TRACE("solid block of occupied cells");
+    Machine M;
+    EntityStore Store(M, 125 + 25, 29, 30.0f);
+    for (uint32_t I = 0; I != Store.size(); ++I) {
+      uint32_t Cell = I % 125;
+      float Jitter = I < 125 ? 0.0f : 2.5f;
+      placeEntity(Store, I,
+                  Vec3(8.0f * float(Cell % 5) - 12.0f + Jitter,
+                       8.0f * float(Cell / 5 % 5) + 4.0f - Jitter,
+                       8.0f * float(Cell / 25) - 20.0f + 0.5f * Jitter),
+                  3.5f);
+    }
+    expectMatchesReference(Store);
+  }
 }
 
 TEST(BroadphaseDeath, PositionOutsidePackedKeyRangeAborts) {
@@ -388,6 +426,27 @@ TEST(BroadphaseDeath, PositionOutsidePackedKeyRangeAborts) {
   EXPECT_TRUE(broadphaseHost(Store, CollisionParams()).empty());
   placeEntity(Store, 1, Vec3(8388600.0f, 0.0f, 0.0f), 1.0f);
   EXPECT_DEATH(broadphaseHost(Store, CollisionParams()), "packed-key range");
+}
+
+TEST(BroadphaseDeath, TooSparseForGridIndexAborts) {
+  // Entities on a diagonal, two cells apart: every axis has N occupied
+  // coordinates, so the compressed grid spans (2N + 1)^3 cells. That is
+  // 81^3 = 531,441 for 40 entities, inside the 2^20 + 64N bound, and
+  // 129^3 = 2,146,689 for 64, outside it.
+  auto Diagonal = [](EntityStore &Store) {
+    for (uint32_t I = 0; I != Store.size(); ++I) {
+      float Coord = 16.0f * float(I) + 4.0f;
+      placeEntity(Store, I, Vec3(Coord, Coord, Coord), 1.0f);
+    }
+  };
+  Machine M;
+  EntityStore Fits(M, 40, 3, 10.0f);
+  Diagonal(Fits);
+  EXPECT_TRUE(broadphaseHost(Fits, CollisionParams()).empty());
+  EntityStore TooSparse(M, 64, 3, 10.0f);
+  Diagonal(TooSparse);
+  EXPECT_DEATH(broadphaseHost(TooSparse, CollisionParams()),
+               "too sparse for the broadphase grid index");
 }
 
 TEST(DetectContacts, FiltersToExactOverlaps) {

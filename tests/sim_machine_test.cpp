@@ -289,6 +289,12 @@ TEST(MachineDeath, BadAcceleratorIdAborts) {
   EXPECT_DEATH(M.accel(99), "accelerator id out of range");
 }
 
+TEST(MachineDeath, HostReadPastMainMemoryAborts) {
+  Machine M;
+  GlobalAddr Last(M.mainMemory().size() - 2);
+  EXPECT_DEATH(M.hostRead<uint32_t>(Last), "main memory: out-of-bounds read");
+}
+
 TEST(MachineDeath, NonZeroHostThreadsIsRejected) {
   MachineConfig Cfg;
   Cfg.HostThreads = 1;

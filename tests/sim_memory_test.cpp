@@ -9,11 +9,28 @@
 #include "sim/Machine.h"
 #include "sim/MainMemory.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace omm::sim;
+
+namespace {
+
+/// \returns whether the host page holding \p Ptr is resident, asked of
+/// the kernel with mincore() (which touches nothing).
+bool pageResident(const uint8_t *Ptr) {
+  uintptr_t Page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  uintptr_t Base = reinterpret_cast<uintptr_t>(Ptr) & ~(Page - 1);
+  unsigned char Resident = 0;
+  EXPECT_EQ(mincore(reinterpret_cast<void *>(Base), Page, &Resident), 0);
+  return Resident & 1;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // MainMemory
@@ -95,6 +112,13 @@ TEST(MainMemoryDeath, OutOfBoundsReadAborts) {
   EXPECT_DEATH(Mem.read(&Byte, GlobalAddr(5000), 1), "out-of-bounds");
 }
 
+TEST(MainMemoryDeath, OutOfBoundsWriteAborts) {
+  MainMemory Mem(4096);
+  uint32_t Word = 0;
+  EXPECT_DEATH(Mem.write(GlobalAddr(4094), &Word, sizeof(Word)),
+               "main memory: out-of-bounds write");
+}
+
 TEST(MainMemoryDeath, ExhaustionAborts) {
   MainMemory Mem(4096);
   EXPECT_DEATH(Mem.allocate(1 << 20), "out of memory");
@@ -156,6 +180,22 @@ TEST(MainMemory, FreshMemoryReadsZero) {
   ExpectZero(Second.mainMemory());
 }
 
+TEST(MainMemory, UntouchedPagesAreNotCommitted) {
+  constexpr uint64_t Size = 8 << 20;
+  const GlobalAddr Probe(Size / 2);
+  // Dirty and destroy two memories of the same size first. A C library
+  // allocator would serve the third from the heap they leave behind and
+  // clear (so commit) all of it; the backing store must not.
+  for (int I = 0; I != 2; ++I) {
+    MainMemory Dirty(Size);
+    Dirty.writeValue<uint64_t>(Probe, ~uint64_t(0));
+    ASSERT_TRUE(pageResident(Dirty.rawPtr(Probe, 1)));
+  }
+  MainMemory Mem(Size);
+  EXPECT_FALSE(pageResident(Mem.rawPtr(Probe, 1)));
+  EXPECT_EQ(Mem.readValue<uint64_t>(Probe), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // LocalStore
 //===----------------------------------------------------------------------===//
@@ -203,6 +243,14 @@ TEST(LocalStore, BytesFreeDecreases) {
   EXPECT_EQ(Store.bytesFree(), Before - 512);
 }
 
+TEST(LocalStore, UntouchedPagesAreNotCommitted) {
+  LocalStore Store(MachineConfig::LocalStoreSize);
+  const LocalAddr Probe(MachineConfig::LocalStoreSize / 2);
+  EXPECT_FALSE(pageResident(Store.rawPtr(Probe, 1)));
+  Store.writeValue<uint32_t>(Probe, 7);
+  EXPECT_TRUE(pageResident(Store.rawPtr(Probe, 1)));
+}
+
 TEST(LocalStoreDeath, CapacityPressureAborts) {
   // The paper's local-store pressure: 256K is a hard limit.
   LocalStore Store(4096);
@@ -214,4 +262,11 @@ TEST(LocalStoreDeath, OutOfBoundsAccessAborts) {
   LocalStore Store(4096);
   uint8_t Byte = 0;
   EXPECT_DEATH(Store.write(LocalAddr(5000), &Byte, 1), "out-of-bounds");
+}
+
+TEST(LocalStoreDeath, OutOfBoundsReadAborts) {
+  LocalStore Store(4096);
+  uint32_t Word;
+  EXPECT_DEATH(Store.read(&Word, LocalAddr(4094), sizeof(Word)),
+               "local store: out-of-bounds read");
 }
